@@ -290,6 +290,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         reporter.result(f"error empty-universe: {exc}")
         reporter.finish()
         return DOMAIN_FAILURE
+    except UnsafeProgram as exc:
+        reporter.result(f"error unsafe-program: {exc}")
+        reporter.finish()
+        return DOMAIN_FAILURE
     for line in _conclusion_lines(args, tag_name, sets, extra):
         reporter.result(line)
     reporter.finish()
@@ -480,3 +484,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -129,6 +129,28 @@ def _match(pattern_args, ground_args, binding) -> Optional[list[str]]:
     return added
 
 
+def _join(steps, i: int, binding: dict[str, str], chosen: list[GAtom], probe, emit) -> None:
+    """Match positive body steps ``i:`` in order, calling ``emit`` once per
+    complete binding with the matched atoms in ``chosen``.
+
+    Module-level on purpose: a recursive nested function is a reference
+    cycle, which would keep the grounder's tables alive until the cyclic
+    garbage collector ran and so raise the process's peak memory."""
+    if i == len(steps):
+        emit()
+        return
+    pred, pattern_args, positions, key_args = steps[i]
+    key = tuple(binding[name] if is_var else name for is_var, name in key_args)
+    for atom in probe(pred, positions, key):
+        added = _match(pattern_args, atom[1], binding)
+        if added is not None:
+            chosen.append(atom)
+            _join(steps, i + 1, binding, chosen, probe, emit)
+            chosen.pop()
+            for name in added:
+                del binding[name]
+
+
 def _head_instances(compiled, constants: list[str]) -> dict[str, set[tuple]]:
     """Every instance of a clause head pattern over the constant pool.
 
@@ -155,65 +177,113 @@ def _ground_clauses(
 ) -> tuple[list[GroundClause], set[GAtom]]:
     """Clause instances whose positive body atoms can all appear as heads.
 
-    Computed as a greatest fixpoint: start from every head-pattern
-    instance and repeatedly drop atoms no retained instance supports.
-    Dropped atoms are false under the stratified, Fitting and well-founded
-    semantics alike (each of their clause bodies contains an atom already
-    proven false), so the pruning changes no verdict over the retained
-    base.  ``external_true`` atoms (a fixed floor) count as support.
+    This is the greatest set of atoms that supports itself: an atom stays
+    when it is an ``external_true`` atom (a fixed floor) or the head of a
+    retained instance, and an instance stays when every positive body atom
+    does.  Dropped atoms are false under the stratified, Fitting and
+    well-founded semantics alike (each of their clause bodies contains an
+    atom already proven false), so the pruning changes no verdict over the
+    retained base.
+
+    It is computed in one pass.  Each clause is joined once over the
+    head-pattern universe (``_head_instances`` plus ``external_true``),
+    probing a hash index per (predicate, bound positions) that is built on
+    first use; bound positions are the constant positions and those whose
+    variable an earlier body atom bound.  Every atom is interned, so each
+    ground atom is one object however many instances mention it.  Then
+    counter-based deletion: each atom counts the instances that have it as
+    head, atoms with no support are dropped, and dropping an atom drops the
+    instances that use it positively, which decrements their heads' counts
+    in turn.
+
+    It must stay a greatest fixpoint.  A least fixpoint (derivability)
+    would drop positively self-supporting atoms (``q :- q``) together with
+    their clauses, making them false; Fitting's semantics has to leave them
+    unknown, and only the well-founded and stratified semantics make them
+    false.
     """
+    external = set(external_true)
     compiled = _compile_clauses(program)
-    external: dict[str, set[tuple]] = {}
-    for pred, args in external_true:
-        external.setdefault(pred, set()).add(args)
-    constants = sorted(
-        program.constants() | {name for args in (a[1] for a in external_true) for name in args}
-    )
-    universe = _head_instances(compiled, constants)
-    for pred, argsets in external.items():
-        universe.setdefault(pred, set()).update(argsets)
+    constants = sorted(program.constants() | {name for _, args in external for name in args})
+    interned: dict[GAtom, GAtom] = {}
+    universe: dict[str, list[GAtom]] = {}
+    for pred, argsets in _head_instances(compiled, constants).items():
+        bucket = universe.setdefault(pred, [])
+        for args in argsets:
+            atom = (pred, args)
+            interned[atom] = atom
+            bucket.append(atom)
+    for atom in external:
+        if atom not in interned:
+            interned[atom] = atom
+            universe.setdefault(atom[0], []).append(atom)
 
-    while True:
-        instances: list[GroundClause] = []
-        seen: set[GroundClause] = set()
-        supported: dict[str, set[tuple]] = {p: set(s) for p, s in external.items()}
+    indexes: dict[tuple[str, tuple[int, ...]], dict[tuple, list[GAtom]]] = {}
 
-        def add_instance(head, pos, neg) -> None:
-            inst = GroundClause(head, pos, neg)
-            if inst not in seen:
-                seen.add(inst)
-                instances.append(inst)
-                supported.setdefault(head[0], set()).add(head[1])
+    def probe(pred: str, positions: tuple[int, ...], key: tuple) -> list[GAtom]:
+        if not positions:
+            return universe.get(pred, [])
+        index = indexes.get((pred, positions))
+        if index is None:
+            index = indexes[(pred, positions)] = {}
+            for atom in universe.get(pred, ()):
+                args = atom[1]
+                index.setdefault(tuple(args[i] for i in positions), []).append(atom)
+        return index.get(key, [])
 
-        for head, pos, neg in compiled:
-            binding: dict[str, str] = {}
+    def intern(pattern, binding) -> GAtom:
+        atom = _instantiate(pattern, binding)
+        return interned.setdefault(atom, atom)
 
-            def join(i: int) -> None:
-                if i == len(pos):
-                    add_instance(
-                        _instantiate(head, binding),
-                        tuple(_instantiate(p, binding) for p in pos),
-                        tuple(_instantiate(n, binding) for n in neg),
-                    )
-                    return
-                pred, pattern_args = pos[i]
-                for ground_args in universe.get(pred, ()):
-                    added = _match(pattern_args, ground_args, binding)
-                    if added is not None:
-                        join(i + 1)
-                        for name in added:
-                            del binding[name]
+    instances: dict[GroundClause, None] = {}
+    support: dict[GAtom, int] = {}
+    for head, pos, neg in compiled:
+        steps = []
+        bound: set[str] = set()
+        for pred, pattern_args in pos:
+            positions = tuple(
+                i for i, (is_var, name) in enumerate(pattern_args) if not is_var or name in bound
+            )
+            steps.append((pred, pattern_args, positions, tuple(pattern_args[i] for i in positions)))
+            bound.update(name for is_var, name in pattern_args if is_var)
+        binding: dict[str, str] = {}
+        chosen: list[GAtom] = []
 
-            join(0)
-        if supported == universe:
-            base = {a for inst in instances for a in (inst.head, *inst.positive, *inst.negative)}
-            return instances, base
-        universe = supported
+        def emit() -> None:
+            inst = GroundClause(
+                intern(head, binding), tuple(chosen), tuple(intern(n, binding) for n in neg)
+            )
+            if inst not in instances:
+                instances[inst] = None
+                support[inst.head] = support.get(inst.head, 0) + 1
+
+        _join(steps, 0, binding, chosen, probe, emit)
+
+    kept = list(instances)
+    dead = {a for inst in kept for a in inst.positive if a not in support and a not in external}
+    if dead:
+        users: dict[GAtom, list[int]] = {}
+        for idx, inst in enumerate(kept):
+            for atom in inst.positive:
+                users.setdefault(atom, []).append(idx)
+        alive = [True] * len(kept)
+        stack = list(dead)
+        while stack:
+            for idx in users.get(stack.pop(), ()):
+                if alive[idx]:
+                    alive[idx] = False
+                    lost = kept[idx].head
+                    support[lost] -= 1
+                    if not support[lost] and lost not in external:
+                        stack.append(lost)
+        kept = [inst for inst, keep in zip(kept, alive) if keep]
+    base = {a for inst in kept for a in (inst.head, *inst.positive, *inst.negative)}
+    return kept, base
 
 
 def ground_program(program: DatalogProgram) -> GroundProgram:
-    """Ground a safe program over its own constants, pruning clauses whose
-    positive body can never be derived."""
+    """Ground a safe program over its own constants, pruning the clause
+    instances that ``_ground_clauses`` shows can never fire."""
     if not is_safe(program):
         raise UnsafeProgram("program is not safe; grounding would not terminate on ground atoms")
     instances, base = _ground_clauses(program)
@@ -353,8 +423,10 @@ def eval_wellfounded(
             raise RuntimeError("alternating fixpoint failed to stabilise (internal error)")
         upper = _least_model(g.clauses, assumed_false=base - lower)
         new_lower = _least_model(g.clauses, assumed_false=base - upper)
-        assert lower <= new_lower, "true underestimate must be nondecreasing"
-        assert upper <= previous_upper, "false-complement overestimate must be nonincreasing"
+        if not lower <= new_lower:
+            raise RuntimeError("true underestimate decreased (internal error)")
+        if not upper <= previous_upper:
+            raise RuntimeError("false-complement overestimate increased (internal error)")
         previous_upper = upper
         if new_lower == lower:
             return ThreeValuedInterpretation(
@@ -363,18 +435,6 @@ def eval_wellfounded(
                 domain=g.herbrand_base,
             )
         lower = new_lower
-
-
-def is_three_valued_model(program: DatalogProgram, interp: ThreeValuedInterpretation) -> bool:
-    """No ground clause has a true body and a non-true head."""
-    instances, _ = _ground_clauses(program, external_true=interp.true_set)
-    for clause in instances:
-        body_true = all(p in interp.true_set for p in clause.positive) and all(
-            n in interp.false_set for n in clause.negative
-        )
-        if body_true and clause.head not in interp.true_set:
-            return False
-    return True
 
 
 def eval_hybrid(compiled: CompilationOutput) -> ThreeValuedInterpretation:

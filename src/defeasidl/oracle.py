@@ -157,5 +157,6 @@ def conclusions(theory: DefeasibleTheory | GroundTheory) -> ConclusionSet:
         dpar=frozenset(dpar),
         dpar_star=frozenset(dpar_star),
     )
-    assert result.delta <= result.dpar_star <= result.dpar <= result.lam
+    if not result.delta <= result.dpar_star <= result.dpar <= result.lam:
+        raise RuntimeError("conclusions violate Delta <= dpar* <= dpar <= lambda (internal error)")
     return result

@@ -1,0 +1,90 @@
+"""Naive reference grounder and model check, kept as test cross-checks.
+
+``naive_ground_clauses`` is the round-based greatest fixpoint the package
+grounder replaced: every round re-joins each clause by an unindexed
+nested loop over the atoms still supported, until the supported set stops
+shrinking.  It is slow and plainly correct, so the differential tests
+hold ``evaluator._ground_clauses`` to it.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from defeasidl.datalog import DatalogProgram
+from defeasidl.evaluator import (
+    GAtom,
+    GroundClause,
+    ThreeValuedInterpretation,
+    _compile_clauses,
+    _head_instances,
+    _instantiate,
+    _match,
+)
+
+
+def naive_ground_clauses(
+    program: DatalogProgram, external_true: Iterable[GAtom] = ()
+) -> tuple[list[GroundClause], set[GAtom]]:
+    """Start from every head-pattern instance plus ``external_true`` and
+    repeatedly drop atoms no retained clause instance supports."""
+    external_true = set(external_true)
+    compiled = _compile_clauses(program)
+    external: dict[str, set[tuple]] = {}
+    for pred, args in external_true:
+        external.setdefault(pred, set()).add(args)
+    constants = sorted(
+        program.constants() | {name for args in (a[1] for a in external_true) for name in args}
+    )
+    universe = _head_instances(compiled, constants)
+    for pred, argsets in external.items():
+        universe.setdefault(pred, set()).update(argsets)
+
+    while True:
+        instances: list[GroundClause] = []
+        seen: set[GroundClause] = set()
+        supported: dict[str, set[tuple]] = {p: set(s) for p, s in external.items()}
+
+        def add_instance(head, pos, neg) -> None:
+            inst = GroundClause(head, pos, neg)
+            if inst not in seen:
+                seen.add(inst)
+                instances.append(inst)
+                supported.setdefault(head[0], set()).add(head[1])
+
+        for head, pos, neg in compiled:
+            binding: dict[str, str] = {}
+
+            def join(i: int) -> None:
+                if i == len(pos):
+                    add_instance(
+                        _instantiate(head, binding),
+                        tuple(_instantiate(p, binding) for p in pos),
+                        tuple(_instantiate(n, binding) for n in neg),
+                    )
+                    return
+                pred, pattern_args = pos[i]
+                for ground_args in universe.get(pred, ()):
+                    added = _match(pattern_args, ground_args, binding)
+                    if added is not None:
+                        join(i + 1)
+                        for name in added:
+                            del binding[name]
+
+            join(0)
+        if supported == universe:
+            base = {a for inst in instances for a in (inst.head, *inst.positive, *inst.negative)}
+            return instances, base
+        universe = supported
+
+
+def is_three_valued_model(program: DatalogProgram, interp: ThreeValuedInterpretation) -> bool:
+    """No ground clause has a true body and a non-true head."""
+    instances, _ = naive_ground_clauses(program, external_true=interp.true_set)
+    for clause in instances:
+        body_true = all(p in interp.true_set for p in clause.positive) and all(
+            n in interp.false_set for n in clause.negative
+        )
+        if body_true and clause.head not in interp.true_set:
+            return False
+    return True

@@ -1,7 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
+import defeasidl
 from defeasidl import corpus
 from defeasidl.cli import main
 
@@ -158,6 +163,14 @@ class TestSolve:
         assert code == 1
         assert "empty-universe" in out
 
+    def test_unsafe_theory_exits_1_on_every_compiled_backend(self, tmp_path):
+        src = tmp_path / "unsafe.dfl"
+        src.write_text("r: => p(X).\nq(a).\n", encoding="utf-8")
+        for backend in ("wf", "hybrid", "stratified"):
+            code, out = run("--no-timings", "solve", str(src), "--backend", backend)
+            assert code == 1, backend
+            assert result_lines(out)[-1].startswith("error unsafe-program: "), backend
+
 
 class TestEval:
     def test_wf_unknown(self, tmp_path):
@@ -229,3 +242,16 @@ class TestReporting:
     def test_bad_flags_exit_2(self):
         code, _ = run("solve", TWEETY, "--backend", "bogus")
         assert code == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    package_root = str(Path(defeasidl.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "defeasidl", "--help"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "solve" in done.stdout

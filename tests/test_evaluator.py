@@ -13,9 +13,9 @@ from defeasidl.evaluator import (
     eval_wellfounded,
     format_atom,
     ground_program,
-    is_three_valued_model,
 )
 from defeasidl.oracle import conclusions
+from grounding_reference import is_three_valued_model
 
 
 def atom(text: str):
