@@ -265,13 +265,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
             if args.backend == "wf":
                 interp = eval_wellfounded(out.program)
             elif args.backend == "stratified":
-                if stratify(out.program) is None:
-                    reporter.result(
-                        "error not-stratified: compiled program is not stratified; "
-                        "use --backend wf or hybrid"
-                    )
-                    reporter.finish()
-                    return DOMAIN_FAILURE
                 interp = eval_stratified(out.program)
             else:
                 interp = eval_hybrid(out)
@@ -288,6 +281,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 extra = (false_sets["defeasibly"], unknown_sets["defeasibly"])
     except EmptyUniverse as exc:
         reporter.result(f"error empty-universe: {exc}")
+        reporter.finish()
+        return DOMAIN_FAILURE
+    except NotStratified:
+        reporter.result(
+            "error not-stratified: compiled program is not stratified; use --backend wf or hybrid"
+        )
         reporter.finish()
         return DOMAIN_FAILURE
     except UnsafeProgram as exc:

@@ -4,14 +4,14 @@ Clauses are ``head :- pos..., not neg...`` over constants and variables
 only.  The analyses here are the predicate-level ones the backend
 selection depends on: the signed dependency graph, stratification,
 call-consistency (no odd negative self-dependence), signings of a
-predicate set, and safety/range-restriction.
+predicate set, and safety.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Hashable, Iterable, Mapping, Optional
 
 from .theory import Atom, Term
 
@@ -71,9 +71,6 @@ class DatalogProgram:
             if not t.is_variable
         }
 
-    def clauses_for(self, predicate: str) -> list[DClause]:
-        return [c for c in self.clauses if c.head.predicate == predicate]
-
     def restrict_to(self, predicates: Iterable[str]) -> "DatalogProgram":
         wanted = set(predicates)
         return DatalogProgram(tuple(c for c in self.clauses if c.head.predicate in wanted))
@@ -107,53 +104,49 @@ def dependency_graph(program: DatalogProgram) -> DependencyGraph:
     return DependencyGraph(nodes, frozenset(edges))
 
 
-def _tarjan_sccs(graph: DependencyGraph) -> list[list[str]]:
-    """SCCs in reverse topological order (components before their dependents)."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = 0
+def _tarjan_sccs(nodes: Iterable[Hashable], successors: Mapping) -> list[list]:
+    """SCCs in reverse topological order (components before their dependents).
 
-    for root in sorted(graph.nodes):
+    Iterative Tarjan over ``nodes`` in the given order; ``successors`` maps
+    a node to the nodes it depends on, and a node missing from it has none.
+    """
+    index: dict = {}
+    low: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    sccs: list[list] = []
+
+    def visit(node) -> tuple:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        return node, iter(successors.get(node, ()))
+
+    for root in nodes:
         if root in index:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
+        work = [visit(root)]
         while work:
-            node, i = work[-1]
-            if i == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            succs = graph.successors[node]
-            recurse = False
-            while i < len(succs):
-                nxt = succs[i][0]
-                i += 1
+            node, succs = work[-1]
+            for nxt in succs:  # resumes where the node's last visit stopped
                 if nxt not in index:
-                    work[-1] = (node, i)
-                    work.append((nxt, 0))
-                    recurse = True
+                    work.append(visit(nxt))
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if recurse:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    comp.append(top)
-                    if top == node:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if nxt in on_stack and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        top = stack.pop()
+                        on_stack.discard(top)
+                        comp.append(top)
+                        if top == node:
+                            break
+                    sccs.append(comp)
     return sccs
 
 
@@ -161,7 +154,9 @@ def stratify(program: DatalogProgram) -> Optional[dict[str, int]]:
     """A stratum mapping (heads >= positive bodies, > negative bodies),
     or None iff some strongly connected component contains a negative edge."""
     graph = dependency_graph(program)
-    sccs = _tarjan_sccs(graph)
+    sccs = _tarjan_sccs(
+        sorted(graph.nodes), {p: [q for q, _ in succs] for p, succs in graph.successors.items()}
+    )
     comp_of = {node: i for i, comp in enumerate(sccs) for node in comp}
     for p, q, sign in graph.edges:
         if sign < 0 and comp_of[p] == comp_of[q]:
@@ -176,27 +171,6 @@ def stratify(program: DatalogProgram) -> Optional[dict[str, int]]:
                     best = max(best, level[j] + (1 if sign < 0 else 0))
         level[i] = best
     return {node: level[comp_of[node]] for node in graph.nodes}
-
-
-def is_valid_stratification(program: DatalogProgram, mapping: dict[str, int]) -> bool:
-    for clause in program.clauses:
-        m = mapping.get(clause.head.predicate)
-        if m is None:
-            return False
-        for a in clause.positive:
-            if a.predicate not in mapping or mapping[a.predicate] > m:
-                return False
-        for a in clause.negative:
-            if a.predicate not in mapping or mapping[a.predicate] >= m:
-                return False
-    return True
-
-
-def has_negative_edge_in_scc(program: DatalogProgram) -> bool:
-    """The other characterisation of non-stratifiability, for cross-checking."""
-    graph = dependency_graph(program)
-    comp_of = {n: i for i, comp in enumerate(_tarjan_sccs(graph)) for n in comp}
-    return any(sign < 0 and comp_of[p] == comp_of[q] for p, q, sign in graph.edges)
 
 
 def is_call_consistent(program: DatalogProgram) -> bool:
@@ -262,38 +236,16 @@ def compute_signing(program: DatalogProgram, scope: Iterable[str]) -> Optional[S
     return Signing(mapping, scope_set)
 
 
-def signing_satisfies_edges(program: DatalogProgram, signing: Signing) -> bool:
-    graph = dependency_graph(program)
-    for p, q, sign in graph.edges:
-        if p in signing.scope and q in signing.scope:
-            if signing.mapping[p] != signing.mapping[q] * sign:
-                return False
-    return True
-
-
 def _clause_vars(atoms: Iterable[Atom]) -> set[str]:
     return {t.name for a in atoms for t in a.args if t.is_variable}
 
 
-def is_range_restricted(program: DatalogProgram) -> bool:
-    """Every head variable appears in a positive body literal."""
-    for clause in program.clauses:
-        if not _clause_vars([clause.head]) <= _clause_vars(clause.positive):
-            return False
-    return True
-
-
-def is_negation_safe(program: DatalogProgram) -> bool:
-    for clause in program.clauses:
-        if not _clause_vars(clause.negative) <= _clause_vars(clause.positive):
-            return False
-    return True
-
-
 def is_safe(program: DatalogProgram) -> bool:
-    """Range-restricted and negation-safe: every clause variable is bound
-    by a positive body literal."""
-    return is_range_restricted(program) and is_negation_safe(program)
+    """Every clause variable is bound by a positive body literal: head
+    variables (range restriction) and negated ones (negation safety)."""
+    return all(
+        _clause_vars([c.head, *c.negative]) <= _clause_vars(c.positive) for c in program.clauses
+    )
 
 
 # Parsing and printing of the ".dl" text form.

@@ -1,16 +1,15 @@
 """Grounding and evaluation of safe Datalog-with-negation programs.
 
-Three semantics are provided.  The stratified (iterated-fixpoint)
-semantics applies to stratified programs and is total.  Fitting's
-semantics is the least fixpoint of the three-valued immediate-consequence
-operator: an atom becomes true when some clause body is true, false when
-every clause body is false (so atoms with no clauses are false at once).
-The well-founded semantics extends Fitting's by falsifying atoms that are
-supported only through positive loops; it is computed by the standard
-alternating fixpoint.  A hybrid pipeline for compiled programs evaluates
-the stratified floor first and then runs Fitting's semantics above it,
-which provably recovers exactly the well-founded truths of the
-defeasibly predicates.
+Fitting's semantics is the least fixpoint of the three-valued
+immediate-consequence operator: an atom becomes true when some clause
+body is true, false when every clause body is false (so atoms with no
+clauses are false at once).  The well-founded semantics also falsifies
+atoms supported only through positive loops.  One engine computes it, one
+strongly connected component of the ground atom graph at a time; on
+stratified programs its result is the total perfect model.  A hybrid
+pipeline for compiled programs evaluates the stratified floor first and
+then runs Fitting's semantics above it, which provably recovers exactly
+the well-founded truths of the defeasibly predicates.
 
 Ground atoms are plain ``(predicate, args)`` tuples for speed.
 """
@@ -22,11 +21,9 @@ from itertools import product
 from typing import Iterable, NamedTuple, Optional
 
 from .compiler import CompilationOutput
-from .datalog import DatalogProgram, is_safe, stratify
+from .datalog import DatalogProgram, _tarjan_sccs, is_safe, stratify
 
 GAtom = tuple  # (predicate: str, args: tuple[str, ...])
-
-MAX_ALTERNATIONS = 100_000  # defensive cap; finite ground programs terminate long before
 
 
 class UnsafeProgram(Exception):
@@ -290,67 +287,97 @@ def ground_program(program: DatalogProgram) -> GroundProgram:
     return GroundProgram(tuple(instances), frozenset(base))
 
 
-def _least_model(
-    clauses: Iterable[GroundClause],
-    assumed_false: Optional[set[GAtom]] = None,
-    seed: Iterable[GAtom] = (),
-) -> set[GAtom]:
-    """Least model over ``seed`` of the positive reduct: a clause
-    participates iff all its negative atoms are in ``assumed_false``
-    (negation is ignored entirely when None; callers prefilter then)."""
-    usable = [
-        c
-        for c in clauses
-        if assumed_false is None or all(n in assumed_false for n in c.negative)
-    ]
+def _least_model(clauses: list[GroundClause], blocked: set[GAtom]) -> set[GAtom]:
+    """Least model of the clauses with no negative atom in ``blocked``; the
+    negative literals of those clauses count as satisfied."""
+    usable = [c for c in clauses if blocked.isdisjoint(c.negative)]
+    need = [len(set(c.positive)) for c in usable]
     waiting: dict[GAtom, list[int]] = {}
-    need: list[int] = []
-    true: set[GAtom] = set()
-    queue: list[GAtom] = []
-
-    def fire(atom: GAtom) -> None:
-        if atom not in true:
-            true.add(atom)
-            queue.append(atom)
-
     for idx, clause in enumerate(usable):
-        distinct = set(clause.positive)
-        need.append(len(distinct))
-        if not distinct:
-            fire(clause.head)
-        for atom in distinct:
+        for atom in set(clause.positive):
             waiting.setdefault(atom, []).append(idx)
-    for atom in seed:
-        fire(atom)
+    queue = [c.head for c, n in zip(usable, need) if not n]
+    true: set[GAtom] = set()
     while queue:
         atom = queue.pop()
-        for idx in waiting.get(atom, ()):
-            need[idx] -= 1
-            if need[idx] == 0:
-                fire(usable[idx].head)
+        if atom not in true:
+            true.add(atom)
+            for idx in waiting.get(atom, ()):
+                need[idx] -= 1
+                if not need[idx]:
+                    queue.append(usable[idx].head)
     return true
 
 
-def eval_stratified(program: DatalogProgram) -> ThreeValuedInterpretation:
-    """Iterated least models along a stratification; the result is total."""
-    strata = stratify(program)
-    if strata is None:
-        raise NotStratified("program has a negative edge inside a recursive component")
-    g = ground_program(program)
-    by_stratum: dict[int, list[GroundClause]] = {}
+def _alternate(component, by_head, true: set[GAtom], false: set[GAtom]) -> None:
+    """Decide a component by the alternating fixpoint over its own atoms.
+    An outside atom is in ``true``, in ``false``, or else unknown: a false
+    outside literal drops its clause, and an unknown one is satisfied in
+    the overestimate only.  Blocking sets lie inside the component, so the
+    first round is final unless an internal negative edge makes it alternate."""
+    inside = set(component)
+    maybe: list[GroundClause] = []  # clauses of the overestimate
+    sure: list[GroundClause] = []  # those whose outside literals are all true
+    for c in (c for atom in component for c in by_head.get(atom, ())):
+        if not (false.isdisjoint(c.positive) and true.isdisjoint(c.negative)):
+            continue
+        local = GroundClause(c.head, tuple(p for p in c.positive if p in inside), c.negative)
+        maybe.append(local)
+        if true.issuperset(p for p in c.positive if p not in inside) and false.issuperset(
+            n for n in c.negative if n not in inside
+        ):
+            sure.append(local)
+    alternates = any(n in inside for c in maybe for n in c.negative)
+    lower, upper = set(), inside
+    while True:
+        new_upper = _least_model(maybe, blocked=lower)
+        new_lower = _least_model(sure, blocked=new_upper)
+        if not (lower <= new_lower and new_upper <= upper):
+            raise RuntimeError("alternating fixpoint is not monotone (internal error)")
+        if new_lower == lower or not alternates:
+            break
+        lower, upper = new_lower, new_upper
+    true |= new_lower
+    false |= inside - new_upper
+
+
+def _well_founded(g: GroundProgram) -> ThreeValuedInterpretation:
+    """The well-founded model, one strongly connected component of the
+    ground atom graph (head to positive and negative body atoms) at a
+    time, dependencies first.  A single atom without a self-loop is decided
+    in one pass over its clauses; any other component alternates."""
+    by_head: dict[GAtom, list[GroundClause]] = {}
+    successors: dict[GAtom, list[GAtom]] = {}
     for clause in g.clauses:
-        by_stratum.setdefault(strata[clause.head[0]], []).append(clause)
+        by_head.setdefault(clause.head, []).append(clause)
+        successors.setdefault(clause.head, []).extend(clause.positive + clause.negative)
     true: set[GAtom] = set()
-    for level in sorted(by_stratum):
-        layer = by_stratum[level]
-        # Negative atoms live strictly below this stratum, so they are decided.
-        usable = [c for c in layer if all(n not in true for n in c.negative)]
-        true = _least_model(usable, seed=true)
-    return ThreeValuedInterpretation(
-        true_set=frozenset(true),
-        false_set=frozenset(g.herbrand_base - true),
-        domain=g.herbrand_base,
-    )
+    false: set[GAtom] = set()
+    for component in _tarjan_sccs(g.herbrand_base, successors):
+        atom = component[0]
+        if len(component) > 1 or atom in successors.get(atom, ()):
+            _alternate(component, by_head, true, false)
+            continue
+        verdict: Optional[set[GAtom]] = false
+        for c in by_head.get(atom, ()):
+            if false.isdisjoint(c.positive) and true.isdisjoint(c.negative):
+                if true.issuperset(c.positive) and false.issuperset(c.negative):
+                    verdict = true
+                    break
+                verdict = None  # a body neither true nor false, so far
+        if verdict is not None:
+            verdict.add(atom)
+    return ThreeValuedInterpretation(frozenset(true), frozenset(false), g.herbrand_base)
+
+
+def eval_stratified(program: DatalogProgram) -> ThreeValuedInterpretation:
+    """The perfect model of a stratified program: its total well-founded model."""
+    if stratify(program) is None:
+        raise NotStratified("program has a negative edge inside a recursive component")
+    interp = _well_founded(ground_program(program))
+    if not interp.is_total():
+        raise RuntimeError("stratified program left atoms unknown (internal error)")
+    return interp
 
 
 def eval_fitting(
@@ -407,34 +434,9 @@ def eval_fitting(
     return ThreeValuedInterpretation(frozenset(true), frozenset(false), frozenset(base))
 
 
-def eval_wellfounded(
-    program: DatalogProgram, max_alternations: int = MAX_ALTERNATIONS
-) -> ThreeValuedInterpretation:
-    """The well-founded model via the alternating fixpoint: underestimates
-    of truth and overestimates alternate until both stabilise."""
-    g = ground_program(program)
-    base = set(g.herbrand_base)
-    lower: set[GAtom] = set()
-    previous_upper = base
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > max_alternations:
-            raise RuntimeError("alternating fixpoint failed to stabilise (internal error)")
-        upper = _least_model(g.clauses, assumed_false=base - lower)
-        new_lower = _least_model(g.clauses, assumed_false=base - upper)
-        if not lower <= new_lower:
-            raise RuntimeError("true underestimate decreased (internal error)")
-        if not upper <= previous_upper:
-            raise RuntimeError("false-complement overestimate increased (internal error)")
-        previous_upper = upper
-        if new_lower == lower:
-            return ThreeValuedInterpretation(
-                true_set=frozenset(lower),
-                false_set=frozenset(base - upper),
-                domain=g.herbrand_base,
-            )
-        lower = new_lower
+def eval_wellfounded(program: DatalogProgram) -> ThreeValuedInterpretation:
+    """The well-founded model, computed one ground component at a time."""
+    return _well_founded(ground_program(program))
 
 
 def eval_hybrid(compiled: CompilationOutput) -> ThreeValuedInterpretation:
@@ -445,15 +447,10 @@ def eval_hybrid(compiled: CompilationOutput) -> ThreeValuedInterpretation:
     ):
         raise TypeError("hybrid evaluation needs a compiler-produced program with provenance")
     floor_names = compiled.floor_names
-    floor_clauses = []
-    upper_clauses = []
-    for clause in compiled.program.clauses:
-        if clause.head.predicate in floor_names:
-            floor_clauses.append(clause)
-        else:
-            upper_clauses.append(clause)
-    floor_interp = eval_stratified(DatalogProgram(tuple(floor_clauses)))
-    upper_interp = eval_fitting(DatalogProgram(tuple(upper_clauses)), fixed=floor_interp)
+    program = compiled.program
+    floor_interp = eval_stratified(program.restrict_to(floor_names))
+    upper_program = program.restrict_to(program.predicates.keys() - floor_names)
+    upper_interp = eval_fitting(upper_program, fixed=floor_interp)
     defeasibly_true = upper_interp.true_of(
         lambda p: p not in floor_names and compiled.predicate_info[p].base == "defeasibly"
     )

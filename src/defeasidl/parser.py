@@ -225,10 +225,6 @@ def parse_theory(text: str) -> DefeasibleTheory | list[ParseError]:
     return DefeasibleTheory.of(facts, rules, sup)
 
 
-def format_literal(lit: Literal) -> str:
-    return str(lit)
-
-
 def format_theory(theory: DefeasibleTheory) -> str:
     """One statement per line: facts, then rules in order, then superiority."""
     lines = [f"{fact}." for fact in sorted(theory.facts)]

@@ -53,20 +53,6 @@ class Term:
         return self.name
 
 
-def var(name: str) -> Term:
-    t = Term(name)
-    if not t.is_variable:
-        raise ValueError(f"not a variable name: {name!r}")
-    return t
-
-
-def const(name: str) -> Term:
-    t = Term(name)
-    if t.is_variable:
-        raise ValueError(f"not a constant name: {name!r}")
-    return t
-
-
 @dataclass(frozen=True, order=True)
 class Atom:
     """A predicate applied to terms; arity is fixed per predicate by validation."""
