@@ -7,6 +7,8 @@ floor + Fitting backend), and cross-check everything against a direct
 proof-theoretic oracle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .compiler import (
     CompilationOutput,
     compile_individual,
@@ -68,5 +70,10 @@ from .theory import (
     validate_theory,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The imported API names; importing them also bound the submodules.
+__all__ = [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 __version__ = "0.1.0"

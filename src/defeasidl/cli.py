@@ -373,9 +373,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     disagreements = 0
     checked = 0
+    skipped_eval = 0
     for name, theory in jobs:
         result = checkmod.check_theory(theory, name)
         checked += 1
+        skipped_eval += result.skipped_eval
         if result.agree:
             if args.verbose:
                 reporter.result(f"{name}: agree", name=name, agree=True)
@@ -399,9 +401,11 @@ def cmd_check(args: argparse.Namespace) -> int:
                 reporter.result(f"    {line}")
     reporter.result(
         f"checked {checked} theories: "
-        + ("all agree" if disagreements == 0 else f"{disagreements} disagreements"),
+        + ("all agree" if disagreements == 0 else f"{disagreements} disagreements")
+        + (f" ({skipped_eval} not evaluated)" if skipped_eval else ""),
         checked=checked,
         disagreements=disagreements,
+        skipped_eval=skipped_eval,
     )
     reporter.finish()
     return OK if disagreements == 0 else DOMAIN_FAILURE

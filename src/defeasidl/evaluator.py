@@ -4,12 +4,16 @@ Fitting's semantics is the least fixpoint of the three-valued
 immediate-consequence operator: an atom becomes true when some clause
 body is true, false when every clause body is false (so atoms with no
 clauses are false at once).  The well-founded semantics also falsifies
-atoms supported only through positive loops.  One engine computes it, one
-strongly connected component of the ground atom graph at a time; on
-stratified programs its result is the total perfect model.  A hybrid
+atoms supported only through positive loops.  One engine computes both,
+one strongly connected component of the ground atom graph at a time:
+Fitting's operator decides each component, or, for the well-founded
+semantics, each single atom without a self-loop, and the alternating
+fixpoint decides the other well-founded components.  On stratified
+programs the well-founded result is the total perfect model.  A hybrid
 pipeline for compiled programs evaluates the stratified floor first and
-then runs Fitting's semantics above it, which provably recovers exactly
-the well-founded truths of the defeasibly predicates.
+then runs Fitting's semantics above it, with the floor's truths passed as
+unit clauses; this provably recovers exactly the well-founded truths of
+the defeasibly predicates.
 
 Ground atoms are plain ``(predicate, args)`` tuples for speed.
 """
@@ -18,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .compiler import CompilationOutput
-from .datalog import DatalogProgram, _tarjan_sccs, is_safe, stratify
+from .datalog import DatalogProgram, DClause, _tarjan_sccs, is_safe, stratify
+from .theory import Atom, Term
 
 GAtom = tuple  # (predicate: str, args: tuple[str, ...])
 
@@ -169,29 +174,25 @@ def _head_instances(compiled, constants: list[str]) -> dict[str, set[tuple]]:
     return universe
 
 
-def _ground_clauses(
-    program: DatalogProgram, external_true: Iterable[GAtom] = ()
-) -> tuple[list[GroundClause], set[GAtom]]:
+def _ground_clauses(program: DatalogProgram) -> tuple[list[GroundClause], set[GAtom]]:
     """Clause instances whose positive body atoms can all appear as heads.
 
     This is the greatest set of atoms that supports itself: an atom stays
-    when it is an ``external_true`` atom (a fixed floor) or the head of a
-    retained instance, and an instance stays when every positive body atom
-    does.  Dropped atoms are false under the stratified, Fitting and
-    well-founded semantics alike (each of their clause bodies contains an
-    atom already proven false), so the pruning changes no verdict over the
-    retained base.
+    when it is the head of a retained instance, and an instance stays when
+    every positive body atom does.  Dropped atoms are false under the
+    stratified, Fitting and well-founded semantics alike (each of their
+    clause bodies contains an atom already proven false), so the pruning
+    changes no verdict over the retained base.
 
     It is computed in one pass.  Each clause is joined once over the
-    head-pattern universe (``_head_instances`` plus ``external_true``),
-    probing a hash index per (predicate, bound positions) that is built on
-    first use; bound positions are the constant positions and those whose
-    variable an earlier body atom bound.  Every atom is interned, so each
-    ground atom is one object however many instances mention it.  Then
-    counter-based deletion: each atom counts the instances that have it as
-    head, atoms with no support are dropped, and dropping an atom drops the
-    instances that use it positively, which decrements their heads' counts
-    in turn.
+    head-pattern universe (``_head_instances``), probing a hash index per
+    (predicate, bound positions) that is built on first use; bound
+    positions are the constant positions and those whose variable an
+    earlier body atom bound.  Every atom is interned, so each ground atom
+    is one object however many instances mention it.  Then counter-based
+    deletion: each atom counts the instances that have it as head, atoms
+    with no support are dropped, and dropping an atom drops the instances
+    that use it positively, which decrements their heads' counts in turn.
 
     It must stay a greatest fixpoint.  A least fixpoint (derivability)
     would drop positively self-supporting atoms (``q :- q``) together with
@@ -199,21 +200,15 @@ def _ground_clauses(
     unknown, and only the well-founded and stratified semantics make them
     false.
     """
-    external = set(external_true)
     compiled = _compile_clauses(program)
-    constants = sorted(program.constants() | {name for _, args in external for name in args})
     interned: dict[GAtom, GAtom] = {}
     universe: dict[str, list[GAtom]] = {}
-    for pred, argsets in _head_instances(compiled, constants).items():
-        bucket = universe.setdefault(pred, [])
+    for pred, argsets in _head_instances(compiled, sorted(program.constants())).items():
+        universe[pred] = bucket = []
         for args in argsets:
             atom = (pred, args)
             interned[atom] = atom
             bucket.append(atom)
-    for atom in external:
-        if atom not in interned:
-            interned[atom] = atom
-            universe.setdefault(atom[0], []).append(atom)
 
     indexes: dict[tuple[str, tuple[int, ...]], dict[tuple, list[GAtom]]] = {}
 
@@ -257,7 +252,7 @@ def _ground_clauses(
         _join(steps, 0, binding, chosen, probe, emit)
 
     kept = list(instances)
-    dead = {a for inst in kept for a in inst.positive if a not in support and a not in external}
+    dead = {a for inst in kept for a in inst.positive if a not in support}
     if dead:
         users: dict[GAtom, list[int]] = {}
         for idx, inst in enumerate(kept):
@@ -271,7 +266,7 @@ def _ground_clauses(
                     alive[idx] = False
                     lost = kept[idx].head
                     support[lost] -= 1
-                    if not support[lost] and lost not in external:
+                    if not support[lost]:
                         stack.append(lost)
         kept = [inst for inst, keep in zip(kept, alive) if keep]
     base = {a for inst in kept for a in (inst.head, *inst.positive, *inst.negative)}
@@ -341,11 +336,37 @@ def _alternate(component, by_head, true: set[GAtom], false: set[GAtom]) -> None:
     false |= inside - new_upper
 
 
-def _well_founded(g: GroundProgram) -> ThreeValuedInterpretation:
-    """The well-founded model, one strongly connected component of the
-    ground atom graph (head to positive and negative body atoms) at a
-    time, dependencies first.  A single atom without a self-loop is decided
-    in one pass over its clauses; any other component alternates."""
+def _kleene(component, by_head, true: set[GAtom], false: set[GAtom]) -> None:
+    """Decide a component by Fitting's operator over its own atoms, pass
+    after pass until one changes nothing: an atom becomes true once some
+    clause body is true and false once every clause body is false.  Outside
+    atoms are final, so a single atom without a self-loop takes one pass."""
+    undecided = component
+    while undecided:
+        left = []
+        for atom in undecided:
+            verdict: Optional[set[GAtom]] = false
+            for c in by_head.get(atom, ()):
+                if false.isdisjoint(c.positive) and true.isdisjoint(c.negative):
+                    if true.issuperset(c.positive) and false.issuperset(c.negative):
+                        verdict = true
+                        break
+                    verdict = None  # a body neither true nor false, so far
+            if verdict is None:
+                left.append(atom)
+            else:
+                verdict.add(atom)
+        if len(left) == len(undecided):
+            return
+        undecided = left
+
+
+def _evaluate(g: GroundProgram, fitting: bool) -> ThreeValuedInterpretation:
+    """Fitting's or the well-founded model, one strongly connected component
+    of the ground atom graph (head to positive and negative body atoms) at
+    a time, dependencies first.  ``_kleene`` decides every component under
+    Fitting's semantics, and a single atom without a self-loop under the
+    well-founded one, where any other component alternates."""
     by_head: dict[GAtom, list[GroundClause]] = {}
     successors: dict[GAtom, list[GAtom]] = {}
     for clause in g.clauses:
@@ -355,18 +376,10 @@ def _well_founded(g: GroundProgram) -> ThreeValuedInterpretation:
     false: set[GAtom] = set()
     for component in _tarjan_sccs(g.herbrand_base, successors):
         atom = component[0]
-        if len(component) > 1 or atom in successors.get(atom, ()):
+        if fitting or (len(component) == 1 and atom not in successors.get(atom, ())):
+            _kleene(component, by_head, true, false)
+        else:
             _alternate(component, by_head, true, false)
-            continue
-        verdict: Optional[set[GAtom]] = false
-        for c in by_head.get(atom, ()):
-            if false.isdisjoint(c.positive) and true.isdisjoint(c.negative):
-                if true.issuperset(c.positive) and false.issuperset(c.negative):
-                    verdict = true
-                    break
-                verdict = None  # a body neither true nor false, so far
-        if verdict is not None:
-            verdict.add(atom)
     return ThreeValuedInterpretation(frozenset(true), frozenset(false), g.herbrand_base)
 
 
@@ -374,74 +387,27 @@ def eval_stratified(program: DatalogProgram) -> ThreeValuedInterpretation:
     """The perfect model of a stratified program: its total well-founded model."""
     if stratify(program) is None:
         raise NotStratified("program has a negative edge inside a recursive component")
-    interp = _well_founded(ground_program(program))
+    interp = _evaluate(ground_program(program), fitting=False)
     if not interp.is_total():
         raise RuntimeError("stratified program left atoms unknown (internal error)")
     return interp
 
 
-def eval_fitting(
-    program: DatalogProgram, fixed: Optional[ThreeValuedInterpretation] = None
-) -> ThreeValuedInterpretation:
-    """Kleene iteration of the three-valued immediate-consequence operator
-    from all-unknown, with ``fixed`` floor atoms pinned to their values."""
-    if not is_safe(program):
-        raise UnsafeProgram("program is not safe")
-    pinned_true = set(fixed.true_set) if fixed else set()
-    pinned_false = set(fixed.false_set) if fixed else set()
-    if fixed:
-        fixed_preds = {a[0] for a in fixed.domain}
-        for clause in program.clauses:
-            if clause.head.predicate in fixed_preds:
-                raise ValueError(f"fixed predicate {clause.head.predicate!r} is redefined")
-    instances, base = _ground_clauses(program, external_true=pinned_true)
-    base |= pinned_true | pinned_false
-
-    by_head: dict[GAtom, list[GroundClause]] = {}
-    for inst in instances:
-        by_head.setdefault(inst.head, []).append(inst)
-
-    true = set(pinned_true)
-    false = set(pinned_false)
-    undecided = base - true - false
-    changed = True
-    while changed:
-        changed = False
-        for atom in list(undecided):
-            clauses = by_head.get(atom, ())
-            some_true = False
-            all_false = True
-            for clause in clauses:
-                body_false = any(p in false for p in clause.positive) or any(
-                    n in true for n in clause.negative
-                )
-                if body_false:
-                    continue
-                all_false = False
-                if all(p in true for p in clause.positive) and all(
-                    n in false for n in clause.negative
-                ):
-                    some_true = True
-                    break
-            if some_true:
-                true.add(atom)
-            elif all_false:
-                false.add(atom)
-            else:
-                continue
-            undecided.discard(atom)
-            changed = True
-    return ThreeValuedInterpretation(frozenset(true), frozenset(false), frozenset(base))
+def eval_fitting(program: DatalogProgram) -> ThreeValuedInterpretation:
+    """Fitting's model, the least fixpoint of the three-valued
+    immediate-consequence operator, computed one ground component at a time."""
+    return _evaluate(ground_program(program), fitting=True)
 
 
 def eval_wellfounded(program: DatalogProgram) -> ThreeValuedInterpretation:
     """The well-founded model, computed one ground component at a time."""
-    return _well_founded(ground_program(program))
+    return _evaluate(ground_program(program), fitting=False)
 
 
 def eval_hybrid(compiled: CompilationOutput) -> ThreeValuedInterpretation:
     """Stratified floor, then Fitting above it: returns the floor verdicts
-    plus exactly the well-founded truths of the defeasibly predicates."""
+    plus exactly the well-founded truths of the defeasibly predicates.  The
+    upper part reads the floor's truths as unit clauses."""
     if not isinstance(compiled, CompilationOutput) or not all(
         clause in compiled.provenance for clause in compiled.program.clauses
     ):
@@ -449,8 +415,14 @@ def eval_hybrid(compiled: CompilationOutput) -> ThreeValuedInterpretation:
     floor_names = compiled.floor_names
     program = compiled.program
     floor_interp = eval_stratified(program.restrict_to(floor_names))
-    upper_program = program.restrict_to(program.predicates.keys() - floor_names)
-    upper_interp = eval_fitting(upper_program, fixed=floor_interp)
+    upper = tuple(c for c in program.clauses if c.head.predicate not in floor_names)
+    read = {a.predicate for c in upper for a in c.positive + c.negative}
+    facts = tuple(
+        DClause(Atom(pred, tuple(Term(name) for name in args)))
+        for pred, args in floor_interp.true_set
+        if pred in read
+    )
+    upper_interp = eval_fitting(DatalogProgram(upper + facts))
     defeasibly_true = upper_interp.true_of(
         lambda p: p not in floor_names and compiled.predicate_info[p].base == "defeasibly"
     )

@@ -1,18 +1,22 @@
 """Whole-program reference evaluators, kept as test cross-checks.
 
-These are the stratified and well-founded evaluators the component-wise
-engine of ``defeasidl.evaluator`` replaced: ``reference_stratified``
-runs a least model per predicate stratum, and ``reference_wellfounded``
-runs the alternating fixpoint over the whole ground program, so it is
-quadratic in chain depth.  Both are plainly correct, so the differential
-tests hold the engine to them.
+These are the evaluators the component-wise engine of
+``defeasidl.evaluator`` replaced: ``reference_stratified`` runs a least
+model per predicate stratum, ``reference_wellfounded`` runs the
+alternating fixpoint over the whole ground program, and
+``reference_fitting`` rescans every undecided atom of the whole ground
+program on each Kleene pass; the last two are quadratic in chain depth.
+``reference_hybrid`` composes them the way the hybrid backend does, but
+passes every floor truth to the upper part.  All are plainly correct, so
+the differential tests hold the engine to them.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from defeasidl.datalog import DatalogProgram, stratify
+from defeasidl.compiler import CompilationOutput
+from defeasidl.datalog import DatalogProgram, DClause, stratify
 from defeasidl.evaluator import (
     GAtom,
     GroundClause,
@@ -20,6 +24,7 @@ from defeasidl.evaluator import (
     ThreeValuedInterpretation,
     ground_program,
 )
+from defeasidl.theory import Atom, Term
 
 
 def least_model(
@@ -108,3 +113,60 @@ def reference_wellfounded(program: DatalogProgram) -> ThreeValuedInterpretation:
                 domain=g.herbrand_base,
             )
         lower = new_lower
+
+
+def reference_fitting(program: DatalogProgram) -> ThreeValuedInterpretation:
+    """Kleene iteration of the three-valued immediate-consequence operator
+    from all-unknown over the whole ground program."""
+    g = ground_program(program)
+    by_head: dict[GAtom, list[GroundClause]] = {}
+    for clause in g.clauses:
+        by_head.setdefault(clause.head, []).append(clause)
+    true: set[GAtom] = set()
+    false: set[GAtom] = set()
+    undecided = set(g.herbrand_base)
+    changed = True
+    while changed:
+        changed = False
+        for atom in list(undecided):
+            some_true = False
+            all_false = True
+            for clause in by_head.get(atom, ()):
+                body_false = any(p in false for p in clause.positive) or any(
+                    n in true for n in clause.negative
+                )
+                if body_false:
+                    continue
+                all_false = False
+                if all(p in true for p in clause.positive) and all(
+                    n in false for n in clause.negative
+                ):
+                    some_true = True
+                    break
+            if some_true:
+                true.add(atom)
+            elif all_false:
+                false.add(atom)
+            else:
+                continue
+            undecided.discard(atom)
+            changed = True
+    return ThreeValuedInterpretation(frozenset(true), frozenset(false), g.herbrand_base)
+
+
+def reference_hybrid(compiled: CompilationOutput) -> ThreeValuedInterpretation:
+    """The stratified floor by ``reference_stratified``, then
+    ``reference_fitting`` on the upper clauses plus every floor truth as a
+    unit clause; the floor verdicts plus the upper defeasibly truths."""
+    floor_names = compiled.floor_names
+    program = compiled.program
+    floor = reference_stratified(program.restrict_to(floor_names))
+    upper = [c for c in program.clauses if c.head.predicate not in floor_names]
+    upper += [DClause(Atom(pred, tuple(map(Term, args)))) for pred, args in floor.true_set]
+    fitting = reference_fitting(DatalogProgram(tuple(upper)))
+    defeasibly_true = fitting.true_of(
+        lambda p: p not in floor_names and compiled.predicate_info[p].base == "defeasibly"
+    )
+    return ThreeValuedInterpretation(
+        floor.true_set | defeasibly_true, floor.false_set, floor.domain | fitting.domain
+    )

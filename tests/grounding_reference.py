@@ -27,7 +27,9 @@ def naive_ground_clauses(
     program: DatalogProgram, external_true: Iterable[GAtom] = ()
 ) -> tuple[list[GroundClause], set[GAtom]]:
     """Start from every head-pattern instance plus ``external_true`` and
-    repeatedly drop atoms no retained clause instance supports."""
+    repeatedly drop atoms no retained clause instance supports; an
+    ``external_true`` atom needs no clause (only ``is_three_valued_model``
+    passes any)."""
     external_true = set(external_true)
     compiled = _compile_clauses(program)
     external: dict[str, set[tuple]] = {}

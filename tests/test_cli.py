@@ -6,6 +6,8 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 import defeasidl
 from defeasidl import corpus
 from defeasidl.cli import main
@@ -202,6 +204,16 @@ class TestEval:
         assert code == 1
         assert "unsafe-program" in out
 
+    @pytest.mark.parametrize("semantics", ["wf", "fitting", "stratified"])
+    def test_one_unsafe_program_message(self, tmp_path, semantics):
+        path = tmp_path / "unsafe.dl"
+        path.write_text("p(X) :- not q(X).\n", encoding="utf-8")
+        code, out = run("--no-timings", "eval", str(path), "--semantics", semantics)
+        assert code == 1
+        assert result_lines(out) == [
+            "error unsafe-program: program is not safe; grounding would not terminate on ground atoms"
+        ]
+
 
 class TestCheck:
     def test_corpus_files_agree(self):
@@ -213,6 +225,17 @@ class TestCheck:
         code, out = run("--no-timings", "check", "--random", "40", "--variable", "10", "--seed", "11")
         assert code == 0
         assert "checked 50 theories: all agree" in out
+
+    def test_unevaluated_theories_are_counted(self, tmp_path):
+        src = tmp_path / "unsafe.dfl"
+        src.write_text("r: => p(X).\nq(a).\n", encoding="utf-8")
+        code, out = run("--no-timings", "check", str(src))
+        assert code == 0
+        assert result_lines(out)[-1] == "checked 1 theories: all agree (1 not evaluated)"
+        code, out = run("--format", "json-lines", "--no-timings", "check", str(src))
+        assert code == 0
+        final = json.loads(out.splitlines()[-1])
+        assert (final["checked"], final["disagreements"], final["skipped_eval"]) == (1, 0, 1)
 
     def test_seed_env_var(self, monkeypatch):
         monkeypatch.setenv("DEFEASIDL_SEED", "123")

@@ -1,8 +1,9 @@
 """Differential gate for the component-wise evaluation engine:
-``eval_wellfounded`` and ``eval_stratified`` must give the same whole
-interpretation (true set, false set and domain) as the whole-program
-references in ``evaluation_reference`` on compiled corpus programs, on
-random programs and on hand-picked corner cases."""
+``eval_wellfounded``, ``eval_stratified``, ``eval_fitting`` and
+``eval_hybrid`` must give the same whole interpretation (true set, false
+set and domain) as the whole-program references in
+``evaluation_reference`` on compiled corpus programs, on random programs
+and on hand-picked corner cases."""
 
 import random
 import time
@@ -12,9 +13,22 @@ import pytest
 from defeasidl import generator
 from defeasidl.compiler import compile_individual, compile_team
 from defeasidl.datalog import is_safe, parse_datalog, stratify
-from defeasidl.evaluator import NotStratified, eval_wellfounded, eval_stratified
+from defeasidl.evaluator import (
+    NotStratified,
+    _kleene,
+    eval_fitting,
+    eval_hybrid,
+    eval_stratified,
+    eval_wellfounded,
+    ground_program,
+)
 from defeasidl.parser import parse_theory
-from evaluation_reference import reference_stratified, reference_wellfounded
+from evaluation_reference import (
+    reference_fitting,
+    reference_hybrid,
+    reference_stratified,
+    reference_wellfounded,
+)
 
 CORPUS_SEED = 20260809
 GROUND_THEORIES = 60
@@ -36,6 +50,7 @@ def assert_same_evaluation(program):
     """Compare the engine with the references; returns the WF model."""
     got = eval_wellfounded(program)
     assert whole(got) == whole(reference_wellfounded(program))
+    assert whole(eval_fitting(program)) == whole(reference_fitting(program))
     if stratify(program) is None:
         with pytest.raises(NotStratified):
             eval_stratified(program)
@@ -60,6 +75,7 @@ def test_corpus_slice_matches_reference():
                 continue
             assert_same_evaluation(out.program)
             assert_same_evaluation(out.program.restrict_to(out.floor_names))
+            assert whole(eval_hybrid(out)) == whole(reference_hybrid(out))
             checked += 1
     assert checked >= 2 * GROUND_THEORIES
 
@@ -123,11 +139,66 @@ def test_hand_cases(text, values):
     assert {name: interp.value(atom(name)) for name in values} == values
 
 
-def test_succ_chain_200_is_fast():
-    names = [f"c{i}" for i in range(201)]
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        # Unknown atoms flow upward across components.
+        (
+            "a :- not b.\nb :- not a.\nc :- a.\nd :- not c.\ne :- c, not d.\nf :- not e, g.\ng.",
+            {name: "unknown" for name in "abcdef"},
+        ),
+        # No unfoundedness reasoning under Fitting.
+        ("p :- p.", {"p": "unknown"}),
+        ("p :- not p.", {"p": "unknown"}),
+        ("p :- q.\nq :- p.\nr :- not p.", {"p": "unknown", "q": "unknown", "r": "unknown"}),
+        # One component {a, b, c, d} that truth enters at a and crosses one
+        # atom at a time.
+        (
+            "a :- b.\nb :- a.\nb :- c.\nc :- b.\nc :- d.\nd :- c.\na :- t.\nt.",
+            {name: "true" for name in "abcd"},
+        ),
+        # One component {a, b}: b is true at once, which makes a false.
+        ("a :- not b.\nb :- not a.\nb.", {"a": "false", "b": "true"}),
+    ],
+)
+def test_fitting_hand_cases(text, values):
+    program = parse_datalog(text)
+    assert_same_evaluation(program)
+    interp = eval_fitting(program)
+    assert {name: interp.value(atom(name)) for name in values} == values
+
+
+def test_kleene_repeats_passes_until_nothing_changes():
+    # Listed against the direction truth flows in, the chain needs one pass
+    # per atom.
+    program = parse_datalog("a :- b.\nb :- a.\nb :- c.\nc :- b.\nc :- d.\nd :- c.\nd.")
+    by_head = {}
+    for clause in ground_program(program).clauses:
+        by_head.setdefault(clause.head, []).append(clause)
+    true, false = set(), set()
+    _kleene([atom(name) for name in "abcd"], by_head, true, false)
+    assert true == {atom(name) for name in "abcd"} and not false
+
+
+def succ_chain(length: int):
+    names = [f"c{i}" for i in range(length + 1)]
     text = f"p({names[0]}).\n" + "".join(f"succ({a}, {b}).\n" for a, b in zip(names, names[1:]))
     text += "r1: p(X), succ(X,Y) => p(Y).\nr2: succ(X,Y) => neg p(Y).\nr1 > r2.\n"
-    program = compile_team(parse_theory(text)).program
+    return names, compile_team(parse_theory(text))
+
+
+def best_of_3(evaluate, argument) -> float:
+    times = []
+    for _ in range(3):
+        started = time.perf_counter()
+        evaluate(argument)
+        times.append(time.perf_counter() - started)
+    return min(times)
+
+
+def test_succ_chain_200_is_fast():
+    names, out = succ_chain(200)
+    program = out.program
     assert stratify(program) is None
     started = time.perf_counter()
     interp = eval_wellfounded(program)
@@ -136,3 +207,12 @@ def test_succ_chain_200_is_fast():
         ("defeasibly__p", (name,)) for name in names
     }
     assert elapsed < 1.0
+
+
+def test_fitting_and_hybrid_keep_pace_with_wellfounded():
+    # Host-independent: each is timed against the well-founded engine on
+    # the same succ-chain-400 team program.
+    _, out = succ_chain(400)
+    wf = best_of_3(eval_wellfounded, out.program)
+    assert best_of_3(eval_fitting, out.program) <= 4 * wf
+    assert best_of_3(eval_hybrid, out) <= 4 * wf

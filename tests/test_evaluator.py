@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import theory
 from defeasidl import generator
 from defeasidl.compiler import compile_individual, compile_team, read_conclusions
 from defeasidl.datalog import parse_datalog, stratify
@@ -110,20 +111,6 @@ class TestFittingSemantics:
             p = generator.random_program(rng)
             assert eval_fitting(p).leq(eval_wellfounded(p))
 
-    def test_fixed_floor_is_pinned(self):
-        upper = parse_datalog("p :- base, not q.")
-        floor = ThreeValuedInterpretation(
-            true_set=frozenset({atom("base")}), false_set=frozenset()
-        )
-        interp = eval_fitting(upper, fixed=floor)
-        assert interp.value(atom("p")) == "true"
-        assert interp.value(atom("base")) == "true"
-
-    def test_fixed_floor_must_not_be_redefined(self):
-        floor = ThreeValuedInterpretation(frozenset({atom("p")}), frozenset())
-        with pytest.raises(ValueError):
-            eval_fitting(parse_datalog("p :- q."), fixed=floor)
-
 
 class TestWellFoundedSemantics:
     def test_positive_loop_false(self):
@@ -198,6 +185,18 @@ class TestHybrid:
         strat = eval_stratified(out.program).true_of(defeasibly)
         wf = eval_wellfounded(out.program).true_of(defeasibly)
         assert hybrid == strat == wf
+
+    def test_upper_clauses_read_the_floor_truths(self):
+        # overruled__fly(tweety) lies above the floor and holds only through
+        # the floor truth body__r2__lam(tweety); without it both
+        # defeasibly__fly(tweety) and defeasibly__not__fly(tweety) would hold.
+        out = compile_team(theory("bird(tweety).\nr1: bird(X) => fly(X).\nr2: bird(X) => neg fly(X)."))
+        assert "body__r2__lam" in out.floor_names
+        assert "overruled__fly" not in out.floor_names
+        hybrid = eval_hybrid(out)
+        assert atom("body__r2__lam(tweety)") in hybrid.true_set
+        defeasibly = lambda p: out.predicate_info[p].base == "defeasibly"
+        assert hybrid.true_of(defeasibly) == {atom("defeasibly__bird(tweety)")}
 
     def test_rejects_programs_without_provenance(self):
         with pytest.raises(TypeError):

@@ -8,8 +8,9 @@ import pytest
 
 from defeasidl import generator
 from defeasidl.compiler import compile_individual, compile_team
-from defeasidl.datalog import DatalogProgram, is_safe, parse_datalog
-from defeasidl.evaluator import _ground_clauses, eval_stratified
+from defeasidl.datalog import DatalogProgram, DClause, is_safe, parse_datalog
+from defeasidl.evaluator import GroundClause, _ground_clauses, eval_stratified
+from defeasidl.theory import Atom, Term
 from grounding_reference import naive_ground_clauses
 
 CORPUS_SEED = 20260809
@@ -24,9 +25,9 @@ def atom(text: str):
     return (name, tuple(a.strip() for a in rest[:-1].split(",")))
 
 
-def assert_same_grounding(program, external_true=()):
-    instances, base = _ground_clauses(program, external_true)
-    reference, reference_base = naive_ground_clauses(program, external_true)
+def assert_same_grounding(program):
+    instances, base = _ground_clauses(program)
+    reference, reference_base = naive_ground_clauses(program)
     assert len(instances) == len(set(instances))
     assert set(instances) == set(reference)
     assert base == reference_base
@@ -35,16 +36,22 @@ def assert_same_grounding(program, external_true=()):
 
 def grounding_cases(out):
     """The programs the backends ground for one compiled theory: the whole
-    program, its stratified floor, and the upper part over the floor's
-    truths, as ``eval_hybrid`` splits it."""
+    program, its stratified floor, and the upper part plus the floor truths
+    it reads as unit clauses, as ``eval_hybrid`` splits it."""
     floor = []
     upper = []
     for clause in out.program.clauses:
         (floor if clause.head.predicate in out.floor_names else upper).append(clause)
     floor_program = DatalogProgram(tuple(floor))
-    yield out.program, ()
-    yield floor_program, ()
-    yield DatalogProgram(tuple(upper)), eval_stratified(floor_program).true_set
+    read = {a.predicate for c in upper for a in c.positive + c.negative}
+    facts = [
+        DClause(Atom(pred, tuple(map(Term, args))))
+        for pred, args in eval_stratified(floor_program).true_set
+        if pred in read
+    ]
+    yield out.program
+    yield floor_program
+    yield DatalogProgram(tuple(upper + facts))
 
 
 def corpus_slice():
@@ -61,8 +68,8 @@ def test_corpus_slice_matches_reference():
             out = compile_(theory)
             if not is_safe(out.program):
                 continue
-            for program, external_true in grounding_cases(out):
-                assert_same_grounding(program, external_true)
+            for program in grounding_cases(out):
+                assert_same_grounding(program)
                 checked += 1
     assert checked >= 3 * 2 * GROUND_THEORIES
 
@@ -108,19 +115,23 @@ def test_constants_in_body_atoms():
 
 
 def test_support_only_from_external_truths():
-    program = parse_datalog("p(X) :- f(X), not g(X).\nh(X) :- p(X), f(X).")
-    assert assert_same_grounding(program) == ([], set())
-    instances, base = assert_same_grounding(program, {atom("f(a)")})
-    assert {c.head for c in instances} == {atom("p(a)"), atom("h(a)")}
+    # f(a) stands for a floor truth, passed as a unit clause.
+    text = "p(X) :- f(X), not g(X).\nh(X) :- p(X), f(X)."
+    assert assert_same_grounding(parse_datalog(text)) == ([], set())
+    instances, base = assert_same_grounding(parse_datalog(text + "\nf(a)."))
+    assert {c.head for c in instances} == {atom("f(a)"), atom("p(a)"), atom("h(a)")}
     assert base == {atom("f(a)"), atom("g(a)"), atom("p(a)"), atom("h(a)")}
 
 
 def test_external_truth_outlives_its_dropped_clause():
-    # f(b) :- g(b) goes because nothing supports g(b), but f(b) is an
-    # external truth, so h(b) :- f(b) stays.
-    program = parse_datalog("f(X) :- g(X).\ng(b) :- z.\nh(X) :- f(X).")
-    instances, _ = assert_same_grounding(program, {atom("f(b)")})
-    assert {c.head for c in instances} == {atom("h(b)")}
+    # f(b) :- g(b) goes because nothing supports g(b), but the unit clause
+    # f(b) still supports f(b), so h(b) :- f(b) stays.
+    program = parse_datalog("f(X) :- g(X).\ng(b) :- z.\nh(X) :- f(X).\nf(b).")
+    instances, _ = assert_same_grounding(program)
+    assert set(instances) == {
+        GroundClause(atom("f(b)"), (), ()),
+        GroundClause(atom("h(b)"), (atom("f(b)"),), ()),
+    }
 
 
 def test_clause_without_positive_body():
