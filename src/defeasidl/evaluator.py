@@ -154,11 +154,13 @@ def _join(steps, i: int, binding: dict[str, str], chosen: list[GAtom], probe, em
 
 
 def _head_instances(compiled, constants: list[str]) -> dict[str, set[tuple]]:
-    """Every instance of a clause head pattern over the constant pool.
+    """Every instance of the given clauses' head patterns over the constant
+    pool.
 
-    This is the coarsest universe of atoms any semantics could make true;
-    unlike a derivability overestimate it keeps positively self-supporting
-    atoms (``q :- q``), which Fitting's semantics must leave unknown.
+    ``_ground_clauses`` seeds a positively recursive component with it: the
+    coarsest universe of atoms any semantics could make true there.  Unlike
+    a derivability overestimate it keeps positively self-supporting atoms
+    (``q :- q``), which Fitting's semantics must leave unknown.
     """
     universe: dict[str, set[tuple]] = {}
     for head, _, _ in compiled:
@@ -174,6 +176,36 @@ def _head_instances(compiled, constants: list[str]) -> dict[str, set[tuple]]:
     return universe
 
 
+def _drop_unsupported(found: list[GroundClause], members: set[str]) -> list[GroundClause]:
+    """The greatest subset of one component's instances that supports itself.
+
+    Counter-based deletion: each atom counts the instances that have it as
+    head, a ``members`` atom with no support is dropped, and dropping an
+    atom drops the instances that use it positively, which decrements their
+    heads' counts in turn.  Atoms of other predicates are final."""
+    support: dict[GAtom, int] = {}
+    for inst in found:
+        support[inst.head] = support.get(inst.head, 0) + 1
+    dead = {a for inst in found for a in inst.positive if a[0] in members and a not in support}
+    if not dead:
+        return found
+    users: dict[GAtom, list[int]] = {}
+    for idx, inst in enumerate(found):
+        for atom in inst.positive:
+            users.setdefault(atom, []).append(idx)
+    alive = [True] * len(found)
+    stack = list(dead)
+    while stack:
+        for idx in users.get(stack.pop(), ()):
+            if alive[idx]:
+                alive[idx] = False
+                lost = found[idx].head
+                support[lost] -= 1
+                if not support[lost]:
+                    stack.append(lost)
+    return [inst for inst, keep in zip(found, alive) if keep]
+
+
 def _ground_clauses(program: DatalogProgram) -> tuple[list[GroundClause], set[GAtom]]:
     """Clause instances whose positive body atoms can all appear as heads.
 
@@ -184,41 +216,46 @@ def _ground_clauses(program: DatalogProgram) -> tuple[list[GroundClause], set[GA
     clause bodies contains an atom already proven false), so the pruning
     changes no verdict over the retained base.
 
-    It is computed in one pass.  Each clause is joined once over the
-    head-pattern universe (``_head_instances``), probing a hash index per
-    (predicate, bound positions) that is built on first use; bound
-    positions are the constant positions and those whose variable an
-    earlier body atom bound.  Every atom is interned, so each ground atom
-    is one object however many instances mention it.  Then counter-based
-    deletion: each atom counts the instances that have it as head, atoms
-    with no support are dropped, and dropping an atom drops the instances
-    that use it positively, which decrements their heads' counts in turn.
+    It is computed one component of the positive predicate dependency
+    graph at a time, dependencies first, so the atoms of lower components
+    are final when a component is joined.  Each clause is joined once,
+    probing a hash index per (predicate, bound positions) that is built on
+    first use; bound positions are the constant positions and those whose
+    variable an earlier body atom bound.  A component that is one predicate
+    without a positive self-edge reads final atoms only, so every instance
+    it joins is kept and its heads are its final atoms.  Only a positively
+    recursive component is joined over a universe of its own atoms, every
+    instance of its head patterns (``_head_instances``), and then pruned to
+    the greatest fixpoint by ``_drop_unsupported``.  Every atom is
+    interned, so each ground atom is one object however many instances
+    mention it.
 
     It must stay a greatest fixpoint.  A least fixpoint (derivability)
-    would drop positively self-supporting atoms (``q :- q``) together with
-    their clauses, making them false; Fitting's semantics has to leave them
+    would drop positively self-supporting atoms (``q :- q``, or ``path(x,
+    a)`` supported only around a cycle through ``a``) together with their
+    clauses, making them false; Fitting's semantics has to leave them
     unknown, and only the well-founded and stratified semantics make them
     false.
     """
     compiled = _compile_clauses(program)
+    clauses_of: dict[str, list] = {}
+    uses: dict[str, list[str]] = {}  # positive predicate dependencies
+    for clause in compiled:
+        pred = clause[0][0]
+        clauses_of.setdefault(pred, []).append(clause)
+        uses.setdefault(pred, []).extend(p for p, _ in clause[1])
+    constants = sorted(program.constants())
     interned: dict[GAtom, GAtom] = {}
-    universe: dict[str, list[GAtom]] = {}
-    for pred, argsets in _head_instances(compiled, sorted(program.constants())).items():
-        universe[pred] = bucket = []
-        for args in argsets:
-            atom = (pred, args)
-            interned[atom] = atom
-            bucket.append(atom)
-
+    atoms: dict[str, list[GAtom]] = {}  # final atoms, or a recursive component's universe
     indexes: dict[tuple[str, tuple[int, ...]], dict[tuple, list[GAtom]]] = {}
 
     def probe(pred: str, positions: tuple[int, ...], key: tuple) -> list[GAtom]:
         if not positions:
-            return universe.get(pred, [])
+            return atoms.get(pred, [])
         index = indexes.get((pred, positions))
         if index is None:
             index = indexes[(pred, positions)] = {}
-            for atom in universe.get(pred, ()):
+            for atom in atoms.get(pred, ()):
                 args = atom[1]
                 index.setdefault(tuple(args[i] for i in positions), []).append(atom)
         return index.get(key, [])
@@ -227,50 +264,50 @@ def _ground_clauses(program: DatalogProgram) -> tuple[list[GroundClause], set[GA
         atom = _instantiate(pattern, binding)
         return interned.setdefault(atom, atom)
 
-    instances: dict[GroundClause, None] = {}
-    support: dict[GAtom, int] = {}
-    for head, pos, neg in compiled:
-        steps = []
-        bound: set[str] = set()
-        for pred, pattern_args in pos:
-            positions = tuple(
-                i for i, (is_var, name) in enumerate(pattern_args) if not is_var or name in bound
-            )
-            steps.append((pred, pattern_args, positions, tuple(pattern_args[i] for i in positions)))
-            bound.update(name for is_var, name in pattern_args if is_var)
-        binding: dict[str, str] = {}
-        chosen: list[GAtom] = []
+    instances: list[GroundClause] = []
+    for component in _tarjan_sccs(clauses_of, uses):
+        rules = [clause for pred in component for clause in clauses_of.get(pred, ())]
+        recursive = len(component) > 1 or component[0] in uses.get(component[0], ())
+        if recursive:
+            for pred, argsets in _head_instances(rules, constants).items():
+                atoms[pred] = [interned.setdefault((pred, a), (pred, a)) for a in argsets]
+        found: dict[GroundClause, None] = {}
+        for head, pos, neg in rules:
+            steps = []
+            bound: set[str] = set()
+            for pred, pattern_args in pos:
+                positions = tuple(
+                    i for i, (is_var, name) in enumerate(pattern_args) if not is_var or name in bound
+                )
+                steps.append(
+                    (pred, pattern_args, positions, tuple(pattern_args[i] for i in positions))
+                )
+                bound.update(name for is_var, name in pattern_args if is_var)
+            binding: dict[str, str] = {}
+            chosen: list[GAtom] = []
 
-        def emit() -> None:
-            inst = GroundClause(
-                intern(head, binding), tuple(chosen), tuple(intern(n, binding) for n in neg)
-            )
-            if inst not in instances:
-                instances[inst] = None
-                support[inst.head] = support.get(inst.head, 0) + 1
+            def emit() -> None:
+                inst = GroundClause(
+                    intern(head, binding), tuple(chosen), tuple(intern(n, binding) for n in neg)
+                )
+                found[inst] = None
 
-        _join(steps, 0, binding, chosen, probe, emit)
-
-    kept = list(instances)
-    dead = {a for inst in kept for a in inst.positive if a not in support}
-    if dead:
-        users: dict[GAtom, list[int]] = {}
-        for idx, inst in enumerate(kept):
-            for atom in inst.positive:
-                users.setdefault(atom, []).append(idx)
-        alive = [True] * len(kept)
-        stack = list(dead)
-        while stack:
-            for idx in users.get(stack.pop(), ()):
-                if alive[idx]:
-                    alive[idx] = False
-                    lost = kept[idx].head
-                    support[lost] -= 1
-                    if not support[lost]:
-                        stack.append(lost)
-        kept = [inst for inst, keep in zip(kept, alive) if keep]
-    base = {a for inst in kept for a in (inst.head, *inst.positive, *inst.negative)}
-    return kept, base
+            _join(steps, 0, binding, chosen, probe, emit)
+        kept = list(found)
+        if recursive:
+            members = set(component)
+            kept = _drop_unsupported(kept, members)
+            # Only a recursive component reads its own atoms, so only its
+            # indexes were built over a universe instead of final atoms.
+            for key in [key for key in indexes if key[0] in members]:
+                del indexes[key]
+        for pred in component:
+            atoms[pred] = []
+        for head in dict.fromkeys(inst.head for inst in kept):
+            atoms[head[0]].append(head)
+        instances += kept
+    base = {a for inst in instances for a in (inst.head, *inst.positive, *inst.negative)}
+    return instances, base
 
 
 def ground_program(program: DatalogProgram) -> GroundProgram:
@@ -407,7 +444,9 @@ def eval_wellfounded(program: DatalogProgram) -> ThreeValuedInterpretation:
 def eval_hybrid(compiled: CompilationOutput) -> ThreeValuedInterpretation:
     """Stratified floor, then Fitting above it: returns the floor verdicts
     plus exactly the well-founded truths of the defeasibly predicates.  The
-    upper part reads the floor's truths as unit clauses."""
+    upper part reads the floor's truths as unit clauses.  The floor is
+    total, so a floor-predicate atom the upper clauses read but the floor
+    never grounded is false."""
     if not isinstance(compiled, CompilationOutput) or not all(
         clause in compiled.provenance for clause in compiled.program.clauses
     ):
@@ -426,8 +465,9 @@ def eval_hybrid(compiled: CompilationOutput) -> ThreeValuedInterpretation:
     defeasibly_true = upper_interp.true_of(
         lambda p: p not in floor_names and compiled.predicate_info[p].base == "defeasibly"
     )
+    floor_false = {a for a in upper_interp.domain if a[0] in floor_names} - floor_interp.true_set
     return ThreeValuedInterpretation(
         true_set=floor_interp.true_set | defeasibly_true,
-        false_set=floor_interp.false_set,
+        false_set=floor_interp.false_set | floor_false,
         domain=floor_interp.domain | upper_interp.domain,
     )

@@ -157,7 +157,9 @@ def reference_fitting(program: DatalogProgram) -> ThreeValuedInterpretation:
 def reference_hybrid(compiled: CompilationOutput) -> ThreeValuedInterpretation:
     """The stratified floor by ``reference_stratified``, then
     ``reference_fitting`` on the upper clauses plus every floor truth as a
-    unit clause; the floor verdicts plus the upper defeasibly truths."""
+    unit clause; the floor verdicts plus the upper defeasibly truths.  A
+    floor atom the upper clauses read but the floor never grounded is
+    false."""
     floor_names = compiled.floor_names
     program = compiled.program
     floor = reference_stratified(program.restrict_to(floor_names))
@@ -167,6 +169,9 @@ def reference_hybrid(compiled: CompilationOutput) -> ThreeValuedInterpretation:
     defeasibly_true = fitting.true_of(
         lambda p: p not in floor_names and compiled.predicate_info[p].base == "defeasibly"
     )
+    floor_false = {a for a in fitting.domain if a[0] in floor_names} - floor.true_set
     return ThreeValuedInterpretation(
-        floor.true_set | defeasibly_true, floor.false_set, floor.domain | fitting.domain
+        floor.true_set | defeasibly_true,
+        floor.false_set | floor_false,
+        floor.domain | fitting.domain,
     )

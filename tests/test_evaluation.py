@@ -80,6 +80,27 @@ def test_corpus_slice_matches_reference():
     assert checked >= 2 * GROUND_THEORIES
 
 
+def test_hybrid_floor_atoms_take_their_wellfounded_values():
+    # The floor is total: a floor-predicate atom the upper clauses read but
+    # the floor never grounded (an atom missing from the well-founded base
+    # too) is false, never unknown.
+    read_ungrounded = 0
+    for theory in corpus_slice():
+        for compile_ in (compile_team, compile_individual):
+            out = compile_(theory)
+            if not is_safe(out.program):
+                continue
+            hybrid = eval_hybrid(out)
+            wf = eval_wellfounded(out.program)
+            floor_domain = eval_stratified(out.program.restrict_to(out.floor_names)).domain
+            for a in hybrid.domain:
+                if a[0] in out.floor_names:
+                    expected = wf.value(a) if a in wf.domain else "false"
+                    assert hybrid.value(a) == expected, a
+                    read_ungrounded += a not in floor_domain
+    assert read_ungrounded > 0
+
+
 def test_random_programs_match_reference(rng):
     for _ in range(150):
         assert_same_evaluation(generator.random_program(rng))

@@ -6,10 +6,18 @@ import random
 
 import pytest
 
-from defeasidl import generator
+from defeasidl import evaluator, generator
 from defeasidl.compiler import compile_individual, compile_team
 from defeasidl.datalog import DatalogProgram, DClause, is_safe, parse_datalog
-from defeasidl.evaluator import GroundClause, _ground_clauses, eval_stratified
+from defeasidl.evaluator import (
+    GroundClause,
+    NotStratified,
+    _ground_clauses,
+    eval_fitting,
+    eval_stratified,
+    eval_wellfounded,
+)
+from defeasidl.parser import parse_theory
 from defeasidl.theory import Atom, Term
 from grounding_reference import naive_ground_clauses
 
@@ -88,6 +96,14 @@ def test_random_programs_match_reference(rng):
         "p :- not q.\nr(a) :- not s(a).\nt(b).",
         "p(a).\nq(X) :- p(X), r(X).\nr(X) :- q(X).\ns(X) :- p(X), not q(X).",
         "p(a).\np(a).\nq(X) :- p(X).\nq(X) :- p(X).",
+        # Two predicates that support each other, without and with a base case.
+        "p(X, Y) :- q(Y, X).\nq(X, Y) :- p(X, Y).\ne(a, b).",
+        "p(X, Y) :- q(Y, X).\nq(X, Y) :- p(X, Y).\nq(X, Y) :- e(X, Y).\ne(a, b).",
+        # A non-recursive predicate that reads a recursive one.
+        "e(a, b).\ne(b, c).\nt(X, Y) :- e(X, Y).\nt(X, Z) :- t(X, Y), e(Y, Z).\n"
+        "s(X) :- t(a, X), not e(X, a).",
+        # A body predicate with no clauses at all.
+        "e(a).\np(X) :- e(X), missing(X).\nq(X) :- e(X), not p(X).",
     ],
 )
 def test_hand_cases_match_reference(text):
@@ -149,3 +165,85 @@ def test_unsupported_atoms_are_dropped_in_cascade():
     instances, base = assert_same_grounding(program)
     assert {c.head for c in instances} == {atom("e(a)"), atom("q(a)"), atom("r(a)"), atom("s(a)")}
     assert base == {atom("e(a)"), atom("q(a)"), atom("r(a)"), atom("s(a)")}
+
+
+def test_path_supported_only_through_a_cycle():
+    # a and b form a cycle and c is no edge source, so path(c, a) and
+    # path(c, b) support only each other: the grounding keeps them, Fitting
+    # leaves them unknown, and the well-founded semantics makes them false.
+    program = parse_datalog(
+        "edge(a, b).\nedge(b, a).\nedge(a, c).\n"
+        "path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), edge(Z, Y)."
+    )
+    _, base = assert_same_grounding(program)
+    cycle = {atom("path(c, a)"), atom("path(c, b)")}
+    assert cycle <= base
+    assert {eval_fitting(program).value(a) for a in cycle} == {"unknown"}
+    assert {eval_wellfounded(program).value(a) for a in cycle} == {"false"}
+
+
+def reach_path(edges: int):
+    """The team compilation of reachability over a path of ``edges`` links,
+    with a defeated ``neg path`` rule."""
+    text = "".join(f"edge(n{i}, n{i + 1}).\n" for i in range(edges))
+    text += (
+        "r1: edge(X,Y) => path(X,Y).\nr2: path(X,Z), edge(Z,Y) => path(X,Y).\n"
+        "r3: edge(X,Y) => neg path(Y,X).\nr1 > r3.\nr2 > r3.\n"
+    )
+    return compile_team(parse_theory(text))
+
+
+def test_few_instances_are_built_to_be_dropped(monkeypatch):
+    # Only positively recursive components join over a universe of all head
+    # instances; the others join over final atoms and keep what they build.
+    built = 0
+    real = evaluator.GroundClause
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return real(*args)
+
+    monkeypatch.setattr(evaluator, "GroundClause", counting)
+    out = reach_path(20)
+    for program in (out.program, out.program.restrict_to(out.floor_names)):
+        built = 0
+        instances, _ = _ground_clauses(program)
+        assert built <= 2.5 * len(instances)
+
+
+def interpretations(program):
+    results = []
+    for evaluate in (eval_wellfounded, eval_fitting, eval_stratified):
+        try:
+            interp = evaluate(program)
+        except NotStratified:
+            results.append(None)
+        else:
+            results.append((interp.true_set, interp.false_set, interp.domain))
+    return results
+
+
+def test_clause_order_changes_nothing():
+    # Each program is compared with its clauses reversed or, every other
+    # program, shuffled.
+    rng = random.Random(CORPUS_SEED)
+    checked = 0
+    for theory in corpus_slice():
+        for compile_ in (compile_team, compile_individual):
+            out = compile_(theory)
+            if not is_safe(out.program):
+                continue
+            for program in grounding_cases(out):
+                clauses = list(program.clauses)
+                if checked % 2:
+                    rng.shuffle(clauses)
+                else:
+                    clauses.reverse()
+                reordered = DatalogProgram(tuple(clauses))
+                instances, base = _ground_clauses(program)
+                got, got_base = _ground_clauses(reordered)
+                assert set(got) == set(instances) and got_base == base
+                assert interpretations(reordered) == interpretations(program)
+                checked += 1
+    assert checked >= 3 * 2 * GROUND_THEORIES
