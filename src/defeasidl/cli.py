@@ -43,6 +43,7 @@ from .evaluator import (
     eval_stratified,
     eval_wellfounded,
     format_atom,
+    ground_program,
 )
 from .oracle import conclusions
 from .parser import format_theory, parse_theory
@@ -262,12 +263,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
             extra = None
         else:
             out = compile_team(theory) if args.logic == "dpar" else compile_individual(theory)
+            ground = ground_program(out.program, out.constants)
             if args.backend == "wf":
-                interp = eval_wellfounded(out.program)
+                interp = eval_wellfounded(out.program, ground)
             elif args.backend == "stratified":
-                interp = eval_stratified(out.program)
+                interp = eval_stratified(out.program, ground)
             else:
-                interp = eval_hybrid(out)
+                interp = eval_hybrid(out, ground)
             sets = read_conclusions(out, interp.true_set)
             extra = None
             if args.three_valued:

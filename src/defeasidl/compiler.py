@@ -72,6 +72,9 @@ class CompilationOutput:
     provenance: dict[DClause, ClauseInfo]
     mode: str
     predicate_info: dict[str, MangledPredicate]
+    # The theory's constants, the pool the program is grounded over; the
+    # program's own constants also include the rule labels.
+    constants: frozenset[str]
 
     @property
     def floor_names(self) -> frozenset[str]:
@@ -86,8 +89,10 @@ class _Emitter:
         self.predicate_info: dict[str, MangledPredicate] = {}
 
     def atom(self, mp: MangledPredicate, args: tuple[Term, ...]) -> Atom:
-        self.predicate_info[mp.name] = mp
-        return Atom(mp.name, args)
+        name = mp.name
+        self.predicate_info[name] = mp
+        # Mangled from validated names, so ``Atom``'s name check is skipped.
+        return Atom.unchecked(name, args)
 
     def lit_atom(self, tag: str, lit: Literal, extra: tuple[Term, ...] = ()) -> Atom:
         return self.atom(literal_pred(tag, lit), extra + lit.args)
@@ -99,7 +104,7 @@ class _Emitter:
         self.clauses.append(clause)
         self.provenance[clause] = ClauseInfo(source, schema)
 
-    def finish(self) -> CompilationOutput:
+    def finish(self, constants: frozenset[str]) -> CompilationOutput:
         floor = frozenset(mp for mp in self.predicate_info.values() if mp.is_floor)
         return CompilationOutput(
             program=DatalogProgram(tuple(self.clauses)),
@@ -107,6 +112,7 @@ class _Emitter:
             provenance=self.provenance,
             mode=self.mode,
             predicate_info=self.predicate_info,
+            constants=constants,
         )
 
 
@@ -262,7 +268,7 @@ def _compile(theory: DefeasibleTheory, mode: str) -> CompilationOutput:
                 f"{sup.label} > {inf.label}",
                 "C24",
             )
-    return em.finish()
+    return em.finish(frozenset(theory.constants()))
 
 
 def compile_team(theory: DefeasibleTheory) -> CompilationOutput:

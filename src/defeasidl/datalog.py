@@ -71,6 +71,21 @@ class DatalogProgram:
             if not t.is_variable
         }
 
+    @cached_property
+    def _graph(self) -> "DependencyGraph":
+        edges = set()
+        for clause in self.clauses:
+            head = clause.head.predicate
+            edges.update((head, a.predicate, +1) for a in clause.positive)
+            edges.update((head, a.predicate, -1) for a in clause.negative)
+        return DependencyGraph(frozenset(self.predicates), frozenset(edges))
+
+    @cached_property
+    def _safe(self) -> bool:
+        return all(
+            _clause_vars([c.head, *c.negative]) <= _clause_vars(c.positive) for c in self.clauses
+        )
+
     def restrict_to(self, predicates: Iterable[str]) -> "DatalogProgram":
         wanted = set(predicates)
         return DatalogProgram(tuple(c for c in self.clauses if c.head.predicate in wanted))
@@ -95,13 +110,9 @@ class DependencyGraph:
 
 
 def dependency_graph(program: DatalogProgram) -> DependencyGraph:
-    nodes = frozenset(program.predicates)
-    edges = set()
-    for clause in program.clauses:
-        head = clause.head.predicate
-        edges.update((head, a.predicate, +1) for a in clause.positive)
-        edges.update((head, a.predicate, -1) for a in clause.negative)
-    return DependencyGraph(nodes, frozenset(edges))
+    """The program's graph, built once per program and shared by every
+    analysis of it (a program is immutable)."""
+    return program._graph
 
 
 def _tarjan_sccs(nodes: Iterable[Hashable], successors: Mapping) -> list[list]:
@@ -242,10 +253,9 @@ def _clause_vars(atoms: Iterable[Atom]) -> set[str]:
 
 def is_safe(program: DatalogProgram) -> bool:
     """Every clause variable is bound by a positive body literal: head
-    variables (range restriction) and negated ones (negation safety)."""
-    return all(
-        _clause_vars([c.head, *c.negative]) <= _clause_vars(c.positive) for c in program.clauses
-    )
+    variables (range restriction) and negated ones (negation safety).
+    Decided once per program."""
+    return program._safe
 
 
 # Parsing and printing of the ".dl" text form.

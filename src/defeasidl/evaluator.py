@@ -9,11 +9,11 @@ one strongly connected component of the ground atom graph at a time:
 Fitting's operator decides each component, or, for the well-founded
 semantics, each single atom without a self-loop, and the alternating
 fixpoint decides the other well-founded components.  On stratified
-programs the well-founded result is the total perfect model.  A hybrid
-pipeline for compiled programs evaluates the stratified floor first and
-then runs Fitting's semantics above it, with the floor's truths passed as
-unit clauses; this provably recovers exactly the well-founded truths of
-the defeasibly predicates.
+programs the well-founded result is the total perfect model.  The hybrid
+backend for compiled programs decides the stratified floor's components
+under the well-founded semantics and the components above it under
+Fitting's; this provably recovers exactly the well-founded truths of the
+defeasibly predicates.
 
 Ground atoms are plain ``(predicate, args)`` tuples for speed.
 """
@@ -25,8 +25,7 @@ from itertools import product
 from typing import NamedTuple, Optional
 
 from .compiler import CompilationOutput
-from .datalog import DatalogProgram, DClause, _tarjan_sccs, is_safe, stratify
-from .theory import Atom, Term
+from .datalog import DatalogProgram, _tarjan_sccs, is_safe, stratify
 
 GAtom = tuple  # (predicate: str, args: tuple[str, ...])
 
@@ -206,8 +205,8 @@ def _drop_unsupported(found: list[GroundClause], members: set[str]) -> list[Grou
     return [inst for inst, keep in zip(found, alive) if keep]
 
 
-def _ground_clauses(program: DatalogProgram) -> tuple[list[GroundClause], set[GAtom]]:
-    """Clause instances whose positive body atoms can all appear as heads.
+def _ground_clauses(program: DatalogProgram, constants) -> tuple[list[GroundClause], set[GAtom]]:
+    """Clause instances over ``constants`` whose positive body atoms can all appear as heads.
 
     This is the greatest set of atoms that supports itself: an atom stays
     when it is the head of a retained instance, and an instance stays when
@@ -244,7 +243,7 @@ def _ground_clauses(program: DatalogProgram) -> tuple[list[GroundClause], set[GA
         pred = clause[0][0]
         clauses_of.setdefault(pred, []).append(clause)
         uses.setdefault(pred, []).extend(p for p, _ in clause[1])
-    constants = sorted(program.constants())
+    constants = sorted(constants)
     interned: dict[GAtom, GAtom] = {}
     atoms: dict[str, list[GAtom]] = {}  # final atoms, or a recursive component's universe
     indexes: dict[tuple[str, tuple[int, ...]], dict[tuple, list[GAtom]]] = {}
@@ -310,12 +309,15 @@ def _ground_clauses(program: DatalogProgram) -> tuple[list[GroundClause], set[GA
     return instances, base
 
 
-def ground_program(program: DatalogProgram) -> GroundProgram:
-    """Ground a safe program over its own constants, pruning the clause
-    instances that ``_ground_clauses`` shows can never fire."""
+def ground_program(program: DatalogProgram, constants=None) -> GroundProgram:
+    """Ground a safe program over the constant pool ``constants``, by default
+    its own constants, pruning the clause instances that ``_ground_clauses``
+    shows can never fire.  A compiled program's own constants include its
+    rule labels, so it is grounded over ``CompilationOutput.constants``."""
     if not is_safe(program):
         raise UnsafeProgram("program is not safe; grounding would not terminate on ground atoms")
-    instances, base = _ground_clauses(program)
+    pool = program.constants() if constants is None else constants
+    instances, base = _ground_clauses(program, pool)
     return GroundProgram(tuple(instances), frozenset(base))
 
 
@@ -398,12 +400,14 @@ def _kleene(component, by_head, true: set[GAtom], false: set[GAtom]) -> None:
         undecided = left
 
 
-def _evaluate(g: GroundProgram, fitting: bool) -> ThreeValuedInterpretation:
+def _evaluate(g: GroundProgram, fitting: bool, floor=frozenset()) -> ThreeValuedInterpretation:
     """Fitting's or the well-founded model, one strongly connected component
     of the ground atom graph (head to positive and negative body atoms) at
     a time, dependencies first.  ``_kleene`` decides every component under
     Fitting's semantics, and a single atom without a self-loop under the
-    well-founded one, where any other component alternates."""
+    well-founded one, where any other component alternates.  With
+    ``fitting``, the components of ``floor`` predicates are still decided
+    as under the well-founded semantics."""
     by_head: dict[GAtom, list[GroundClause]] = {}
     successors: dict[GAtom, list[GAtom]] = {}
     for clause in g.clauses:
@@ -413,61 +417,56 @@ def _evaluate(g: GroundProgram, fitting: bool) -> ThreeValuedInterpretation:
     false: set[GAtom] = set()
     for component in _tarjan_sccs(g.herbrand_base, successors):
         atom = component[0]
-        if fitting or (len(component) == 1 and atom not in successors.get(atom, ())):
+        single = len(component) == 1 and atom not in successors.get(atom, ())
+        if single or (fitting and atom[0] not in floor):
             _kleene(component, by_head, true, false)
         else:
             _alternate(component, by_head, true, false)
     return ThreeValuedInterpretation(frozenset(true), frozenset(false), g.herbrand_base)
 
 
-def eval_stratified(program: DatalogProgram) -> ThreeValuedInterpretation:
-    """The perfect model of a stratified program: its total well-founded model."""
+def eval_stratified(program: DatalogProgram,
+                    ground: Optional[GroundProgram] = None) -> ThreeValuedInterpretation:
+    """The perfect model of a stratified program: its total well-founded
+    model, over ``ground`` if given, else over ``ground_program(program)``."""
     if stratify(program) is None:
         raise NotStratified("program has a negative edge inside a recursive component")
-    interp = _evaluate(ground_program(program), fitting=False)
+    interp = _evaluate(ground or ground_program(program), fitting=False)
     if not interp.is_total():
         raise RuntimeError("stratified program left atoms unknown (internal error)")
     return interp
 
 
-def eval_fitting(program: DatalogProgram) -> ThreeValuedInterpretation:
-    """Fitting's model, the least fixpoint of the three-valued
-    immediate-consequence operator, computed one ground component at a time."""
-    return _evaluate(ground_program(program), fitting=True)
+def eval_fitting(program: DatalogProgram,
+                 ground: Optional[GroundProgram] = None) -> ThreeValuedInterpretation:
+    """Fitting's model, the least fixpoint of the three-valued immediate-consequence
+    operator, over ``ground`` if given, else over ``ground_program(program)``."""
+    return _evaluate(ground or ground_program(program), fitting=True)
 
 
-def eval_wellfounded(program: DatalogProgram) -> ThreeValuedInterpretation:
-    """The well-founded model, computed one ground component at a time."""
-    return _evaluate(ground_program(program), fitting=False)
+def eval_wellfounded(program: DatalogProgram,
+                     ground: Optional[GroundProgram] = None) -> ThreeValuedInterpretation:
+    """The well-founded model, computed one ground component at a time
+    over ``ground`` if given, else over ``ground_program(program)``."""
+    return _evaluate(ground or ground_program(program), fitting=False)
 
 
-def eval_hybrid(compiled: CompilationOutput) -> ThreeValuedInterpretation:
-    """Stratified floor, then Fitting above it: returns the floor verdicts
-    plus exactly the well-founded truths of the defeasibly predicates.  The
-    upper part reads the floor's truths as unit clauses.  The floor is
-    total, so a floor-predicate atom the upper clauses read but the floor
-    never grounded is false."""
+def eval_hybrid(compiled: CompilationOutput,
+                ground: Optional[GroundProgram] = None) -> ThreeValuedInterpretation:
+    """Stratified floor, then Fitting above it, in one pass over ``ground``
+    (by default ``compiled.program`` over ``compiled.constants``): the floor
+    verdicts plus exactly the well-founded truths of the defeasibly
+    predicates.  The floor is downward closed and stratified, so the
+    well-founded semantics decides each floor atom from floor atoms alone."""
     if not isinstance(compiled, CompilationOutput) or not all(
         clause in compiled.provenance for clause in compiled.program.clauses
     ):
         raise TypeError("hybrid evaluation needs a compiler-produced program with provenance")
-    floor_names = compiled.floor_names
-    program = compiled.program
-    floor_interp = eval_stratified(program.restrict_to(floor_names))
-    upper = tuple(c for c in program.clauses if c.head.predicate not in floor_names)
-    read = {a.predicate for c in upper for a in c.positive + c.negative}
-    facts = tuple(
-        DClause(Atom(pred, tuple(Term(name) for name in args)))
-        for pred, args in floor_interp.true_set
-        if pred in read
-    )
-    upper_interp = eval_fitting(DatalogProgram(upper + facts))
-    defeasibly_true = upper_interp.true_of(
-        lambda p: p not in floor_names and compiled.predicate_info[p].base == "defeasibly"
-    )
-    floor_false = {a for a in upper_interp.domain if a[0] in floor_names} - floor_interp.true_set
-    return ThreeValuedInterpretation(
-        true_set=floor_interp.true_set | defeasibly_true,
-        false_set=floor_interp.false_set | floor_false,
-        domain=floor_interp.domain | upper_interp.domain,
-    )
+    floor = compiled.floor_names
+    g = ground or ground_program(compiled.program, compiled.constants)
+    interp = _evaluate(g, fitting=True, floor=floor)
+    if any(a[0] in floor for a in interp.unknown_set):
+        raise RuntimeError("hybrid floor left atoms unknown (internal error)")
+    shown = lambda p: p in floor or compiled.predicate_info[p].base == "defeasibly"
+    false = frozenset(a for a in interp.false_set if a[0] in floor)
+    return ThreeValuedInterpretation(interp.true_of(shown), false, g.herbrand_base)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Optional
 
@@ -64,6 +65,15 @@ class Atom:
         _check_name(self.predicate, "predicate")
         if self.predicate[0].isdigit() or self.predicate[0].isupper():
             raise ValueError(f"predicate must start with a lowercase letter: {self.predicate!r}")
+
+    @classmethod
+    def unchecked(cls, predicate: str, args: tuple[Term, ...] = ()) -> "Atom":
+        """An atom built without the name check, for a predicate name the
+        caller has already made well-formed (the compiler's mangled names)."""
+        atom = object.__new__(cls)
+        object.__setattr__(atom, "predicate", predicate)
+        object.__setattr__(atom, "args", args)
+        return atom
 
     @property
     def arity(self) -> int:
@@ -193,6 +203,10 @@ class DefeasibleTheory(_TheoryOps):
     ) -> "DefeasibleTheory":
         return DefeasibleTheory(frozenset(facts), tuple(rules), frozenset(superiority))
 
+    @cached_property
+    def _validation(self) -> "ValidationReport":
+        return _validate(self)
+
 
 # Substitutions map variable names to constant terms.
 Substitution = tuple[tuple[str, str], ...]
@@ -277,7 +291,15 @@ def validate_theory(theory: DefeasibleTheory) -> ValidationReport:
     collisions between generated predicate names.  Warnings flag
     superiority pairs that cannot influence compilation (non-complementary
     heads, or a defeater in the superior position).
+
+    A theory is immutable, so its report is computed once, on the first
+    call, and every later call (the compiler's too) returns that same
+    report; callers must not modify it.
     """
+    return theory._validation
+
+
+def _validate(theory: DefeasibleTheory) -> ValidationReport:
     report = ValidationReport()
 
     seen_labels: set[str] = set()

@@ -6,9 +6,10 @@ model per predicate stratum, ``reference_wellfounded`` runs the
 alternating fixpoint over the whole ground program, and
 ``reference_fitting`` rescans every undecided atom of the whole ground
 program on each Kleene pass; the last two are quadratic in chain depth.
-``reference_hybrid`` composes them the way the hybrid backend does, but
-passes every floor truth to the upper part.  All are plainly correct, so
-the differential tests hold the engine to them.
+``reference_hybrid`` grounds the whole compiled program with the naive
+grounder, decides the floor stratum by stratum and runs the naive Kleene
+iteration above it.  All are plainly correct, so the differential tests
+hold the engine to them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from defeasidl.compiler import CompilationOutput
-from defeasidl.datalog import DatalogProgram, DClause, stratify
+from defeasidl.datalog import DatalogProgram, stratify
 from defeasidl.evaluator import (
     GAtom,
     GroundClause,
@@ -24,7 +25,7 @@ from defeasidl.evaluator import (
     ThreeValuedInterpretation,
     ground_program,
 )
-from defeasidl.theory import Atom, Term
+from grounding_reference import naive_ground_clauses
 
 
 def least_model(
@@ -68,14 +69,10 @@ def least_model(
     return true
 
 
-def reference_stratified(program: DatalogProgram) -> ThreeValuedInterpretation:
-    """Iterated least models along a stratification; the result is total."""
-    strata = stratify(program)
-    if strata is None:
-        raise NotStratified("program has a negative edge inside a recursive component")
-    g = ground_program(program)
+def stratum_by_stratum(clauses: Iterable[GroundClause], strata: dict[str, int]) -> set[GAtom]:
+    """The true atoms of iterated least models along the predicate strata."""
     by_stratum: dict[int, list[GroundClause]] = {}
-    for clause in g.clauses:
+    for clause in clauses:
         by_stratum.setdefault(strata[clause.head[0]], []).append(clause)
     true: set[GAtom] = set()
     for level in sorted(by_stratum):
@@ -83,6 +80,16 @@ def reference_stratified(program: DatalogProgram) -> ThreeValuedInterpretation:
         # Negative atoms live strictly below this stratum, so they are decided.
         usable = [c for c in layer if all(n not in true for n in c.negative)]
         true = least_model(usable, seed=true)
+    return true
+
+
+def reference_stratified(program: DatalogProgram) -> ThreeValuedInterpretation:
+    """Iterated least models along a stratification; the result is total."""
+    strata = stratify(program)
+    if strata is None:
+        raise NotStratified("program has a negative edge inside a recursive component")
+    g = ground_program(program)
+    true = stratum_by_stratum(g.clauses, strata)
     return ThreeValuedInterpretation(
         true_set=frozenset(true),
         false_set=frozenset(g.herbrand_base - true),
@@ -115,16 +122,15 @@ def reference_wellfounded(program: DatalogProgram) -> ThreeValuedInterpretation:
         lower = new_lower
 
 
-def reference_fitting(program: DatalogProgram) -> ThreeValuedInterpretation:
+def naive_kleene(
+    clauses: Iterable[GroundClause], undecided: set[GAtom], true: set[GAtom], false: set[GAtom]
+) -> None:
     """Kleene iteration of the three-valued immediate-consequence operator
-    from all-unknown over the whole ground program."""
-    g = ground_program(program)
+    on the ``undecided`` atoms, rescanning all of them on every pass until
+    one changes nothing; ``true`` and ``false`` grow in place."""
     by_head: dict[GAtom, list[GroundClause]] = {}
-    for clause in g.clauses:
+    for clause in clauses:
         by_head.setdefault(clause.head, []).append(clause)
-    true: set[GAtom] = set()
-    false: set[GAtom] = set()
-    undecided = set(g.herbrand_base)
     changed = True
     while changed:
         changed = False
@@ -151,27 +157,34 @@ def reference_fitting(program: DatalogProgram) -> ThreeValuedInterpretation:
                 continue
             undecided.discard(atom)
             changed = True
+
+
+def reference_fitting(program: DatalogProgram) -> ThreeValuedInterpretation:
+    """Kleene iteration from all-unknown over the whole ground program."""
+    g = ground_program(program)
+    true: set[GAtom] = set()
+    false: set[GAtom] = set()
+    naive_kleene(g.clauses, set(g.herbrand_base), true, false)
     return ThreeValuedInterpretation(frozenset(true), frozenset(false), g.herbrand_base)
 
 
 def reference_hybrid(compiled: CompilationOutput) -> ThreeValuedInterpretation:
-    """The stratified floor by ``reference_stratified``, then
-    ``reference_fitting`` on the upper clauses plus every floor truth as a
-    unit clause; the floor verdicts plus the upper defeasibly truths.  A
-    floor atom the upper clauses read but the floor never grounded is
-    false."""
+    """The naive grounding of the whole program over the theory's
+    constants, its floor decided by ``stratum_by_stratum`` and the atoms
+    above it by ``naive_kleene``; the floor verdicts plus the defeasibly
+    truths."""
     floor_names = compiled.floor_names
-    program = compiled.program
-    floor = reference_stratified(program.restrict_to(floor_names))
-    upper = [c for c in program.clauses if c.head.predicate not in floor_names]
-    upper += [DClause(Atom(pred, tuple(map(Term, args)))) for pred, args in floor.true_set]
-    fitting = reference_fitting(DatalogProgram(tuple(upper)))
-    defeasibly_true = fitting.true_of(
-        lambda p: p not in floor_names and compiled.predicate_info[p].base == "defeasibly"
-    )
-    floor_false = {a for a in fitting.domain if a[0] in floor_names} - floor.true_set
+    strata = stratify(compiled.program.restrict_to(floor_names))
+    if strata is None:
+        raise NotStratified("the floor has a negative edge inside a recursive component")
+    clauses, base = naive_ground_clauses(compiled.program, compiled.constants)
+    floor = {a for a in base if a[0] in floor_names}
+    true = stratum_by_stratum([c for c in clauses if c.head in floor], strata)
+    false = floor - true
+    naive_kleene(clauses, base - floor, true, false)
+    defeasibly = lambda p: compiled.predicate_info[p].base == "defeasibly"
     return ThreeValuedInterpretation(
-        floor.true_set | defeasibly_true,
-        floor.false_set | floor_false,
-        floor.domain | fitting.domain,
+        frozenset(a for a in true if a in floor or defeasibly(a[0])),
+        frozenset(false & floor),
+        frozenset(base),
     )

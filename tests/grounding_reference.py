@@ -24,21 +24,18 @@ from defeasidl.evaluator import (
 
 
 def naive_ground_clauses(
-    program: DatalogProgram, external_true: Iterable[GAtom] = ()
+    program: DatalogProgram, constants: Iterable[str], external_true: Iterable[GAtom] = ()
 ) -> tuple[list[GroundClause], set[GAtom]]:
-    """Start from every head-pattern instance plus ``external_true`` and
-    repeatedly drop atoms no retained clause instance supports; an
-    ``external_true`` atom needs no clause (only ``is_three_valued_model``
-    passes any)."""
+    """Start from every head-pattern instance over the constant pool
+    ``constants`` plus ``external_true`` and repeatedly drop atoms no
+    retained clause instance supports; an ``external_true`` atom needs no
+    clause (only ``is_three_valued_model`` passes any)."""
     external_true = set(external_true)
     compiled = _compile_clauses(program)
     external: dict[str, set[tuple]] = {}
     for pred, args in external_true:
         external.setdefault(pred, set()).add(args)
-    constants = sorted(
-        program.constants() | {name for args in (a[1] for a in external_true) for name in args}
-    )
-    universe = _head_instances(compiled, constants)
+    universe = _head_instances(compiled, sorted(constants))
     for pred, argsets in external.items():
         universe.setdefault(pred, set()).update(argsets)
 
@@ -82,7 +79,8 @@ def naive_ground_clauses(
 
 def is_three_valued_model(program: DatalogProgram, interp: ThreeValuedInterpretation) -> bool:
     """No ground clause has a true body and a non-true head."""
-    instances, _ = naive_ground_clauses(program, external_true=interp.true_set)
+    constants = program.constants() | {name for _, args in interp.true_set for name in args}
+    instances, _ = naive_ground_clauses(program, constants, external_true=interp.true_set)
     for clause in instances:
         body_true = all(p in interp.true_set for p in clause.positive) and all(
             n in interp.false_set for n in clause.negative

@@ -1,7 +1,9 @@
 from conftest import theory
-from defeasidl import generator
+from defeasidl import evaluator, generator
+from defeasidl import theory as theory_module
 from defeasidl.check import check_theory, minimize, minimize_failure
 from defeasidl.theory import DefeasibleTheory
+from test_evaluation import corpus_slice
 
 
 def test_corpus_theories_agree(tweety, platypus, nonstrat):
@@ -70,3 +72,36 @@ def test_compiling_a_ground_theory_directly_agrees(tweety):
     flat = DefeasibleTheory.of(g.facts, g.rules, g.superiority)
     result = check_theory(flat, "ground-tweety")
     assert result.agree, result.failures
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns its running call count."""
+    calls = [0]
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_each_compiled_program_is_grounded_at_most_once(monkeypatch):
+    calls = counting(monkeypatch, evaluator, "_ground_clauses")
+    evaluated = 0
+    for t in corpus_slice():
+        before = calls[0]
+        result = check_theory(t)
+        assert result.agree, result.failures
+        assert calls[0] - before <= (0 if result.skipped_eval else 2)
+        evaluated += not result.skipped_eval
+    assert evaluated > 0
+
+
+def test_each_theory_is_validated_once(monkeypatch):
+    calls = counting(monkeypatch, theory_module, "_validate")
+    theories = corpus_slice()
+    for t in theories:
+        check_theory(t)
+    assert calls[0] == len(theories)

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import defeasidl
-from defeasidl import corpus
+from defeasidl import corpus, evaluator
 from defeasidl.cli import main
+from test_check import counting
 
 
 def run(*argv):
@@ -164,6 +165,24 @@ class TestSolve:
         code, out = run("--no-timings", "solve", str(src))
         assert code == 1
         assert "empty-universe" in out
+
+    def test_rule_labels_are_not_constants(self, tmp_path):
+        # The compiled program holds the labels r0 and r1 as constants; the
+        # grounding ranges over the theory's constants, so no conclusion
+        # mentions them.
+        src = tmp_path / "labels.dfl"
+        src.write_text("q(a).\nr0: q(X) -> q(X).\nr1: q(X) => p(X).\n", encoding="utf-8")
+        for logic, tag in (("dpar", "dpar"), ("dpar_star", "dpar*")):
+            code, out = run("--no-timings", "solve", str(src), "--logic", logic, "--three-valued")
+            assert code == 0, logic
+            assert result_lines(out) == ["+Delta q(a)", f"+{tag} p(a)", f"+{tag} q(a)"], logic
+
+    def test_hybrid_solve_grounds_once(self, monkeypatch):
+        calls = counting(monkeypatch, evaluator, "_ground_clauses")
+        for logic in ("dpar", "dpar_star"):
+            before = calls[0]
+            code, _ = run("--no-timings", "solve", NONSTRAT, "--logic", logic, "--backend", "hybrid")
+            assert (code, calls[0] - before) == (0, 1), logic
 
     def test_unsafe_theory_exits_1_on_every_compiled_backend(self, tmp_path):
         src = tmp_path / "unsafe.dfl"

@@ -10,7 +10,14 @@ from defeasidl.compiler import (
     read_conclusions,
 )
 from defeasidl.datalog import dependency_graph, parse_datalog
-from defeasidl.theory import DefeasibleTheory, ValidationFailed, theory_size
+from defeasidl.theory import (
+    DefeasibleTheory,
+    ValidationFailed,
+    _check_name,
+    theory_size,
+    validate_theory,
+)
+from test_evaluation import corpus_slice
 
 
 WORKED_PAIR = theory(
@@ -124,6 +131,22 @@ class TestCompileGuards:
         bad = DefeasibleTheory.of(facts=[lit("fly(X)")])
         with pytest.raises(ValidationFailed):
             compile_team(bad)
+        # Also once the report is computed and kept on the theory.
+        assert not validate_theory(bad).ok
+        for compile_ in (compile_team, compile_individual):
+            with pytest.raises(ValidationFailed):
+                compile_(bad)
+
+    def test_emitted_predicate_names_are_well_formed(self):
+        # The emitter builds its atoms without the name check.
+        names = 0
+        for t in corpus_slice():
+            for out in (compile_team(t), compile_individual(t)):
+                for name in out.program.predicates:
+                    _check_name(name, "predicate")
+                    assert name[0].islower(), name
+                    names += 1
+        assert names > 0
 
     def test_floor_is_downward_closed(self, tweety, nonstrat):
         for t in (tweety, nonstrat, WORKED_PAIR):

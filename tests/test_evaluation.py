@@ -81,24 +81,51 @@ def test_corpus_slice_matches_reference():
 
 
 def test_hybrid_floor_atoms_take_their_wellfounded_values():
-    # The floor is total: a floor-predicate atom the upper clauses read but
-    # the floor never grounded (an atom missing from the well-founded base
-    # too) is false, never unknown.
-    read_ungrounded = 0
+    # The floor is total, and one grounding over the theory's constants
+    # serves every backend: its floor part is exactly the floor's own
+    # grounding, so no floor atom the upper clauses read goes ungrounded.
+    floor_atoms = 0
     for theory in corpus_slice():
         for compile_ in (compile_team, compile_individual):
             out = compile_(theory)
             if not is_safe(out.program):
                 continue
-            hybrid = eval_hybrid(out)
-            wf = eval_wellfounded(out.program)
-            floor_domain = eval_stratified(out.program.restrict_to(out.floor_names)).domain
-            for a in hybrid.domain:
-                if a[0] in out.floor_names:
-                    expected = wf.value(a) if a in wf.domain else "false"
-                    assert hybrid.value(a) == expected, a
-                    read_ungrounded += a not in floor_domain
-    assert read_ungrounded > 0
+            g = ground_program(out.program, out.constants)
+            floor = ground_program(out.program.restrict_to(out.floor_names), out.constants)
+            assert {c for c in g.clauses if c.head[0] in out.floor_names} == set(floor.clauses)
+            assert {a for a in g.herbrand_base if a[0] in out.floor_names} == floor.herbrand_base
+            hybrid = eval_hybrid(out, g)
+            wf = eval_wellfounded(out.program, g)
+            for a in floor.herbrand_base:
+                assert hybrid.value(a) == wf.value(a) != "unknown", a
+            floor_atoms += len(floor.herbrand_base)
+    assert floor_atoms > 0
+
+
+def test_compiled_domains_hold_only_theory_constants():
+    # Rule labels are constants of a compiled program but not of its theory:
+    # they may fill only the label positions of defeated, overruled and
+    # defeats atoms, never a source predicate's argument.
+    checked = 0
+    for theory in corpus_slice():
+        arity = {lit.predicate: lit.atom.arity for lit in theory.literals()}
+        constants = theory.constants()
+        for compile_ in (compile_team, compile_individual):
+            out = compile_(theory)
+            if not is_safe(out.program):
+                continue
+            domain = ground_program(out.program, out.constants).herbrand_base
+            assert eval_hybrid(out).domain == domain
+            for pred, args in domain:
+                mp = out.predicate_info[pred]
+                labels = 0
+                if mp.base == "defeats":
+                    labels = len(args)
+                elif mp.base in ("defeated", "overruled"):
+                    labels = len(args) - arity[mp.source_predicate]
+                assert set(args[labels:]) <= constants, (pred, args)
+                checked += 1
+    assert checked > 0
 
 
 def test_random_programs_match_reference(rng):

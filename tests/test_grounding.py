@@ -8,7 +8,7 @@ import pytest
 
 from defeasidl import evaluator, generator
 from defeasidl.compiler import compile_individual, compile_team
-from defeasidl.datalog import DatalogProgram, DClause, is_safe, parse_datalog
+from defeasidl.datalog import DatalogProgram, is_safe, parse_datalog
 from defeasidl.evaluator import (
     GroundClause,
     NotStratified,
@@ -16,9 +16,9 @@ from defeasidl.evaluator import (
     eval_fitting,
     eval_stratified,
     eval_wellfounded,
+    ground_program,
 )
 from defeasidl.parser import parse_theory
-from defeasidl.theory import Atom, Term
 from grounding_reference import naive_ground_clauses
 
 CORPUS_SEED = 20260809
@@ -33,9 +33,11 @@ def atom(text: str):
     return (name, tuple(a.strip() for a in rest[:-1].split(",")))
 
 
-def assert_same_grounding(program):
-    instances, base = _ground_clauses(program)
-    reference, reference_base = naive_ground_clauses(program)
+def assert_same_grounding(program, constants=None):
+    if constants is None:
+        constants = program.constants()
+    instances, base = _ground_clauses(program, constants)
+    reference, reference_base = naive_ground_clauses(program, constants)
     assert len(instances) == len(set(instances))
     assert set(instances) == set(reference)
     assert base == reference_base
@@ -43,23 +45,14 @@ def assert_same_grounding(program):
 
 
 def grounding_cases(out):
-    """The programs the backends ground for one compiled theory: the whole
-    program, its stratified floor, and the upper part plus the floor truths
-    it reads as unit clauses, as ``eval_hybrid`` splits it."""
-    floor = []
-    upper = []
-    for clause in out.program.clauses:
-        (floor if clause.head.predicate in out.floor_names else upper).append(clause)
-    floor_program = DatalogProgram(tuple(floor))
-    read = {a.predicate for c in upper for a in c.positive + c.negative}
-    facts = [
-        DClause(Atom(pred, tuple(map(Term, args))))
-        for pred, args in eval_stratified(floor_program).true_set
-        if pred in read
-    ]
-    yield out.program
-    yield floor_program
-    yield DatalogProgram(tuple(upper + facts))
+    """(program, constant pool) pairs for one compiled theory: the whole
+    program over the theory's constants, as ``solve`` and ``check`` ground
+    it; the same over the program's own constants, rule labels included, as
+    ``eval`` grounds its text; and the stratified floor over the theory's
+    constants."""
+    yield out.program, out.constants
+    yield out.program, out.program.constants()
+    yield out.program.restrict_to(out.floor_names), out.constants
 
 
 def corpus_slice():
@@ -76,8 +69,8 @@ def test_corpus_slice_matches_reference():
             out = compile_(theory)
             if not is_safe(out.program):
                 continue
-            for program in grounding_cases(out):
-                assert_same_grounding(program)
+            for program, constants in grounding_cases(out):
+                assert_same_grounding(program, constants)
                 checked += 1
     assert checked >= 3 * 2 * GROUND_THEORIES
 
@@ -131,7 +124,7 @@ def test_constants_in_body_atoms():
 
 
 def test_support_only_from_external_truths():
-    # f(a) stands for a floor truth, passed as a unit clause.
+    # p and h read f, whose only support is the unit clause f(a).
     text = "p(X) :- f(X), not g(X).\nh(X) :- p(X), f(X)."
     assert assert_same_grounding(parse_datalog(text)) == ([], set())
     instances, base = assert_same_grounding(parse_datalog(text + "\nf(a)."))
@@ -208,15 +201,16 @@ def test_few_instances_are_built_to_be_dropped(monkeypatch):
     out = reach_path(20)
     for program in (out.program, out.program.restrict_to(out.floor_names)):
         built = 0
-        instances, _ = _ground_clauses(program)
+        instances, _ = _ground_clauses(program, out.constants)
         assert built <= 2.5 * len(instances)
 
 
-def interpretations(program):
+def interpretations(program, constants):
+    ground = ground_program(program, constants)
     results = []
     for evaluate in (eval_wellfounded, eval_fitting, eval_stratified):
         try:
-            interp = evaluate(program)
+            interp = evaluate(program, ground)
         except NotStratified:
             results.append(None)
         else:
@@ -234,16 +228,16 @@ def test_clause_order_changes_nothing():
             out = compile_(theory)
             if not is_safe(out.program):
                 continue
-            for program in grounding_cases(out):
+            for program, constants in grounding_cases(out):
                 clauses = list(program.clauses)
                 if checked % 2:
                     rng.shuffle(clauses)
                 else:
                     clauses.reverse()
                 reordered = DatalogProgram(tuple(clauses))
-                instances, base = _ground_clauses(program)
-                got, got_base = _ground_clauses(reordered)
+                instances, base = _ground_clauses(program, constants)
+                got, got_base = _ground_clauses(reordered, constants)
                 assert set(got) == set(instances) and got_base == base
-                assert interpretations(reordered) == interpretations(program)
+                assert interpretations(reordered, constants) == interpretations(program, constants)
                 checked += 1
     assert checked >= 3 * 2 * GROUND_THEORIES

@@ -1,0 +1,84 @@
+"""Metamorphic relations over theories: renaming the rule labels of a
+theory must not change its conclusions, on any backend or on the oracle.
+
+Labels never occur in source literals, so the conclusions map back to the
+original theory unchanged.  Each backend is compared on its whole
+interpretation, read back as true, false and unknown source literals, so a
+label that leaks into the grounding as an individual shows as a changed
+false or unknown literal (``-dpar q(r0)`` becoming ``-dpar q(x1)``)."""
+
+import random
+
+import pytest
+
+from conftest import theory
+from defeasidl import corpus
+from defeasidl.compiler import compile_individual, compile_team, read_conclusions
+from defeasidl.datalog import is_safe, stratify
+from defeasidl.evaluator import (
+    eval_fitting,
+    eval_hybrid,
+    eval_stratified,
+    eval_wellfounded,
+    ground_program,
+)
+from defeasidl.oracle import conclusions
+from defeasidl.theory import DefeasibleTheory, Rule
+from test_evaluation import corpus_slice
+
+LABEL_EXAMPLE = "q(a).\nr0: q(X) -> q(X).\nr1: q(X) => p(X).\n"
+
+
+def rename_labels(t: DefeasibleTheory, rng: random.Random) -> DefeasibleTheory:
+    """The theory with its labels mapped, in a shuffled order, to fresh ones."""
+    labels = [r.label for r in t.rules]
+    fresh = [f"x{i}" for i in range(len(labels))]
+    assert not set(fresh) & set(labels)
+    new = dict(zip(labels, rng.sample(fresh, len(fresh))))
+    return DefeasibleTheory.of(
+        t.facts,
+        [Rule(new[r.label], r.body, r.head, r.kind) for r in t.rules],
+        [(new[a], new[b]) for a, b in t.superiority],
+    )
+
+
+def conclusions_by_backend(t: DefeasibleTheory) -> dict:
+    """Every backend's interpretation of both compilations, as source
+    literals, and the oracle's closures."""
+    views = {}
+    for compile_ in (compile_team, compile_individual):
+        out = compile_(t)
+        g = ground_program(out.program, out.constants)
+        interps = {
+            "wf": eval_wellfounded(out.program, g),
+            "fitting": eval_fitting(out.program, g),
+            "hybrid": eval_hybrid(out, g),
+        }
+        if stratify(out.program) is not None:
+            interps["stratified"] = eval_stratified(out.program, g)
+        for name, interp in interps.items():
+            views[out.mode, name] = [
+                read_conclusions(out, atoms)
+                for atoms in (interp.true_set, interp.false_set, interp.unknown_set)
+            ]
+    c = conclusions(t)
+    views["oracle"] = (c.delta, c.lam, c.dpar, c.dpar_star)
+    return views
+
+
+def renaming_cases():
+    yield "label-example", theory(LABEL_EXAMPLE)
+    for name in ("tweety", "platypus", "nonstrat", "selfloop", "worked_pair", "chain"):
+        yield name, corpus.load(name)
+    for i, t in enumerate(corpus_slice()):
+        if is_safe(compile_team(t).program) and (t.constants() or not t.has_variables()):
+            yield f"corpus-{i}", t
+
+
+CASES = list(renaming_cases())
+
+
+@pytest.mark.parametrize("name, t", CASES, ids=[name for name, _ in CASES])
+def test_renaming_labels_changes_no_conclusion(name, t):
+    renamed = rename_labels(t, random.Random(name))
+    assert conclusions_by_backend(renamed) == conclusions_by_backend(t)
