@@ -70,27 +70,24 @@ class Reporter:
         self.started = time.perf_counter()
         self.emit_meta("command", {"command": command})
 
-    def _print(self, text: str) -> None:
-        print(text)
-
     def emit_meta(self, kind: str, payload: dict) -> None:
         if self.fmt == "json-lines":
-            self._print(json.dumps({"record": kind, **payload}, sort_keys=True))
+            print(json.dumps({"record": kind, **payload}, sort_keys=True))
         else:
             flat = " ".join(f"{k}={v}" for k, v in payload.items() if k != "command")
             if kind == "command":
-                self._print("# defeasidl " + " ".join(payload["command"]))
+                print("# defeasidl " + " ".join(payload["command"]))
             else:
-                self._print(f"# {kind} {flat}".rstrip())
+                print(f"# {kind} {flat}".rstrip())
 
     def emit_input(self, path: Path, data: bytes) -> None:
         self.emit_meta("input", {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()})
 
     def result(self, text: str, **payload) -> None:
         if self.fmt == "json-lines":
-            self._print(json.dumps({"record": "result", "text": text, **payload}, sort_keys=True))
+            print(json.dumps({"record": "result", "text": text, **payload}, sort_keys=True))
         else:
-            self._print(text)
+            print(text)
 
     def finish(self) -> None:
         if self.timings_enabled:
@@ -139,15 +136,13 @@ def _validated_theory(path_text: str, reporter: Reporter):
     return theory, OK
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    reporter = Reporter(args, ["validate", args.path])
+def cmd_validate(args: argparse.Namespace, reporter: Reporter) -> int:
     theory, code = _validated_theory(args.path, reporter)
     if theory is not None:
         reporter.result(
             f"ok: facts={len(theory.facts)} rules={len(theory.rules)} "
             f"superiority={len(theory.superiority)}"
         )
-    reporter.finish()
     return code
 
 
@@ -155,11 +150,9 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    reporter = Reporter(args, ["analyze", args.path])
+def cmd_analyze(args: argparse.Namespace, reporter: Reporter) -> int:
     theory, code = _validated_theory(args.path, reporter)
     if theory is None:
-        reporter.finish()
         return code
     team = compile_team(theory)
     indiv = compile_individual(theory)
@@ -193,15 +186,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ]
     for key, value in rows:
         reporter.result(f"{key}: {value}", key=key, value=value)
-    reporter.finish()
     return OK
 
 
-def cmd_compile(args: argparse.Namespace) -> int:
-    reporter = Reporter(args, ["compile", args.path, "--mode", args.mode, "-o", args.output])
+def cmd_compile(args: argparse.Namespace, reporter: Reporter) -> int:
     theory, code = _validated_theory(args.path, reporter)
     if theory is None:
-        reporter.finish()
         return code
     out = compile_team(theory) if args.mode == "team" else compile_individual(theory)
     text = emit_datalog_text(out)
@@ -209,12 +199,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
         Path(args.output).write_text(text, encoding="utf-8")
     except OSError as exc:
         _fail(f"cannot write {args.output}: {exc}")
-        reporter.finish()
         return ENV_FAILURE
     reporter.result(
         f"wrote {args.output}: {len(out.program.clauses)} clauses, size {compiled_size(out)}"
     )
-    reporter.finish()
     return OK
 
 
@@ -236,21 +224,16 @@ def _conclusion_lines(args, tag_name, sets, three_valued_extra):
     return lines
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    command = ["solve", args.path, "--logic", args.logic, "--backend", args.backend]
-    reporter = Reporter(args, command)
+def cmd_solve(args: argparse.Namespace, reporter: Reporter) -> int:
     theory, code = _validated_theory(args.path, reporter)
     if theory is None:
-        reporter.finish()
         return code
     tag_name = "dpar" if args.logic == "dpar" else "dpar*"
     if args.three_valued and args.backend not in ("wf", "stratified"):
         _fail("--three-valued requires --backend wf or stratified")
-        reporter.finish()
         return ENV_FAILURE
     if theory.has_variables() and not theory.constants():
         reporter.result("error empty-universe: theory has variables but no constants")
-        reporter.finish()
         return DOMAIN_FAILURE
     try:
         if args.backend == "oracle":
@@ -283,36 +266,29 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 extra = (false_sets["defeasibly"], unknown_sets["defeasibly"])
     except EmptyUniverse as exc:
         reporter.result(f"error empty-universe: {exc}")
-        reporter.finish()
         return DOMAIN_FAILURE
     except NotStratified:
         reporter.result(
             "error not-stratified: compiled program is not stratified; use --backend wf or hybrid"
         )
-        reporter.finish()
         return DOMAIN_FAILURE
     except UnsafeProgram as exc:
         reporter.result(f"error unsafe-program: {exc}")
-        reporter.finish()
         return DOMAIN_FAILURE
     for line in _conclusion_lines(args, tag_name, sets, extra):
         reporter.result(line)
-    reporter.finish()
     return OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    reporter = Reporter(args, ["eval", args.path, "--semantics", args.semantics])
+def cmd_eval(args: argparse.Namespace, reporter: Reporter) -> int:
     path, data = _read_file(args.path)
     if data is None:
-        reporter.finish()
         return ENV_FAILURE
     reporter.emit_input(path, data)
     try:
         program = parse_datalog(data.decode("utf-8", errors="replace"))
     except (DatalogSyntaxError, ValueError) as exc:
         reporter.result(f"parse-error {exc}")
-        reporter.finish()
         return DOMAIN_FAILURE
     try:
         if args.semantics == "wf":
@@ -323,11 +299,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             interp = eval_stratified(program)
     except NotStratified as exc:
         reporter.result(f"error not-stratified: {exc}")
-        reporter.finish()
         return DOMAIN_FAILURE
     except UnsafeProgram as exc:
         reporter.result(f"error unsafe-program: {exc}")
-        reporter.finish()
         return DOMAIN_FAILURE
     for value, atoms in (
         ("true", interp.true_set),
@@ -336,18 +310,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ):
         for atom in sorted(atoms):
             reporter.result(f"{value} {format_atom(atom)}")
-    reporter.finish()
     return OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def _check_command(args: argparse.Namespace) -> list[str]:
     command = ["check"] + list(args.paths)
     if args.random:
         command += ["--random", str(args.random)]
     if args.variable:
         command += ["--variable", str(args.variable)]
-    reporter = Reporter(args, command)
+    return command
 
+
+def cmd_check(args: argparse.Namespace, reporter: Reporter) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("DEFEASIDL_SEED", "20260809"))
@@ -357,7 +332,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     for path_text in args.paths:
         theory, code = _load_theory(path_text, reporter)
         if theory is None:
-            reporter.finish()
             return code
         jobs.append((path_text, theory))
     shape = generator.TheoryShape(
@@ -409,7 +383,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         disagreements=disagreements,
         skipped_eval=skipped_eval,
     )
-    reporter.finish()
     return OK if disagreements == 0 else DOMAIN_FAILURE
 
 
@@ -434,17 +407,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("validate", help="parse and validate a .dfl theory")
     p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, command=lambda a: ["validate", a.path])
 
     p = add_parser("analyze", help="structural analyses of a theory and its compilations")
     p.add_argument("path")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, command=lambda a: ["analyze", a.path])
 
     p = add_parser("compile", help="compile a theory to Datalog text")
     p.add_argument("path")
     p.add_argument("--mode", choices=["team", "individual"], default="team")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_compile)
+    p.set_defaults(
+        func=cmd_compile, command=lambda a: ["compile", a.path, "--mode", a.mode, "-o", a.output]
+    )
 
     p = add_parser("solve", help="list the conclusions of a theory")
     p.add_argument("path")
@@ -452,12 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=["wf", "stratified", "hybrid", "oracle"], default="wf")
     p.add_argument("--three-valued", action="store_true", help="also list false and unknown conclusions")
     p.add_argument("--show-lambda", action="store_true", help="also list the auxiliary +lambda tags")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(
+        func=cmd_solve,
+        command=lambda a: ["solve", a.path, "--logic", a.logic, "--backend", a.backend],
+    )
 
     p = add_parser("eval", help="evaluate a .dl Datalog program")
     p.add_argument("path")
     p.add_argument("--semantics", choices=["wf", "fitting", "stratified"], default="wf")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, command=lambda a: ["eval", a.path, "--semantics", a.semantics])
 
     p = add_parser("check", help="differential-test the pipeline against the oracle")
     p.add_argument("paths", nargs="*", help="theory files to check")
@@ -470,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--defeater-ratio", type=float, default=0.2)
     p.add_argument("--constants", type=int, default=3)
     p.add_argument("--verbose", action="store_true", help="also report agreeing theories")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, command=_check_command)
     return parser
 
 
@@ -480,11 +458,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return ENV_FAILURE if exc.code not in (0, None) else OK
+    # Each subcommand returns its exit code; the timings record closes its report.
+    reporter = Reporter(args, args.command(args))
     try:
-        return args.func(args)
+        code = args.func(args, reporter)
     except ValidationFailed as exc:
         _fail(str(exc))
         return DOMAIN_FAILURE
+    reporter.finish()
+    return code
 
 
 def console_main() -> None:

@@ -3,16 +3,17 @@
 Clauses are ``head :- pos..., not neg...`` over constants and variables
 only.  The analyses here are the predicate-level ones the backend
 selection depends on: the signed dependency graph, stratification,
-call-consistency (no odd negative self-dependence), signings of a
-predicate set, and safety.
+call-consistency (no odd negative self-dependence) and signings of a
+predicate set, each a routine of ``defeasidl.graph``, and safety.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
+from .graph import _tarjan_sccs, levels, two_colouring
 from .theory import Atom, Term
 
 
@@ -115,94 +116,26 @@ def dependency_graph(program: DatalogProgram) -> DependencyGraph:
     return program._graph
 
 
-def _tarjan_sccs(nodes: Iterable[Hashable], successors: Mapping) -> list[list]:
-    """SCCs in reverse topological order (components before their dependents).
-
-    Iterative Tarjan over ``nodes`` in the given order; ``successors`` maps
-    a node to the nodes it depends on, and a node missing from it has none.
-    """
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    sccs: list[list] = []
-
-    def visit(node) -> tuple:
-        index[node] = low[node] = len(index)
-        stack.append(node)
-        on_stack.add(node)
-        return node, iter(successors.get(node, ()))
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [visit(root)]
-        while work:
-            node, succs = work[-1]
-            for nxt in succs:  # resumes where the node's last visit stopped
-                if nxt not in index:
-                    work.append(visit(nxt))
-                    break
-                if nxt in on_stack and index[nxt] < low[node]:
-                    low[node] = index[nxt]
-            else:
-                work.pop()
-                if work and low[node] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[node]
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        top = stack.pop()
-                        on_stack.discard(top)
-                        comp.append(top)
-                        if top == node:
-                            break
-                    sccs.append(comp)
-    return sccs
-
-
 def stratify(program: DatalogProgram) -> Optional[dict[str, int]]:
     """A stratum mapping (heads >= positive bodies, > negative bodies),
     or None iff some strongly connected component contains a negative edge."""
     graph = dependency_graph(program)
-    sccs = _tarjan_sccs(
-        sorted(graph.nodes), {p: [q for q, _ in succs] for p, succs in graph.successors.items()}
-    )
-    comp_of = {node: i for i, comp in enumerate(sccs) for node in comp}
-    for p, q, sign in graph.edges:
-        if sign < 0 and comp_of[p] == comp_of[q]:
-            return None
-    level = [0] * len(sccs)
-    for i, comp in enumerate(sccs):  # reverse topological: dependencies first
-        best = 0
-        for p in comp:
-            for q, sign in graph.successors[p]:
-                j = comp_of[q]
-                if j != i:
-                    best = max(best, level[j] + (1 if sign < 0 else 0))
-        level[i] = best
-    return {node: level[comp_of[node]] for node in graph.nodes}
+    steps = {p: [(q, int(sign < 0)) for q, sign in succs] for p, succs in graph.successors.items()}
+    return levels(graph.nodes, steps)
 
 
 def is_call_consistent(program: DatalogProgram) -> bool:
     """No predicate depends on itself through an odd number of negations.
 
-    Parity-annotated reachability on the product graph over {even, odd}.
+    Exactly when the edges inside each strongly connected component admit
+    a signing: in a component, two paths from a root to a node, each closed
+    by one path back, make closed walks, and those split into cycles.
     """
     graph = dependency_graph(program)
-    for start in graph.nodes:
-        seen = {(start, +1)}
-        frontier = [(start, +1)]
-        while frontier:
-            node, parity = frontier.pop()
-            for succ, sign in graph.successors[node]:
-                state = (succ, parity * sign)
-                if state not in seen:
-                    if state == (start, -1):
-                        return False
-                    seen.add(state)
-                    frontier.append(state)
-    return True
+    successors = {p: [q for q, _ in succs] for p, succs in graph.successors.items()}
+    comp_of = {n: i for i, comp in enumerate(_tarjan_sccs(graph.nodes, successors)) for n in comp}
+    inside = [(p, q, sign) for p, q, sign in graph.edges if comp_of[p] == comp_of[q]]
+    return two_colouring(graph.nodes, inside) is not None
 
 
 @dataclass(frozen=True)
@@ -223,28 +156,9 @@ def compute_signing(program: DatalogProgram, scope: Iterable[str]) -> Optional[S
     its lexicographically least predicate the sign +1."""
     scope_set = frozenset(scope)
     graph = dependency_graph(program)
-    undirected: dict[str, list[tuple[str, int]]] = {p: [] for p in scope_set}
-    for p, q, sign in graph.edges:
-        if p in scope_set and q in scope_set:
-            undirected[p].append((q, sign))
-            undirected[q].append((p, sign))
-    mapping: dict[str, int] = {}
-    for seed in sorted(scope_set):
-        if seed in mapping:
-            continue
-        mapping[seed] = +1
-        frontier = [seed]
-        while frontier:
-            node = frontier.pop()
-            for other, sign in undirected[node]:
-                expected = mapping[node] * sign
-                got = mapping.get(other)
-                if got is None:
-                    mapping[other] = expected
-                    frontier.append(other)
-                elif got != expected:
-                    return None
-    return Signing(mapping, scope_set)
+    inside = [(p, q, sign) for p, q, sign in graph.edges if p in scope_set and q in scope_set]
+    mapping = two_colouring(sorted(scope_set), inside)
+    return None if mapping is None else Signing(mapping, scope_set)
 
 
 def _clause_vars(atoms: Iterable[Atom]) -> set[str]:

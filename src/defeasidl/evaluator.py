@@ -25,7 +25,8 @@ from itertools import product
 from typing import NamedTuple, Optional
 
 from .compiler import CompilationOutput
-from .datalog import DatalogProgram, _tarjan_sccs, is_safe, stratify
+from .datalog import DatalogProgram, is_safe, stratify
+from .graph import _tarjan_sccs
 
 GAtom = tuple  # (predicate: str, args: tuple[str, ...])
 
@@ -454,19 +455,17 @@ def eval_wellfounded(program: DatalogProgram,
 def eval_hybrid(compiled: CompilationOutput,
                 ground: Optional[GroundProgram] = None) -> ThreeValuedInterpretation:
     """Stratified floor, then Fitting above it, in one pass over ``ground``
-    (by default ``compiled.program`` over ``compiled.constants``): the floor
-    verdicts plus exactly the well-founded truths of the defeasibly
-    predicates.  The floor is downward closed and stratified, so the
-    well-founded semantics decides each floor atom from floor atoms alone."""
+    (by default ``compiled.program`` over ``compiled.constants``).  The floor
+    is downward closed and stratified, so it gets its well-founded values;
+    above it the result is below the well-founded model, which may decide
+    more atoms, and has exactly its true defeasibly atoms."""
     if not isinstance(compiled, CompilationOutput) or not all(
         clause in compiled.provenance for clause in compiled.program.clauses
     ):
         raise TypeError("hybrid evaluation needs a compiler-produced program with provenance")
     floor = compiled.floor_names
-    g = ground or ground_program(compiled.program, compiled.constants)
-    interp = _evaluate(g, fitting=True, floor=floor)
+    interp = _evaluate(ground or ground_program(compiled.program, compiled.constants),
+                       fitting=True, floor=floor)
     if any(a[0] in floor for a in interp.unknown_set):
         raise RuntimeError("hybrid floor left atoms unknown (internal error)")
-    shown = lambda p: p in floor or compiled.predicate_info[p].base == "defeasibly"
-    false = frozenset(a for a in interp.false_set if a[0] in floor)
-    return ThreeValuedInterpretation(interp.true_of(shown), false, g.herbrand_base)
+    return interp

@@ -16,6 +16,8 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Optional
 
+from .graph import _tarjan_sccs, levels
+
 
 class EmptyUniverse(Exception):
     """The theory contains variables but no constants to instantiate them."""
@@ -208,13 +210,9 @@ class DefeasibleTheory(_TheoryOps):
         return _validate(self)
 
 
-# Substitutions map variable names to constant terms.
-Substitution = tuple[tuple[str, str], ...]
-
-
 @dataclass(frozen=True)
 class GroundTheory(_TheoryOps):
-    """A variable-free theory plus the provenance of each ground rule.
+    """A variable-free theory.
 
     Ground rule labels are synthesized as ``<source>__<ordinal>`` whenever
     the source theory contains variables; a fully variable-free theory
@@ -224,7 +222,6 @@ class GroundTheory(_TheoryOps):
     facts: frozenset[Literal] = frozenset()
     rules: tuple[Rule, ...] = ()
     superiority: frozenset[tuple[str, str]] = frozenset()
-    provenance: dict[str, tuple[str, Substitution]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -251,36 +248,23 @@ class ValidationReport:
 
 
 def _superiority_cycle(pairs: Iterable[tuple[str, str]]) -> Optional[list[str]]:
-    """Return one cycle of labels in the superiority digraph, if any."""
-    adj: dict[str, list[str]] = {}
+    """One cycle of labels in the superiority digraph, if any: the walk from
+    the least label that reaches a cycle, along the least successors that
+    do, until a label repeats.  That is the cycle a depth-first search in
+    label order meets first."""
+    succs: dict[str, list[str]] = {}
     for t, s in sorted(pairs):
-        adj.setdefault(t, []).append(s)
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour: dict[str, int] = {}
-    for start in sorted(adj):
-        if colour.get(start, WHITE) is not WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        path = [start]
-        colour[start] = GREY
-        while stack:
-            node, idx = stack[-1]
-            succs = adj.get(node, [])
-            if idx < len(succs):
-                stack[-1] = (node, idx + 1)
-                nxt = succs[idx]
-                c = colour.get(nxt, WHITE)
-                if c == GREY:
-                    return path[path.index(nxt):] + [nxt] if nxt in path else [nxt, nxt]
-                if c == WHITE:
-                    colour[nxt] = GREY
-                    stack.append((nxt, 0))
-                    path.append(nxt)
-            else:
-                colour[node] = BLACK
-                stack.pop()
-                path.pop()
-    return None
+        succs.setdefault(t, []).append(s)
+    live: set[str] = set()  # the labels that reach a cycle
+    for comp in _tarjan_sccs(succs, succs):  # successors first
+        if len(comp) > 1 or any(s in live or s == comp[0] for s in succs.get(comp[0], ())):
+            live.update(comp)
+    if not live:
+        return None
+    walk = [min(live)]
+    while walk[-1] not in walk[:-1]:
+        walk.append(next(s for s in succs[walk[-1]] if s in live))
+    return walk[walk.index(walk[-1]):]
 
 
 def validate_theory(theory: DefeasibleTheory) -> ValidationReport:
@@ -393,23 +377,16 @@ def ground_theory(theory: DefeasibleTheory) -> GroundTheory:
     """All instantiations of the rules over the theory's own constants.
 
     Variable-free theories ground to themselves.  Superiority lifts to
-    every pair of instances of related source rules, and provenance maps
-    each ground label back to its source label and substitution.
+    every pair of instances of related source rules.
     """
     if not theory.has_variables():
-        return GroundTheory(
-            facts=theory.facts,
-            rules=theory.rules,
-            superiority=theory.superiority,
-            provenance={r.label: (r.label, ()) for r in theory.rules},
-        )
+        return GroundTheory(theory.facts, theory.rules, theory.superiority)
     constants = sorted(theory.constants())
     if not constants:
         raise EmptyUniverse("theory has variables but no constants")
     universe = [Term(c) for c in constants]
 
     ground_rules: list[Rule] = []
-    provenance: dict[str, tuple[str, Substitution]] = {}
     instances: dict[str, list[str]] = {}
     for rule in theory.rules:
         names = rule.variables()
@@ -425,7 +402,6 @@ def ground_theory(theory: DefeasibleTheory) -> GroundTheory:
                     kind=rule.kind,
                 )
             )
-            provenance[label] = (rule.label, tuple((n, binding[n].name) for n in names))
             labels.append(label)
         instances[rule.label] = labels
 
@@ -439,41 +415,7 @@ def ground_theory(theory: DefeasibleTheory) -> GroundTheory:
         facts=theory.facts,
         rules=tuple(ground_rules),
         superiority=lifted,
-        provenance=provenance,
     )
-
-
-def _acyclic_levels(nodes: Iterable[str], edges: dict[str, set[str]]) -> Optional[dict[str, int]]:
-    """Longest-path levels with every edge strictly decreasing, or None on a cycle."""
-    levels: dict[str, int] = {}
-    DOING = -1
-    order = sorted(nodes)
-
-    def visit(start: str) -> bool:
-        stack = [(start, iter(sorted(edges.get(start, ()))))]
-        levels[start] = DOING
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for succ in it:
-                got = levels.get(succ)
-                if got == DOING:
-                    return False
-                if got is None:
-                    levels[succ] = DOING
-                    stack.append((succ, iter(sorted(edges.get(succ, ())))))
-                    advanced = True
-                    break
-            if not advanced:
-                succs = edges.get(node, ())
-                levels[node] = 1 + max((levels[s] for s in succs), default=-1)
-                stack.pop()
-        return True
-
-    for node in order:
-        if node not in levels and not visit(node):
-            return None
-    return levels
 
 
 def is_hierarchical(theory: DefeasibleTheory) -> Optional[dict[str, int]]:
@@ -482,25 +424,19 @@ def is_hierarchical(theory: DefeasibleTheory) -> Optional[dict[str, int]]:
     The mapping places every rule head strictly above every body predicate,
     ignoring polarity.
     """
-    edges: dict[str, set[str]] = {}
+    steps: dict[str, list[tuple[str, int]]] = {}
     for rule in theory.rules:
-        succ = edges.setdefault(rule.head.predicate, set())
-        succ.update(b.predicate for b in rule.body)
-    return _acyclic_levels(theory.predicates(), edges)
+        steps.setdefault(rule.head.predicate, []).extend((b.predicate, 1) for b in rule.body)
+    return levels(theory.predicates(), steps)
 
 
 def is_locally_hierarchical(theory) -> bool:
     """True iff the ground-atom dependency graph of ground(theory) is acyclic."""
     g = theory if isinstance(theory, GroundTheory) else ground_theory(theory)
-    edges: dict[str, set[str]] = {}
+    steps: dict[str, list[tuple[str, int]]] = {}
     for rule in g.rules:
-        key = str(rule.head.atom)
-        succ = edges.setdefault(key, set())
-        succ.update(str(b.atom) for b in rule.body)
-    nodes = set(edges)
-    for succs in edges.values():
-        nodes.update(succs)
-    return _acyclic_levels(nodes, edges) is not None
+        steps.setdefault(str(rule.head.atom), []).extend((str(b.atom), 1) for b in rule.body)
+    return levels(steps, steps) is not None
 
 
 def theory_size(theory) -> int:

@@ -171,8 +171,7 @@ def reference_fitting(program: DatalogProgram) -> ThreeValuedInterpretation:
 def reference_hybrid(compiled: CompilationOutput) -> ThreeValuedInterpretation:
     """The naive grounding of the whole program over the theory's
     constants, its floor decided by ``stratum_by_stratum`` and the atoms
-    above it by ``naive_kleene``; the floor verdicts plus the defeasibly
-    truths."""
+    above it by ``naive_kleene``."""
     floor_names = compiled.floor_names
     strata = stratify(compiled.program.restrict_to(floor_names))
     if strata is None:
@@ -182,9 +181,4 @@ def reference_hybrid(compiled: CompilationOutput) -> ThreeValuedInterpretation:
     true = stratum_by_stratum([c for c in clauses if c.head in floor], strata)
     false = floor - true
     naive_kleene(clauses, base - floor, true, false)
-    defeasibly = lambda p: compiled.predicate_info[p].base == "defeasibly"
-    return ThreeValuedInterpretation(
-        frozenset(a for a in true if a in floor or defeasibly(a[0])),
-        frozenset(false & floor),
-        frozenset(base),
-    )
+    return ThreeValuedInterpretation(frozenset(true), frozenset(false), frozenset(base))

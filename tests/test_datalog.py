@@ -7,7 +7,6 @@ from defeasidl.datalog import (
     DatalogSyntaxError,
     DClause,
     Signing,
-    _tarjan_sccs,
     compute_signing,
     dependency_graph,
     is_call_consistent,
@@ -17,6 +16,8 @@ from defeasidl.datalog import (
     stratify,
 )
 from defeasidl.theory import is_hierarchical
+from analysis_reference import has_negative_edge_in_scc, reference_call_consistent, reference_strata
+from test_evaluation import corpus_slice
 
 
 # Independent cross-checks of the analyses.
@@ -33,14 +34,6 @@ def is_valid_stratification(program: DatalogProgram, mapping: dict[str, int]) ->
             if a.predicate not in mapping or mapping[a.predicate] >= m:
                 return False
     return True
-
-
-def has_negative_edge_in_scc(program: DatalogProgram) -> bool:
-    """The other characterisation of non-stratifiability."""
-    graph = dependency_graph(program)
-    successors = {p: [q for q, _ in succs] for p, succs in graph.successors.items()}
-    comp_of = {n: i for i, comp in enumerate(_tarjan_sccs(graph.nodes, successors)) for n in comp}
-    return any(sign < 0 and comp_of[p] == comp_of[q] for p, q, sign in graph.edges)
 
 
 def signing_satisfies_edges(program: DatalogProgram, signing: Signing) -> bool:
@@ -132,6 +125,15 @@ class TestStratification:
             p = generator.random_program(rng)
             assert (stratify(p) is None) == has_negative_edge_in_scc(p)
 
+    def test_mapping_is_the_least_stratification(self, rng):
+        programs = [generator.random_program(rng) for _ in range(150)]
+        programs += [compile_(t).program for t in corpus_slice()
+                     for compile_ in (compile_team, compile_individual)]
+        outcomes = {stratify(p) is None for p in programs}
+        assert outcomes == {True, False}
+        for p in programs:
+            assert stratify(p) == reference_strata(p)
+
     def test_hierarchical_theory_matches_paper_witness(self, tweety):
         # The explicit level construction from the hierarchy mapping is a
         # valid stratification of the team compilation.
@@ -173,6 +175,14 @@ class TestCallConsistency:
         theories = [tweety, nonstrat] + [generator.random_ground_theory(rng) for _ in range(60)]
         for t in theories:
             assert is_call_consistent(compile_team(t).program)
+
+    def test_agrees_with_product_graph_search(self, rng):
+        programs = [generator.random_program(rng) for _ in range(150)]
+        programs += [compile_(t).program for t in corpus_slice()
+                     for compile_ in (compile_team, compile_individual)]
+        verdicts = [is_call_consistent(p) for p in programs]
+        assert set(verdicts) == {True, False}
+        assert verdicts == [reference_call_consistent(p) for p in programs]
 
     def test_stratified_implies_call_consistent(self, rng):
         for _ in range(150):

@@ -102,6 +102,23 @@ def test_hybrid_floor_atoms_take_their_wellfounded_values():
     assert floor_atoms > 0
 
 
+def test_hybrid_verdicts_are_wellfounded_verdicts():
+    # Fitting's operator above the well-founded floor decides less than the
+    # well-founded semantics and never otherwise, and the hybrid result is
+    # reported whole: atoms above the floor that it makes false stay false.
+    false_above_floor = 0
+    for theory in corpus_slice():
+        for compile_ in (compile_team, compile_individual):
+            out = compile_(theory)
+            if not is_safe(out.program):
+                continue
+            g = ground_program(out.program, out.constants)
+            hybrid = eval_hybrid(out, g)
+            assert hybrid.leq(eval_wellfounded(out.program, g))
+            false_above_floor += sum(a[0] not in out.floor_names for a in hybrid.false_set)
+    assert false_above_floor > 0
+
+
 def test_compiled_domains_hold_only_theory_constants():
     # Rule labels are constants of a compiled program but not of its theory:
     # they may fill only the label positions of defeated, overruled and

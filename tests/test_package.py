@@ -1,6 +1,8 @@
-"""Package-wide rules: the exported API and no bare ``assert`` in the code."""
+"""Package-wide rules: the exported API, no bare ``assert`` in the code and
+no import outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -24,4 +26,24 @@ def test_no_bare_assert_in_the_package():
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_imports_only_the_standard_library():
+    # The package has no runtime dependencies; relative imports stay inside it.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
     assert found == []

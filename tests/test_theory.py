@@ -1,5 +1,6 @@
 import pytest
 
+from analysis_reference import reference_levels
 from conftest import lit, theory
 from defeasidl import generator
 from defeasidl.theory import (
@@ -23,6 +24,10 @@ def codes(issues):
     return [issue.code for issue in issues]
 
 
+def messages(issues):
+    return [issue.message for issue in issues]
+
+
 class TestComplement:
     def test_flips_sign(self):
         assert complement(lit("fly(tweety)")) == lit("neg fly(tweety)")
@@ -44,6 +49,33 @@ class TestValidation:
     def test_superiority_self_loop_is_cycle(self):
         t = theory("r1: p => q.\nr1 > r1.")
         assert "superiority-cycle" in codes(validate_theory(t).errors)
+        assert messages(validate_theory(t).errors) == ["superiority relation has a cycle: r1 > r1"]
+
+    def test_superiority_two_cycle_message(self):
+        t = theory("r1: => q.\nr2: => neg q.\nr1 > r2.\nr2 > r1.")
+        assert messages(validate_theory(t).errors) == ["superiority relation has a cycle: r1 > r2 > r1"]
+
+    def test_superiority_cycle_message_names_a_real_cycle(self, rng):
+        labels = [f"r{i}" for i in range(6)]
+        rules = [Rule(label, (), lit("p")) for label in labels]
+        outcomes = set()
+        for _ in range(300):
+            pairs = {(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(1, 8))}
+            report = validate_theory(DefeasibleTheory.of(rules=rules, superiority=pairs))
+            edges: dict[str, set[str]] = {}
+            for t, s in pairs:
+                edges.setdefault(t, set()).add(s)
+            cyclic = reference_levels(labels, edges) is None
+            outcomes.add(cyclic)
+            assert codes(report.errors) == (["superiority-cycle"] if cyclic else [])
+            if cyclic:
+                (issue,) = report.errors
+                prefix = "superiority relation has a cycle: "
+                assert issue.message.startswith(prefix)
+                cycle = issue.message[len(prefix):].split(" > ")
+                assert cycle[0] == cycle[-1] == issue.location
+                assert all(pair in pairs for pair in zip(cycle, cycle[1:]))
+        assert outcomes == {True, False}
 
     def test_superiority_longer_cycle(self):
         t = theory("r1: => q.\nr2: => neg q.\nr3: => q.\nr1 > r2.\nr2 > r3.\nr3 > r1.")
@@ -103,7 +135,6 @@ class TestGrounding:
         g = ground_theory(tweety)
         # Two constants, each rule has one variable: two instances per rule.
         assert len(g.rules) == 8
-        assert {g.provenance[r.label][0] for r in g.rules} == {"r1", "r2", "r3", "r4"}
         # r2 > r1 lifts to all instance pairs.
         assert len(g.superiority) == 4
         assert all(not l.args or l.is_ground() for r in g.rules for l in (*r.body, r.head))
@@ -141,14 +172,6 @@ class TestGrounding:
             )
             assert len(g.rules) == expected
 
-    def test_provenance_total(self, rng):
-        for _ in range(20):
-            t = generator.random_variable_theory(rng)
-            if t.has_variables() and not t.constants():
-                continue
-            g = ground_theory(t)
-            assert set(g.provenance) == {r.label for r in g.rules}
-
 
 class TestHierarchy:
     def test_tweety_levels(self, tweety):
@@ -177,6 +200,27 @@ class TestHierarchy:
             seen += 1
             assert is_locally_hierarchical(t)
         assert seen > 20
+
+    def test_agrees_with_depth_first_levels(self, rng):
+        theories = [generator.random_variable_theory(rng) for _ in range(150)]
+        theories += [generator.random_ground_theory(rng) for _ in range(150)]
+        hierarchical, locally = set(), set()
+        for t in theories:
+            edges: dict[str, set[str]] = {}
+            for r in t.rules:
+                edges.setdefault(r.head.predicate, set()).update(b.predicate for b in r.body)
+            levels = is_hierarchical(t)
+            assert levels == reference_levels(t.predicates(), edges)
+            hierarchical.add(levels is not None)
+            if t.has_variables() and not t.constants():
+                continue
+            atoms: dict[str, set[str]] = {}
+            for r in ground_theory(t).rules:
+                atoms.setdefault(str(r.head.atom), set()).update(str(b.atom) for b in r.body)
+            acyclic = reference_levels(set(atoms).union(*atoms.values()), atoms) is not None
+            assert is_locally_hierarchical(t) == acyclic
+            locally.add(acyclic)
+        assert hierarchical == locally == {True, False}
 
     def test_witness_respects_every_rule(self, rng):
         for _ in range(100):
