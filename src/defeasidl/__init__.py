@@ -54,14 +54,12 @@ from .theory import (
     Atom,
     DefeasibleTheory,
     EmptyUniverse,
-    GroundTheory,
     Literal,
     Rule,
     RuleKind,
     Term,
     ValidationFailed,
     ValidationReport,
-    complement,
     ground_theory,
     is_hierarchical,
     is_locally_hierarchical,

@@ -28,6 +28,7 @@ from .datalog import (
     stratify,
 )
 from .evaluator import eval_hybrid, eval_wellfounded, ground_program
+from .mangling import TAG_DEFEASIBLY, TAG_DEFINITELY, TAG_LAMBDA, TAG_OVERRULED
 from .oracle import conclusions
 from .theory import (
     DefeasibleTheory,
@@ -91,9 +92,9 @@ def _structural(result: CheckResult, theory: DefeasibleTheory, team: Compilation
         else:
             for pred in scope:
                 base = out.predicate_info[pred].base
-                if base == "defeasibly" and signing.sign(pred) != +1:
+                if base == TAG_DEFEASIBLY and signing.sign(pred) != +1:
                     result.failures.append(f"structural: {label} signing gives {pred} sign -1")
-                if base == "overruled" and signing.sign(pred) != -1:
+                if base == TAG_OVERRULED and signing.sign(pred) != -1:
                     result.failures.append(f"structural: {label} signing gives {pred} sign +1")
 
 
@@ -131,19 +132,20 @@ def check_theory(theory: DefeasibleTheory, name: str = "theory") -> CheckResult:
     got_team = read_conclusions(team, wf_team.true_set)
     got_indiv = read_conclusions(indiv, wf_indiv.true_set)
 
-    _compare(result, "oracle-team", "definitely vs delta", got_team["definitely"], oracle.delta)
-    _compare(result, "oracle-team", "lambda", got_team["lambda"], oracle.lam)
-    _compare(result, "oracle-team", "defeasibly vs dpar", got_team["defeasibly"], oracle.dpar)
-    _compare(result, "oracle-individual", "definitely vs delta", got_indiv["definitely"], oracle.delta)
-    _compare(result, "oracle-individual", "lambda", got_indiv["lambda"], oracle.lam)
+    _compare(result, "oracle-team", "definitely vs delta", got_team[TAG_DEFINITELY], oracle.delta)
+    _compare(result, "oracle-team", "lambda", got_team[TAG_LAMBDA], oracle.lam)
+    _compare(result, "oracle-team", "defeasibly vs dpar", got_team[TAG_DEFEASIBLY], oracle.dpar)
+    _compare(result, "oracle-individual", "definitely vs delta", got_indiv[TAG_DEFINITELY], oracle.delta)
+    _compare(result, "oracle-individual", "lambda", got_indiv[TAG_LAMBDA], oracle.lam)
     _compare(
-        result, "oracle-individual", "defeasibly vs dpar_star", got_indiv["defeasibly"], oracle.dpar_star
+        result, "oracle-individual", "defeasibly vs dpar_star", got_indiv[TAG_DEFEASIBLY], oracle.dpar_star
     )
 
     for label, out, wf in (("team", team, wf_team), ("individual", indiv, wf_indiv)):
         hybrid = eval_hybrid(out, ground[label])
-        want = wf.true_of(lambda p: out.predicate_info[p].base == "defeasibly")
-        got = hybrid.true_of(lambda p: out.predicate_info[p].base == "defeasibly")
+        is_defeasibly = lambda p: out.predicate_info[p].base == TAG_DEFEASIBLY
+        want = wf.true_of(is_defeasibly)
+        got = hybrid.true_of(is_defeasibly)
         if got != want:
             result.failures.append(
                 f"hybrid: {label} defeasibly truths differ: "
@@ -158,42 +160,28 @@ def check_theory(theory: DefeasibleTheory, name: str = "theory") -> CheckResult:
 def minimize(
     theory: DefeasibleTheory, still_failing: Callable[[DefeasibleTheory], bool]
 ) -> DefeasibleTheory:
-    """Greedy one-at-a-time shrink keeping ``still_failing`` true."""
+    """Greedy one-at-a-time shrink keeping ``still_failing`` true: take the
+    first smaller candidate that still fails (dropping a rule with its
+    superiority pairs, then a fact, then a superiority pair) until none does."""
+
+    def smaller(t: DefeasibleTheory):
+        for rule in t.rules:
+            yield DefeasibleTheory.of(
+                t.facts,
+                tuple(r for r in t.rules if r is not rule),
+                frozenset(p for p in t.superiority if rule.label not in p),
+            )
+        for fact in sorted(t.facts):
+            yield DefeasibleTheory.of(t.facts - {fact}, t.rules, t.superiority)
+        for pair in sorted(t.superiority):
+            yield DefeasibleTheory.of(t.facts, t.rules, t.superiority - {pair})
+
     current = theory
-    progress = True
-    while progress:
-        progress = False
-        for rule in current.rules:
-            candidate = DefeasibleTheory.of(
-                current.facts,
-                tuple(r for r in current.rules if r is not rule),
-                frozenset(p for p in current.superiority if rule.label not in p),
-            )
-            if still_failing(candidate):
-                current = candidate
-                progress = True
-                break
-        if progress:
-            continue
-        for fact in sorted(current.facts):
-            candidate = DefeasibleTheory.of(
-                current.facts - {fact}, current.rules, current.superiority
-            )
-            if still_failing(candidate):
-                current = candidate
-                progress = True
-                break
-        if progress:
-            continue
-        for pair in sorted(current.superiority):
-            candidate = DefeasibleTheory.of(
-                current.facts, current.rules, current.superiority - {pair}
-            )
-            if still_failing(candidate):
-                current = candidate
-                progress = True
-                break
-    return current
+    while True:
+        shrunk = next((c for c in smaller(current) if still_failing(c)), None)
+        if shrunk is None:
+            return current
+        current = shrunk
 
 
 def minimize_failure(theory: DefeasibleTheory) -> Optional[DefeasibleTheory]:

@@ -45,6 +45,7 @@ from .evaluator import (
     format_atom,
     ground_program,
 )
+from .mangling import TAG_DEFEASIBLY, TAG_DEFINITELY, TAG_LAMBDA
 from .oracle import conclusions
 from .parser import format_theory, parse_theory
 from .theory import (
@@ -208,12 +209,12 @@ def cmd_compile(args: argparse.Namespace, reporter: Reporter) -> int:
 
 def _conclusion_lines(args, tag_name, sets, three_valued_extra):
     lines = []
-    for lit in sorted(sets["definitely"], key=str):
+    for lit in sorted(sets[TAG_DEFINITELY], key=str):
         lines.append(f"+Delta {lit}")
     if args.show_lambda:
-        for lit in sorted(sets["lambda"], key=str):
+        for lit in sorted(sets[TAG_LAMBDA], key=str):
             lines.append(f"+lambda {lit}")
-    for lit in sorted(sets["defeasibly"], key=str):
+    for lit in sorted(sets[TAG_DEFEASIBLY], key=str):
         lines.append(f"+{tag_name} {lit}")
     if three_valued_extra is not None:
         false_lits, unknown_lits = three_valued_extra
@@ -239,9 +240,9 @@ def cmd_solve(args: argparse.Namespace, reporter: Reporter) -> int:
         if args.backend == "oracle":
             oracle = conclusions(theory)
             sets = {
-                "definitely": oracle.delta,
-                "lambda": oracle.lam,
-                "defeasibly": oracle.dpar if args.logic == "dpar" else oracle.dpar_star,
+                TAG_DEFINITELY: oracle.delta,
+                TAG_LAMBDA: oracle.lam,
+                TAG_DEFEASIBLY: oracle.dpar if args.logic == "dpar" else oracle.dpar_star,
             }
             extra = None
         else:
@@ -256,17 +257,10 @@ def cmd_solve(args: argparse.Namespace, reporter: Reporter) -> int:
             sets = read_conclusions(out, interp.true_set)
             extra = None
             if args.three_valued:
-                is_defeasibly = lambda p: out.predicate_info[p].base == "defeasibly"
-                false_sets = read_conclusions(
-                    out, (a for a in interp.false_set if is_defeasibly(a[0]))
+                extra = tuple(
+                    read_conclusions(out, atoms)[TAG_DEFEASIBLY]
+                    for atoms in (interp.false_set, interp.unknown_set)
                 )
-                unknown_sets = read_conclusions(
-                    out, (a for a in interp.unknown_set if is_defeasibly(a[0]))
-                )
-                extra = (false_sets["defeasibly"], unknown_sets["defeasibly"])
-    except EmptyUniverse as exc:
-        reporter.result(f"error empty-universe: {exc}")
-        return DOMAIN_FAILURE
     except NotStratified:
         reporter.result(
             "error not-stratified: compiled program is not stratified; use --backend wf or hybrid"
@@ -325,7 +319,12 @@ def _check_command(args: argparse.Namespace) -> list[str]:
 def cmd_check(args: argparse.Namespace, reporter: Reporter) -> int:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("DEFEASIDL_SEED", "20260809"))
+        text = os.environ.get("DEFEASIDL_SEED", "20260809")
+        try:
+            seed = int(text)
+        except ValueError:
+            _fail(f"DEFEASIDL_SEED must be an integer, got {text!r}")
+            return ENV_FAILURE
     reporter.emit_meta("seed", {"seed": str(seed)})
 
     jobs: list[tuple[str, DefeasibleTheory]] = []
@@ -386,6 +385,20 @@ def cmd_check(args: argparse.Namespace, reporter: Reporter) -> int:
     return OK if disagreements == 0 else DOMAIN_FAILURE
 
 
+def _bounded(kind, low, high=None):
+    """An argparse type: a ``kind`` value from ``low`` to ``high`` (if given)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (low <= value and (high is None or value <= high)):
+            bound = f"at least {low}" if high is None else f"from {low} to {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # names the type in argparse's "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="defeasidl",
@@ -439,14 +452,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("check", help="differential-test the pipeline against the oracle")
     p.add_argument("paths", nargs="*", help="theory files to check")
-    p.add_argument("--random", type=int, default=0, help="number of random ground theories")
-    p.add_argument("--variable", type=int, default=0, help="number of random variable theories")
+    # The generator honours only these ranges; any other value is a bad flag.
+    count = _bounded(int, 0)
+    p.add_argument("--random", type=count, default=0, help="number of random ground theories")
+    p.add_argument("--variable", type=count, default=0, help="number of random variable theories")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-atoms", type=int, default=8)
-    p.add_argument("--max-rules", type=int, default=12)
-    p.add_argument("--max-superiority", type=int, default=6)
-    p.add_argument("--defeater-ratio", type=float, default=0.2)
-    p.add_argument("--constants", type=int, default=3)
+    p.add_argument("--max-atoms", type=_bounded(int, 1), default=8)
+    p.add_argument("--max-rules", type=count, default=12)
+    p.add_argument("--max-superiority", type=count, default=6)
+    p.add_argument(
+        "--defeater-ratio",
+        type=_bounded(float, 0.0, 1.0 - generator.TheoryShape.strict_ratio),
+        default=0.2,
+    )
+    p.add_argument("--constants", type=_bounded(int, 1, len(generator.CONSTANT_POOL)), default=3)
     p.add_argument("--verbose", action="store_true", help="also report agreeing theories")
     p.set_defaults(func=cmd_check, command=_check_command)
     return parser

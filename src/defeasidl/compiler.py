@@ -32,6 +32,7 @@ from .mangling import (
     FLAVOR_D,
     FLAVOR_DELTA,
     FLAVOR_LAM,
+    TAG_BODY,
     TAG_DEFEASIBLY,
     TAG_DEFEATED,
     TAG_DEFEATS,
@@ -39,8 +40,6 @@ from .mangling import (
     TAG_LAMBDA,
     TAG_OVERRULED,
     MangledPredicate,
-    body_pred,
-    literal_pred,
 )
 from .theory import (
     Atom,
@@ -68,50 +67,53 @@ class ClauseInfo:
 @dataclass
 class CompilationOutput:
     program: DatalogProgram
-    floor: frozenset[MangledPredicate]
-    provenance: dict[DClause, ClauseInfo]
+    # One record per entry of ``program.clauses``, in the same order.
+    provenance: tuple[ClauseInfo, ...]
     mode: str
+    # One descriptor per predicate of the program, keyed by its name.
     predicate_info: dict[str, MangledPredicate]
+    floor_names: frozenset[str]
     # The theory's constants, the pool the program is grounded over; the
     # program's own constants also include the rule labels.
     constants: frozenset[str]
-
-    @property
-    def floor_names(self) -> frozenset[str]:
-        return frozenset(mp.name for mp in self.floor)
 
 
 class _Emitter:
     def __init__(self, mode: str):
         self.mode = mode
         self.clauses: list[DClause] = []
-        self.provenance: dict[DClause, ClauseInfo] = {}
+        self.provenance: list[ClauseInfo] = []
         self.predicate_info: dict[str, MangledPredicate] = {}
+        self.names: dict[tuple, str] = {}  # descriptor fields -> name
 
-    def atom(self, mp: MangledPredicate, args: tuple[Term, ...]) -> Atom:
-        name = mp.name
-        self.predicate_info[name] = mp
+    def atom(self, fields: tuple, args: tuple[Term, ...]) -> Atom:
+        """An atom of the predicate described by ``fields``, the fields of its
+        ``MangledPredicate`` in order; each descriptor is built once."""
+        name = self.names.get(fields)
+        if name is None:
+            mp = MangledPredicate(*fields)
+            name = self.names[fields] = mp.name
+            self.predicate_info[name] = mp
         # Mangled from validated names, so ``Atom``'s name check is skipped.
         return Atom.unchecked(name, args)
 
     def lit_atom(self, tag: str, lit: Literal, extra: tuple[Term, ...] = ()) -> Atom:
-        return self.atom(literal_pred(tag, lit), extra + lit.args)
+        return self.atom((tag, lit.predicate, lit.negated), extra + lit.args)
 
     def body_atom(self, rule: Rule, flavor: str) -> Atom:
-        return self.atom(body_pred(rule.label, flavor), rule.head.args)
+        return self.atom((TAG_BODY, None, False, rule.label, flavor), rule.head.args)
 
     def emit(self, clause: DClause, source: str, schema: str) -> None:
         self.clauses.append(clause)
-        self.provenance[clause] = ClauseInfo(source, schema)
+        self.provenance.append(ClauseInfo(source, schema))
 
     def finish(self, constants: frozenset[str]) -> CompilationOutput:
-        floor = frozenset(mp for mp in self.predicate_info.values() if mp.is_floor)
         return CompilationOutput(
             program=DatalogProgram(tuple(self.clauses)),
-            floor=floor,
-            provenance=self.provenance,
+            provenance=tuple(self.provenance),
             mode=self.mode,
             predicate_info=self.predicate_info,
+            floor_names=frozenset(name for name, mp in self.predicate_info.items() if mp.is_floor),
             constants=constants,
         )
 
@@ -249,7 +251,7 @@ def _compile(theory: DefeasibleTheory, mode: str) -> CompilationOutput:
                         (em.body_atom(s, FLAVOR_LAM),),
                         (
                             em.atom(
-                                literal_pred(TAG_DEFEATS, s.head),
+                                (TAG_DEFEATS, s.head.predicate, s.head.negated),
                                 (Term(r.label), Term(s.label)),
                             ),
                         ),
@@ -261,7 +263,7 @@ def _compile(theory: DefeasibleTheory, mode: str) -> CompilationOutput:
             em.emit(
                 DClause(
                     em.atom(
-                        literal_pred(TAG_DEFEATS, inf.head),
+                        (TAG_DEFEATS, inf.head.predicate, inf.head.negated),
                         (Term(sup.label), Term(inf.label)),
                     )
                 ),
@@ -284,10 +286,10 @@ def compile_individual(theory: DefeasibleTheory) -> CompilationOutput:
 
 def emit_datalog_text(out: CompilationOutput) -> str:
     """Textual program, one clause per line, with provenance comments."""
-    lines = []
-    for clause in out.program.clauses:
-        info = out.provenance[clause]
-        lines.append(f"{clause} % {info.schema} {info.source}")
+    lines = [
+        f"{clause} % {info.schema} {info.source}"
+        for clause, info in zip(out.program.clauses, out.provenance)
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -459,8 +459,8 @@ def eval_hybrid(compiled: CompilationOutput,
     is downward closed and stratified, so it gets its well-founded values;
     above it the result is below the well-founded model, which may decide
     more atoms, and has exactly its true defeasibly atoms."""
-    if not isinstance(compiled, CompilationOutput) or not all(
-        clause in compiled.provenance for clause in compiled.program.clauses
+    if not isinstance(compiled, CompilationOutput) or len(compiled.provenance) != len(
+        compiled.program.clauses
     ):
         raise TypeError("hybrid evaluation needs a compiler-produced program with provenance")
     floor = compiled.floor_names

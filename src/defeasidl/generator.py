@@ -15,6 +15,10 @@ from .datalog import DatalogProgram, DClause
 from .theory import Atom, DefeasibleTheory, Literal, Rule, RuleKind, Term
 
 
+# The constants of random variable theories: ``TheoryShape.constants`` of them.
+CONSTANT_POOL = "abc"
+
+
 @dataclass
 class TheoryShape:
     atoms: int = 8
@@ -97,7 +101,7 @@ def random_variable_theory(rng: random.Random, shape: TheoryShape = TheoryShape(
     """A range-restricted theory with variables over a small constant pool."""
     n_preds = rng.randint(1, max(2, shape.atoms // 2))
     arities = {f"q{i}": rng.randint(0, shape.max_arity) for i in range(n_preds)}
-    constants = [Term(ch) for ch in "abc"[: shape.constants]]
+    constants = [Term(ch) for ch in CONSTANT_POOL[: shape.constants]]
     variables = [Term("X"), Term("Y")]
 
     def ground_literal() -> Literal:

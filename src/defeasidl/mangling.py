@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .theory import DefeasibleTheory, Literal
+from .theory import DefeasibleTheory
 
 SEP = "__"
 NEG = "not"
@@ -26,6 +26,7 @@ TAG_DEFEASIBLY = "defeasibly"
 TAG_OVERRULED = "overruled"
 TAG_DEFEATED = "defeated"
 TAG_DEFEATS = "defeats"
+TAG_BODY = "body"
 LITERAL_TAGS = (TAG_DEFINITELY, TAG_LAMBDA, TAG_DEFEASIBLY, TAG_OVERRULED, TAG_DEFEATED, TAG_DEFEATS)
 
 FLAVOR_DELTA = "delta"
@@ -49,55 +50,44 @@ class MangledPredicate:
 
     @property
     def name(self) -> str:
-        if self.base == "body":
-            return SEP.join(("body", self.rule_label, self.flavor))
+        if self.base == TAG_BODY:
+            return SEP.join((TAG_BODY, self.rule_label, self.flavor))
         parts = [self.base, NEG, self.source_predicate] if self.negated else [self.base, self.source_predicate]
         return SEP.join(parts)
 
     @property
     def is_floor(self) -> bool:
-        if self.base == "body":
+        if self.base == TAG_BODY:
             return self.flavor in FLOOR_FLAVORS
         return self.base in FLOOR_TAGS
 
     def __str__(self) -> str:
-        if self.base == "body":
+        if self.base == TAG_BODY:
             return f"body[{self.rule_label}, {self.flavor}]"
         sign = "neg " if self.negated else ""
         return f"{self.base}[{sign}{self.source_predicate}]"
 
 
-def literal_pred(tag: str, lit: Literal) -> MangledPredicate:
-    return MangledPredicate(base=tag, source_predicate=lit.predicate, negated=lit.negated)
-
-
-def body_pred(label: str, flavor: str) -> MangledPredicate:
-    return MangledPredicate(base="body", rule_label=label, flavor=flavor)
-
-
-def candidate_predicates(theory: DefeasibleTheory) -> list[MangledPredicate]:
-    """Every name compilation could generate for this theory, in either mode."""
-    out: list[MangledPredicate] = []
-    for pred in sorted(theory.predicates()):
-        for tag in LITERAL_TAGS:
-            out.append(MangledPredicate(base=tag, source_predicate=pred, negated=False))
-            out.append(MangledPredicate(base=tag, source_predicate=pred, negated=True))
-    for rule in theory.rules:
-        for flavor in BODY_FLAVORS:
-            out.append(body_pred(rule.label, flavor))
-    return out
-
-
 def mangling_collisions(
     theory: DefeasibleTheory,
 ) -> list[tuple[str, MangledPredicate, MangledPredicate]]:
-    """Pairs of distinct descriptors that mangle to the same name."""
+    """Pairs of distinct descriptors that mangle to the same name, among
+    every name compilation could generate for this theory, in either mode."""
+    candidates = [
+        MangledPredicate(tag, pred, negated)
+        for pred in sorted(theory.predicates())
+        for tag in LITERAL_TAGS
+        for negated in (False, True)
+    ]
+    candidates += [
+        MangledPredicate(TAG_BODY, rule_label=rule.label, flavor=flavor)
+        for rule in theory.rules
+        for flavor in BODY_FLAVORS
+    ]
     seen: dict[str, MangledPredicate] = {}
     collisions = []
-    for mp in candidate_predicates(theory):
-        prev = seen.get(mp.name)
-        if prev is None:
-            seen[mp.name] = mp
-        elif prev != mp:
+    for mp in candidates:
+        prev = seen.setdefault(mp.name, mp)
+        if prev != mp:
             collisions.append((mp.name, prev, mp))
     return collisions

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .theory import (
     DefeasibleTheory,
-    GroundTheory,
     Literal,
     Rule,
     RuleKind,
@@ -37,7 +36,7 @@ class ConclusionSet:
         return {"delta": self.delta, "lambda": self.lam, "dpar": self.dpar, "dpar_star": self.dpar_star}
 
 
-def delta_closure(g: GroundTheory) -> set[Literal]:
+def delta_closure(g: DefeasibleTheory) -> set[Literal]:
     """Least set containing the facts and closed under the strict rules."""
     strict = [r for r in g.rules if r.kind is RuleKind.STRICT]
     state = set(g.facts)
@@ -51,7 +50,7 @@ def delta_closure(g: GroundTheory) -> set[Literal]:
     return state
 
 
-def lambda_closure(g: GroundTheory, delta: set[Literal]) -> set[Literal]:
+def lambda_closure(g: DefeasibleTheory, delta: set[Literal]) -> set[Literal]:
     """Potential conclusions: delta plus heads of strict-or-defeasible rules
     whose bodies are potential and whose complement is not definite."""
     sd = [r for r in g.rules if r.is_strict_or_defeasible]
@@ -70,7 +69,7 @@ def lambda_closure(g: GroundTheory, delta: set[Literal]) -> set[Literal]:
     return state
 
 
-def _attack_tables(g: GroundTheory):
+def _attack_tables(g: DefeasibleTheory):
     attackers: dict[Literal, list[Rule]] = {}
     supporters: dict[Literal, list[Rule]] = {}
     for rule in g.rules:
@@ -80,7 +79,7 @@ def _attack_tables(g: GroundTheory):
     return attackers, supporters
 
 
-def dpar_closure(g: GroundTheory, delta: set[Literal], lam: set[Literal]) -> set[Literal]:
+def dpar_closure(g: DefeasibleTheory, delta: set[Literal], lam: set[Literal]) -> set[Literal]:
     """Team defeat: every surviving attacker must be beaten by some applicable
     strict-or-defeasible rule for the conclusion, not necessarily the same one."""
     attackers, supporters = _attack_tables(g)
@@ -114,7 +113,7 @@ def dpar_closure(g: GroundTheory, delta: set[Literal], lam: set[Literal]) -> set
     return state
 
 
-def dpar_star_closure(g: GroundTheory, delta: set[Literal], lam: set[Literal]) -> set[Literal]:
+def dpar_star_closure(g: DefeasibleTheory, delta: set[Literal], lam: set[Literal]) -> set[Literal]:
     """Individual defeat: the supporting rule itself must beat every
     surviving attacker."""
     attackers, _ = _attack_tables(g)
@@ -144,9 +143,9 @@ def dpar_star_closure(g: GroundTheory, delta: set[Literal], lam: set[Literal]) -
     return state
 
 
-def conclusions(theory: DefeasibleTheory | GroundTheory) -> ConclusionSet:
+def conclusions(theory: DefeasibleTheory) -> ConclusionSet:
     """Ground the theory and run the four closures in dependency order."""
-    g = theory if isinstance(theory, GroundTheory) else ground_theory(theory)
+    g = ground_theory(theory)
     delta = delta_closure(g)
     lam = lambda_closure(g, delta)
     dpar = dpar_closure(g, delta, lam)

@@ -115,11 +115,6 @@ class Literal:
         return f"neg {self.atom}" if self.negated else str(self.atom)
 
 
-def complement(lit: Literal) -> Literal:
-    """Complementary literal: flips the classical-negation sign (involution)."""
-    return lit.complement()
-
-
 class RuleKind(Enum):
     STRICT = "->"
     DEFEASIBLE = "=>"
@@ -163,34 +158,8 @@ class Rule:
         return f"{self.label}: {sep}{self.kind.arrow} {self.head}"
 
 
-class _TheoryOps:
-    """Helpers shared by source theories and their groundings."""
-
-    facts: frozenset[Literal]
-    rules: tuple[Rule, ...]
-    superiority: frozenset[tuple[str, str]]
-
-    def rule_map(self) -> dict[str, Rule]:
-        return {r.label: r for r in self.rules}
-
-    def literals(self) -> Iterable[Literal]:
-        yield from self.facts
-        for r in self.rules:
-            yield from r.body
-            yield r.head
-
-    def predicates(self) -> set[str]:
-        return {lit.predicate for lit in self.literals()}
-
-    def constants(self) -> set[str]:
-        return {t.name for lit in self.literals() for t in lit.args if not t.is_variable}
-
-    def has_variables(self) -> bool:
-        return any(t.is_variable for lit in self.literals() for t in lit.args)
-
-
 @dataclass(frozen=True)
-class DefeasibleTheory(_TheoryOps):
+class DefeasibleTheory:
     """An immutable theory (facts, rules, superiority over labels)."""
 
     facts: frozenset[Literal] = frozenset()
@@ -209,19 +178,23 @@ class DefeasibleTheory(_TheoryOps):
     def _validation(self) -> "ValidationReport":
         return _validate(self)
 
+    def rule_map(self) -> dict[str, Rule]:
+        return {r.label: r for r in self.rules}
 
-@dataclass(frozen=True)
-class GroundTheory(_TheoryOps):
-    """A variable-free theory.
+    def literals(self) -> Iterable[Literal]:
+        yield from self.facts
+        for r in self.rules:
+            yield from r.body
+            yield r.head
 
-    Ground rule labels are synthesized as ``<source>__<ordinal>`` whenever
-    the source theory contains variables; a fully variable-free theory
-    grounds to itself, labels included.
-    """
+    def predicates(self) -> set[str]:
+        return {lit.predicate for lit in self.literals()}
 
-    facts: frozenset[Literal] = frozenset()
-    rules: tuple[Rule, ...] = ()
-    superiority: frozenset[tuple[str, str]] = frozenset()
+    def constants(self) -> set[str]:
+        return {t.name for lit in self.literals() for t in lit.args if not t.is_variable}
+
+    def has_variables(self) -> bool:
+        return any(t.is_variable for lit in self.literals() for t in lit.args)
 
 
 @dataclass(frozen=True)
@@ -373,14 +346,16 @@ def _apply(lit: Literal, binding: dict[str, Term]) -> Literal:
     return Literal(Atom(lit.predicate, args), lit.negated)
 
 
-def ground_theory(theory: DefeasibleTheory) -> GroundTheory:
-    """All instantiations of the rules over the theory's own constants.
+def ground_theory(theory: DefeasibleTheory) -> DefeasibleTheory:
+    """The variable-free theory of all instantiations of the rules over the
+    theory's own constants.
 
-    Variable-free theories ground to themselves.  Superiority lifts to
-    every pair of instances of related source rules.
+    A variable-free theory grounds to itself, labels included; otherwise
+    the ground rule labels are synthesized as ``<source>__<ordinal>``.
+    Superiority lifts to every pair of instances of related source rules.
     """
     if not theory.has_variables():
-        return GroundTheory(theory.facts, theory.rules, theory.superiority)
+        return theory
     constants = sorted(theory.constants())
     if not constants:
         raise EmptyUniverse("theory has variables but no constants")
@@ -411,7 +386,7 @@ def ground_theory(theory: DefeasibleTheory) -> GroundTheory:
         for gt in instances.get(t, ())
         for gs in instances.get(s, ())
     )
-    return GroundTheory(
+    return DefeasibleTheory(
         facts=theory.facts,
         rules=tuple(ground_rules),
         superiority=lifted,
@@ -430,9 +405,9 @@ def is_hierarchical(theory: DefeasibleTheory) -> Optional[dict[str, int]]:
     return levels(theory.predicates(), steps)
 
 
-def is_locally_hierarchical(theory) -> bool:
+def is_locally_hierarchical(theory: DefeasibleTheory) -> bool:
     """True iff the ground-atom dependency graph of ground(theory) is acyclic."""
-    g = theory if isinstance(theory, GroundTheory) else ground_theory(theory)
+    g = ground_theory(theory)
     steps: dict[str, list[tuple[str, int]]] = {}
     for rule in g.rules:
         steps.setdefault(str(rule.head.atom), []).extend((str(b.atom), 1) for b in rule.body)

@@ -162,9 +162,12 @@ class TestSolve:
     def test_empty_universe_exits_1(self, tmp_path):
         src = tmp_path / "vars.dfl"
         src.write_text("r: p(X) => q(X).\n", encoding="utf-8")
-        code, out = run("--no-timings", "solve", str(src))
-        assert code == 1
-        assert "empty-universe" in out
+        for backend in ("wf", "stratified", "hybrid", "oracle"):
+            code, out = run("--no-timings", "solve", str(src), "--backend", backend)
+            assert code == 1, backend
+            assert result_lines(out) == [
+                "error empty-universe: theory has variables but no constants"
+            ], backend
 
     def test_rule_labels_are_not_constants(self, tmp_path):
         # The compiled program holds the labels r0 and r1 as constants; the
@@ -234,6 +237,20 @@ class TestEval:
         ]
 
 
+# Values the generator cannot honour, and the message each is refused with.
+BAD_GENERATOR_FLAGS = {
+    "--variable 3 --constants 0": "argument --constants: must be from 1 to 3, got 0",
+    "--constants 5": "argument --constants: must be from 1 to 3, got 5",
+    "--max-atoms 0": "argument --max-atoms: must be at least 1, got 0",
+    "--max-rules -1": "argument --max-rules: must be at least 0, got -1",
+    "--max-superiority -2": "argument --max-superiority: must be at least 0, got -2",
+    "--random -3": "argument --random: must be at least 0, got -3",
+    "--variable -1": "argument --variable: must be at least 0, got -1",
+    "--defeater-ratio 0.9": "argument --defeater-ratio: must be from 0.0 to 0.75, got 0.9",
+    "--defeater-ratio nan": "argument --defeater-ratio: must be from 0.0 to 0.75, got nan",
+}
+
+
 class TestCheck:
     def test_corpus_files_agree(self):
         code, out = run("--no-timings", "check", TWEETY, PLATYPUS, NONSTRAT)
@@ -255,6 +272,20 @@ class TestCheck:
         assert code == 0
         final = json.loads(out.splitlines()[-1])
         assert (final["checked"], final["disagreements"], final["skipped_eval"]) == (1, 0, 1)
+
+    @pytest.mark.parametrize("flags", list(BAD_GENERATOR_FLAGS))
+    def test_bad_generator_flag_exits_2(self, capsys, flags):
+        code, out = run("--no-timings", "check", "--random", "2", *flags.split())
+        assert code == 2
+        assert "checked" not in out
+        assert BAD_GENERATOR_FLAGS[flags] in capsys.readouterr().err
+
+    def test_bad_seed_env_var_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("DEFEASIDL_SEED", "abc")
+        code, out = run("--no-timings", "check", "--random", "1")
+        assert code == 2
+        assert "checked" not in out
+        assert "DEFEASIDL_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
     def test_seed_env_var(self, monkeypatch):
         monkeypatch.setenv("DEFEASIDL_SEED", "123")

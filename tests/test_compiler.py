@@ -10,6 +10,7 @@ from defeasidl.compiler import (
     read_conclusions,
 )
 from defeasidl.datalog import dependency_graph, parse_datalog
+from defeasidl.mangling import MangledPredicate
 from defeasidl.theory import (
     DefeasibleTheory,
     ValidationFailed,
@@ -68,7 +69,7 @@ class TestTeamSchemata:
             "overruled__not__bird(X) :- body__r3__lam(X), not defeated__bird(r3, X).\n"
         )
         assert clause_set(out.program) == clause_set(expected)
-        c15_to_c18 = [c for c, info in out.provenance.items() if info.schema in
+        c15_to_c18 = [info for info in out.provenance if info.schema in
                       ("C15", "C16", "C17", "C18")]
         assert len(c15_to_c18) == 4
 
@@ -97,13 +98,13 @@ class TestTeamSchemata:
     def test_defeater_superior_compiles_to_nothing(self):
         t = theory("r1: a ~> p.\nr2: => neg p.\nr1 > r2.")
         out = compile_team(t)
-        assert not any(info.schema == "C24" for info in out.provenance.values())
+        assert not any(info.schema == "C24" for info in out.provenance)
 
 
 class TestIndividualSchemata:
     def test_defeats_unit_clauses_per_pair(self, platypus):
         out = compile_individual(platypus)
-        units = [c for c, info in out.provenance.items() if info.schema == "C24"]
+        units = [c for c, info in zip(out.program.clauses, out.provenance) if info.schema == "C24"]
         assert len(units) == 2
         # Indexed by the inferior (attacking) rule's head literal.
         texts = sorted(str(c) for c in units)
@@ -154,6 +155,39 @@ class TestCompileGuards:
                 floor = out.floor_names
                 graph = dependency_graph(out.program)
                 assert not any(p in floor and q not in floor for p, q, _ in graph.edges)
+
+    def test_one_descriptor_per_compiled_predicate(self, monkeypatch, tweety):
+        built = [0]
+        init = MangledPredicate.__init__
+
+        def counted(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MangledPredicate, "__init__", counted)
+        for t in [tweety, *corpus_slice()]:
+            validate_theory(t)  # the collision check builds its own candidates
+            for compile_ in (compile_team, compile_individual):
+                before = built[0]
+                out = compile_(t)
+                assert built[0] - before == len(out.program.predicates)
+                assert set(out.predicate_info) == set(out.program.predicates)
+
+    def test_provenance_is_aligned_with_the_clauses(self, tweety, platypus):
+        # Each record's schema names the tag of its own clause's head.
+        heads = {
+            "fact": ("definitely", "lambda", "defeasibly"),
+            "C15": ("definitely",), "C16": ("lambda",), "C17": ("defeasibly",),
+            "C18": ("body",), "C19": ("lambda",), "C20": ("defeasibly",),
+            "C21": ("body",), "C22": ("body",), "C23": ("overruled",),
+            "C24": ("defeated", "defeats"), "C25": ("defeasibly",), "C26": ("overruled",),
+        }
+        for t in (tweety, platypus, WORKED_PAIR, *corpus_slice()):
+            for out in (compile_team(t), compile_individual(t)):
+                assert len(out.provenance) == len(out.program.clauses)
+                for clause, info in zip(out.program.clauses, out.provenance):
+                    base = out.predicate_info[clause.head.predicate].base
+                    assert base in heads[info.schema], (clause, info)
 
     def test_deterministic_output(self, tweety):
         a = emit_datalog_text(compile_team(tweety))

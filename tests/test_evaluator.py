@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from conftest import theory
 from defeasidl import generator
 from defeasidl.compiler import compile_individual, compile_team, read_conclusions
-from defeasidl.datalog import parse_datalog, stratify
+from defeasidl.datalog import DatalogProgram, parse_datalog, stratify
 from defeasidl.evaluator import (
     NotStratified,
     ThreeValuedInterpretation,
@@ -201,6 +203,18 @@ class TestHybrid:
     def test_rejects_programs_without_provenance(self):
         with pytest.raises(TypeError):
             eval_hybrid(parse_datalog("p :- not q."))
+
+    def test_rejects_provenance_not_one_record_per_clause(self, tweety):
+        out = compile_team(tweety)
+        extra = parse_datalog("p :- not q.").clauses
+        for bad in (
+            out.program,
+            dataclasses.replace(out, provenance=out.provenance[:-1]),
+            dataclasses.replace(out, provenance=out.provenance + out.provenance[:1]),
+            dataclasses.replace(out, program=DatalogProgram(out.program.clauses + extra)),
+        ):
+            with pytest.raises(TypeError):
+                eval_hybrid(bad)
 
 
 def test_interpretation_invariants():

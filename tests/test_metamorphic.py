@@ -1,5 +1,6 @@
 """Metamorphic relations over theories: renaming the rule labels of a
-theory must not change its conclusions, on any backend or on the oracle.
+theory, or shuffling the order of its rules, must not change its
+conclusions, on any backend or on the oracle.
 
 Labels never occur in source literals, so the conclusions map back to the
 original theory unchanged.  Each backend is compared on its whole
@@ -66,10 +67,14 @@ def conclusions_by_backend(t: DefeasibleTheory) -> dict:
     return views
 
 
-def renaming_cases():
+def bundled_cases():
     yield "label-example", theory(LABEL_EXAMPLE)
     for name in ("tweety", "platypus", "nonstrat", "selfloop", "worked_pair", "chain"):
         yield name, corpus.load(name)
+
+
+def renaming_cases():
+    yield from bundled_cases()
     for i, t in enumerate(corpus_slice()):
         if is_safe(compile_team(t).program) and (t.constants() or not t.has_variables()):
             yield f"corpus-{i}", t
@@ -82,3 +87,15 @@ CASES = list(renaming_cases())
 def test_renaming_labels_changes_no_conclusion(name, t):
     renamed = rename_labels(t, random.Random(name))
     assert conclusions_by_backend(renamed) == conclusions_by_backend(t)
+
+
+BUNDLED = list(bundled_cases())
+
+
+@pytest.mark.parametrize("name, t", BUNDLED, ids=[name for name, _ in BUNDLED])
+def test_shuffling_rules_changes_no_conclusion(name, t):
+    rng, shuffled = random.Random(name), list(t.rules)
+    while len(shuffled) > 1 and shuffled == list(t.rules):  # never the same order
+        rng.shuffle(shuffled)
+    permuted = DefeasibleTheory.of(t.facts, shuffled, t.superiority)
+    assert conclusions_by_backend(permuted) == conclusions_by_backend(t)

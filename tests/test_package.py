@@ -1,5 +1,5 @@
-"""Package-wide rules: the exported API, no bare ``assert`` in the code and
-no import outside the standard library."""
+"""Package-wide rules: the exported API, no bare ``assert`` in the code, no
+import outside the standard library and a README row for every module."""
 
 import ast
 import sys
@@ -47,3 +47,12 @@ def test_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert found == []
+
+
+def test_every_module_has_a_readme_row():
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = {line.split("|")[1].strip() for line in readme.splitlines() if line.startswith("| `")}
+    modules = {
+        f"`defeasidl.{path.stem}`" for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
+    }
+    assert modules - rows == set()

@@ -10,7 +10,6 @@ from defeasidl.theory import (
     Rule,
     RuleKind,
     Term,
-    complement,
     ground_theory,
     is_hierarchical,
     is_locally_hierarchical,
@@ -30,14 +29,14 @@ def messages(issues):
 
 class TestComplement:
     def test_flips_sign(self):
-        assert complement(lit("fly(tweety)")) == lit("neg fly(tweety)")
-        assert complement(lit("neg fly(tweety)")) == lit("fly(tweety)")
+        assert lit("fly(tweety)").complement() == lit("neg fly(tweety)")
+        assert lit("neg fly(tweety)").complement() == lit("fly(tweety)")
 
     def test_involution_on_random_literals(self, rng):
         for _ in range(200):
             t = generator.random_variable_theory(rng)
             for l in t.literals():
-                assert complement(complement(l)) == l
+                assert l.complement().complement() == l
 
 
 class TestValidation:
