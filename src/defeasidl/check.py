@@ -26,6 +26,7 @@ from .datalog import (
     is_call_consistent,
     is_safe,
     stratify,
+    stratify_heads,
 )
 from .evaluator import eval_hybrid, eval_wellfounded, ground_program
 from .mangling import TAG_DEFEASIBLY, TAG_DEFINITELY, TAG_LAMBDA, TAG_OVERRULED
@@ -82,8 +83,7 @@ def _structural(result: CheckResult, theory: DefeasibleTheory, team: Compilation
         graph = dependency_graph(out.program)
         if any(p in floor and q not in floor for p, q, _ in graph.edges):
             result.failures.append(f"structural: {label} floor is not downward closed")
-        floor_program = out.program.restrict_to(floor)
-        if stratify(floor_program) is None:
+        if stratify_heads(graph, floor) is None:
             result.failures.append(f"structural: {label} floor subprogram is not stratified")
         scope = [p for p in out.program.predicates if p not in floor]
         signing = compute_signing(out.program, scope)

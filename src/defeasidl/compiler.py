@@ -311,10 +311,14 @@ def read_conclusions(out: CompilationOutput, true_atoms) -> dict[str, frozenset[
     keys "definitely", "lambda" and "defeasibly".
     """
     sets: dict[str, set[Literal]] = {TAG_DEFINITELY: set(), TAG_LAMBDA: set(), TAG_DEFEASIBLY: set()}
+    terms: dict[str, Term] = {}  # one name-checked term per distinct constant
     for pred, args in true_atoms:
         mp = out.predicate_info.get(pred)
         if mp is None or mp.base not in sets:
             continue
-        lit = Literal(Atom(mp.source_predicate, tuple(Term(a) for a in args)), mp.negated)
+        for name in args:
+            if name not in terms:
+                terms[name] = Term(name)
+        lit = Literal(Atom(mp.source_predicate, tuple(map(terms.__getitem__, args))), mp.negated)
         sets[mp.base].add(lit)
     return {tag: frozenset(lits) for tag, lits in sets.items()}

@@ -87,10 +87,6 @@ class DatalogProgram:
             _clause_vars([c.head, *c.negative]) <= _clause_vars(c.positive) for c in self.clauses
         )
 
-    def restrict_to(self, predicates: Iterable[str]) -> "DatalogProgram":
-        wanted = set(predicates)
-        return DatalogProgram(tuple(c for c in self.clauses if c.head.predicate in wanted))
-
     def __str__(self) -> str:
         return print_datalog(self)
 
@@ -120,8 +116,19 @@ def stratify(program: DatalogProgram) -> Optional[dict[str, int]]:
     """A stratum mapping (heads >= positive bodies, > negative bodies),
     or None iff some strongly connected component contains a negative edge."""
     graph = dependency_graph(program)
-    steps = {p: [(q, int(sign < 0)) for q, sign in succs] for p, succs in graph.successors.items()}
-    return levels(graph.nodes, steps)
+    return stratify_heads(graph, graph.nodes)
+
+
+def stratify_heads(graph: DependencyGraph, heads: Iterable[str]) -> Optional[dict[str, int]]:
+    """``stratify`` of the subprogram made of the clauses whose head
+    predicate is in ``heads``, read off the whole program's graph: levels
+    over the edges out of ``heads`` only."""
+    steps = {
+        p: [(q, int(sign < 0)) for q, sign in graph.successors[p]]
+        for p in heads
+        if p in graph.successors
+    }
+    return levels(steps, steps)
 
 
 def is_call_consistent(program: DatalogProgram) -> bool:

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .compiler import CompilationOutput
-from .datalog import DatalogProgram, is_safe, stratify
+from .datalog import DClause, DatalogProgram, is_safe, stratify
 from .graph import _tarjan_sccs
 
 GAtom = tuple  # (predicate: str, args: tuple[str, ...])
@@ -93,67 +94,139 @@ class ThreeValuedInterpretation:
         return frozenset(a for a in self.true_set if predicate_test(a[0]))
 
 
-def _compile_clauses(program: DatalogProgram):
-    compiled = []
-    for clause in program.clauses:
-        head = (clause.head.predicate, tuple((t.is_variable, t.name) for t in clause.head.args))
-        pos = tuple(
-            (a.predicate, tuple((t.is_variable, t.name) for t in a.args)) for a in clause.positive
-        )
-        neg = tuple(
-            (a.predicate, tuple((t.is_variable, t.name) for t in a.args)) for a in clause.negative
-        )
-        compiled.append((head, pos, neg))
-    return compiled
+class _Step(NamedTuple):
+    """One positive body atom of a join plan.  ``positions`` are the atom's
+    constant positions and those whose variable an earlier step bound;
+    ``key`` reads their probe key from the slot array (None when there are
+    none, and the step scans every atom); ``binds`` copies the atom's
+    values into the slots of the variables it binds first; ``checks``
+    compares a variable repeated inside the atom with its first value."""
+
+    pred: str
+    positions: tuple[int, ...]
+    key: Optional[Callable]
+    binds: tuple[tuple[int, int], ...]
+    checks: tuple[tuple[int, int], ...]
 
 
-def _instantiate(pattern, binding) -> GAtom:
-    pred, args = pattern
-    return (pred, tuple(binding[name] if is_var else name for is_var, name in args))
+class _Plan(NamedTuple):
+    """A clause compiled for joining: ``values`` is the slot array, with
+    each constant in its slot and each variable's slot empty; the head and
+    the negative atoms read their arguments from it."""
+
+    values: tuple
+    head: tuple[str, Callable]
+    steps: tuple[_Step, ...]
+    negative: tuple[tuple[str, Callable], ...]
 
 
-def _match(pattern_args, ground_args, binding) -> Optional[list[str]]:
-    added: list[str] = []
-    for (is_var, name), value in zip(pattern_args, ground_args):
-        if is_var:
-            bound = binding.get(name)
-            if bound is None:
-                binding[name] = value
-                added.append(name)
-            elif bound != value:
-                for n in added:
-                    del binding[n]
-                return None
-        elif name != value:
-            for n in added:
-                del binding[n]
-            return None
-    return added
+def _no_args(values) -> tuple:
+    return ()
 
 
-def _join(steps, i: int, binding: dict[str, str], chosen: list[GAtom], probe, emit) -> None:
-    """Match positive body steps ``i:`` in order, calling ``emit`` once per
-    complete binding with the matched atoms in ``chosen``.
+def _slot_reader(slots: list[int]) -> Callable:
+    """A function from the slot array to the tuple of the ``slots``' values."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    if slots:
+        (slot,) = slots
+        return lambda values: (values[slot],)
+    return _no_args
 
-    Module-level on purpose: a recursive nested function is a reference
-    cycle, which would keep the grounder's tables alive until the cyclic
-    garbage collector ran and so raise the process's peak memory."""
-    if i == len(steps):
-        emit()
+
+def _plan(clause: DClause) -> _Plan:
+    """The join plan of a safe clause: one slot per variable and per
+    constant, and the positive atoms as steps in body order."""
+    slot_of: dict[str, int] = {}
+    values: list = []
+    steps = []
+    for atom in clause.positive:
+        positions, key, binds, checks = [], [], [], []
+        fresh = len(values)  # the slots from here on are new in this atom
+        for position, term in enumerate(atom.args):
+            slot = slot_of.get(term.name)
+            if slot is None:
+                slot = slot_of[term.name] = len(values)
+                if term.is_variable:
+                    values.append(None)
+                    binds.append((position, slot))
+                    continue
+                values.append(term.name)
+            elif slot >= fresh and values[slot] is None:  # a variable this atom binds
+                checks.append((position, slot))
+                continue
+            positions.append(position)  # a constant, or a variable an earlier step bound
+            key.append(slot)
+        steps.append(_Step(atom.predicate, tuple(positions), itemgetter(*key) if key else None,
+                           tuple(binds), tuple(checks)))
+
+    def reader(atom) -> Callable:
+        slots = []
+        for term in atom.args:
+            slot = slot_of.get(term.name)
+            if slot is None:  # a constant: the clause is safe, so every variable has a slot
+                slot = slot_of[term.name] = len(values)
+                values.append(term.name)
+            slots.append(slot)
+        return _slot_reader(slots)
+
+    head = (clause.head.predicate, reader(clause.head))
+    negative = tuple((atom.predicate, reader(atom)) for atom in clause.negative)
+    return _Plan(tuple(values), head, tuple(steps), negative)
+
+
+def _join(plan: _Plan, tables: list, interned: dict, found: dict) -> None:
+    """Add to ``found`` one ``GroundClause`` per way of matching the plan's
+    steps in order, ``tables[i]`` being step i's index (or, for a step
+    without positions, its atom list).
+
+    It walks the steps with one iterator each, without recursion, so a body
+    of any length joins.  A step's iterator yields only the atoms whose
+    indexed positions hold the probe key, so matching an atom just copies
+    the values it binds into their slots, where they stay until the step's
+    next atom overwrites them, and checks its repeated variables."""
+    values = list(plan.values)
+    steps = plan.steps
+    head_pred, head_args = plan.head
+    negative = plan.negative
+    if not steps:  # a safe clause without positive atoms has no variables
+        head = (head_pred, head_args(values))
+        neg = [(pred, get(values)) for pred, get in negative]
+        found[GroundClause(interned.setdefault(head, head), (),
+                           tuple(interned.setdefault(atom, atom) for atom in neg))] = None
         return
-    pred, pattern_args, positions, key_args = steps[i]
-    key = tuple(binding[name] if is_var else name for is_var, name in key_args)
-    for atom in probe(pred, positions, key):
-        added = _match(pattern_args, atom[1], binding)
-        if added is not None:
-            chosen.append(atom)
-            _join(steps, i + 1, binding, chosen, probe, emit)
-            chosen.pop()
-            for name in added:
-                del binding[name]
+    last = len(steps) - 1
+    chosen: list[GAtom] = [None] * len(steps)
+    iters = [None] * len(steps)
+    first = steps[0]
+    iters[0] = iter(tables[0] if first.key is None else tables[0].get(first.key(values), ()))
+    i = 0
+    while i >= 0:
+        binds, checks = steps[i].binds, steps[i].checks
+        for atom in iters[i]:
+            args = atom[1]
+            for position, slot in binds:
+                values[slot] = args[position]
+            if checks and any(args[position] != values[slot] for position, slot in checks):
+                continue
+            chosen[i] = atom
+            if i < last:
+                i += 1
+                step = steps[i]
+                table = tables[i]
+                iters[i] = iter(table if step.key is None else table.get(step.key(values), ()))
+                break
+            head = (head_pred, head_args(values))
+            neg = []
+            for pred, get in negative:
+                other = (pred, get(values))
+                neg.append(interned.setdefault(other, other))
+            found[GroundClause(interned.setdefault(head, head), tuple(chosen), tuple(neg))] = None
+        else:
+            i -= 1
 
 
-def _head_instances(compiled, constants: list[str]) -> dict[str, set[tuple]]:
+def _head_instances(clauses: Iterable[DClause], constants: list[str]) -> dict[str, set[tuple]]:
     """Every instance of the given clauses' head patterns over the constant
     pool.
 
@@ -163,16 +236,13 @@ def _head_instances(compiled, constants: list[str]) -> dict[str, set[tuple]]:
     (``q :- q``), which Fitting's semantics must leave unknown.
     """
     universe: dict[str, set[tuple]] = {}
-    for head, _, _ in compiled:
-        pred, args = head
-        names = list(dict.fromkeys(name for is_var, name in args if is_var))
-        bucket = universe.setdefault(pred, set())
-        if not names:
-            bucket.add(tuple(name for _, name in args))
-            continue
+    for clause in clauses:
+        args = clause.head.args
+        names = list(dict.fromkeys(t.name for t in args if t.is_variable))
+        bucket = universe.setdefault(clause.head.predicate, set())
         for values in product(constants, repeat=len(names)):
             binding = dict(zip(names, values))
-            bucket.add(tuple(binding[name] if is_var else name for is_var, name in args))
+            bucket.add(tuple(binding[t.name] if t.is_variable else t.name for t in args))
     return universe
 
 
@@ -218,10 +288,11 @@ def _ground_clauses(program: DatalogProgram, constants) -> tuple[list[GroundClau
 
     It is computed one component of the positive predicate dependency
     graph at a time, dependencies first, so the atoms of lower components
-    are final when a component is joined.  Each clause is joined once,
-    probing a hash index per (predicate, bound positions) that is built on
-    first use; bound positions are the constant positions and those whose
-    variable an earlier body atom bound.  A component that is one predicate
+    are final when a component is joined.  Each clause is joined once
+    through its plan (``_plan``, walked by ``_join``), probing a hash index
+    per (predicate, bound positions) that is built on first use; bound
+    positions are the constant positions and those whose variable an
+    earlier body atom bound.  A component that is one predicate
     without a positive self-edge reads final atoms only, so every instance
     it joins is kept and its heads are its final atoms.  Only a positively
     recursive component is joined over a universe of its own atoms, every
@@ -237,32 +308,27 @@ def _ground_clauses(program: DatalogProgram, constants) -> tuple[list[GroundClau
     unknown, and only the well-founded and stratified semantics make them
     false.
     """
-    compiled = _compile_clauses(program)
-    clauses_of: dict[str, list] = {}
+    clauses_of: dict[str, list[DClause]] = {}
     uses: dict[str, list[str]] = {}  # positive predicate dependencies
-    for clause in compiled:
-        pred = clause[0][0]
+    for clause in program.clauses:
+        pred = clause.head.predicate
         clauses_of.setdefault(pred, []).append(clause)
-        uses.setdefault(pred, []).extend(p for p, _ in clause[1])
+        uses.setdefault(pred, []).extend(a.predicate for a in clause.positive)
     constants = sorted(constants)
     interned: dict[GAtom, GAtom] = {}
     atoms: dict[str, list[GAtom]] = {}  # final atoms, or a recursive component's universe
     indexes: dict[tuple[str, tuple[int, ...]], dict[tuple, list[GAtom]]] = {}
 
-    def probe(pred: str, positions: tuple[int, ...], key: tuple) -> list[GAtom]:
-        if not positions:
-            return atoms.get(pred, [])
-        index = indexes.get((pred, positions))
+    def table(step: _Step):
+        if not step.positions:
+            return atoms.get(step.pred, [])
+        index = indexes.get((step.pred, step.positions))
         if index is None:
-            index = indexes[(pred, positions)] = {}
-            for atom in atoms.get(pred, ()):
-                args = atom[1]
-                index.setdefault(tuple(args[i] for i in positions), []).append(atom)
-        return index.get(key, [])
-
-    def intern(pattern, binding) -> GAtom:
-        atom = _instantiate(pattern, binding)
-        return interned.setdefault(atom, atom)
+            index = indexes[(step.pred, step.positions)] = {}
+            key = itemgetter(*step.positions)
+            for atom in atoms.get(step.pred, ()):
+                index.setdefault(key(atom[1]), []).append(atom)
+        return index
 
     instances: list[GroundClause] = []
     for component in _tarjan_sccs(clauses_of, uses):
@@ -272,27 +338,9 @@ def _ground_clauses(program: DatalogProgram, constants) -> tuple[list[GroundClau
             for pred, argsets in _head_instances(rules, constants).items():
                 atoms[pred] = [interned.setdefault((pred, a), (pred, a)) for a in argsets]
         found: dict[GroundClause, None] = {}
-        for head, pos, neg in rules:
-            steps = []
-            bound: set[str] = set()
-            for pred, pattern_args in pos:
-                positions = tuple(
-                    i for i, (is_var, name) in enumerate(pattern_args) if not is_var or name in bound
-                )
-                steps.append(
-                    (pred, pattern_args, positions, tuple(pattern_args[i] for i in positions))
-                )
-                bound.update(name for is_var, name in pattern_args if is_var)
-            binding: dict[str, str] = {}
-            chosen: list[GAtom] = []
-
-            def emit() -> None:
-                inst = GroundClause(
-                    intern(head, binding), tuple(chosen), tuple(intern(n, binding) for n in neg)
-                )
-                found[inst] = None
-
-            _join(steps, 0, binding, chosen, probe, emit)
+        for clause in rules:
+            plan = _plan(clause)
+            _join(plan, [table(step) for step in plan.steps], interned, found)
         kept = list(found)
         if recursive:
             members = set(component)

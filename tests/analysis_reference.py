@@ -7,7 +7,8 @@ non-stratifiability, ``reference_strata`` relaxes every edge until the
 levels settle, ``reference_call_consistent`` searches the
 parity-annotated product graph for an odd closed walk, and
 ``reference_levels`` is a depth-first longest-path labelling that fails on
-any cycle (the hierarchy checks).
+any cycle (the hierarchy checks).  ``restrict_to`` builds the subprogram
+a predicate set heads, such as a compiled program's stratified floor.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ from typing import Iterable, Optional
 
 from defeasidl.datalog import DatalogProgram, dependency_graph
 from defeasidl.graph import _tarjan_sccs
+
+
+def restrict_to(program: DatalogProgram, predicates: Iterable[str]) -> DatalogProgram:
+    """The clauses of ``program`` whose head predicate is in ``predicates``."""
+    wanted = set(predicates)
+    return DatalogProgram(tuple(c for c in program.clauses if c.head.predicate in wanted))
 
 
 def has_negative_edge_in_scc(program: DatalogProgram) -> bool:

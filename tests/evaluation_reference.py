@@ -25,6 +25,7 @@ from defeasidl.evaluator import (
     ThreeValuedInterpretation,
     ground_program,
 )
+from analysis_reference import restrict_to
 from grounding_reference import naive_ground_clauses
 
 
@@ -173,7 +174,7 @@ def reference_hybrid(compiled: CompilationOutput) -> ThreeValuedInterpretation:
     constants, its floor decided by ``stratum_by_stratum`` and the atoms
     above it by ``naive_kleene``."""
     floor_names = compiled.floor_names
-    strata = stratify(compiled.program.restrict_to(floor_names))
+    strata = stratify(restrict_to(compiled.program, floor_names))
     if strata is None:
         raise NotStratified("the floor has a negative edge inside a recursive component")
     clauses, base = naive_ground_clauses(compiled.program, compiled.constants)

@@ -4,23 +4,55 @@
 grounder replaced: every round re-joins each clause by an unindexed
 nested loop over the atoms still supported, until the supported set stops
 shrinking.  It is slow and plainly correct, so the differential tests
-hold ``evaluator._ground_clauses`` to it.
+hold ``evaluator._ground_clauses`` to it.  It matches atoms against
+clause patterns through a name-to-value binding (``_match``,
+``_instantiate``), independently of the package grounder's join plans.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from defeasidl.datalog import DatalogProgram
-from defeasidl.evaluator import (
-    GAtom,
-    GroundClause,
-    ThreeValuedInterpretation,
-    _compile_clauses,
-    _head_instances,
-    _instantiate,
-    _match,
-)
+from defeasidl.evaluator import GAtom, GroundClause, ThreeValuedInterpretation, _head_instances
+
+
+def _compile_clauses(program: DatalogProgram):
+    """Each clause as (head, positive, negative) patterns, an atom pattern
+    being (predicate, ((is_variable, name), ...))."""
+    def pattern(atom):
+        return (atom.predicate, tuple((t.is_variable, t.name) for t in atom.args))
+
+    return [
+        (pattern(c.head), tuple(map(pattern, c.positive)), tuple(map(pattern, c.negative)))
+        for c in program.clauses
+    ]
+
+
+def _instantiate(pattern, binding) -> GAtom:
+    pred, args = pattern
+    return (pred, tuple(binding[name] if is_var else name for is_var, name in args))
+
+
+def _match(pattern_args, ground_args, binding) -> Optional[list[str]]:
+    """Extend ``binding`` so the pattern matches, returning the names it
+    bound, or leave it as it was and return None."""
+    added: list[str] = []
+    for (is_var, name), value in zip(pattern_args, ground_args):
+        if is_var:
+            bound = binding.get(name)
+            if bound is None:
+                binding[name] = value
+                added.append(name)
+            elif bound != value:
+                for n in added:
+                    del binding[n]
+                return None
+        elif name != value:
+            for n in added:
+                del binding[n]
+            return None
+    return added
 
 
 def naive_ground_clauses(
@@ -35,7 +67,7 @@ def naive_ground_clauses(
     external: dict[str, set[tuple]] = {}
     for pred, args in external_true:
         external.setdefault(pred, set()).add(args)
-    universe = _head_instances(compiled, sorted(constants))
+    universe = _head_instances(program.clauses, sorted(constants))
     for pred, argsets in external.items():
         universe.setdefault(pred, set()).update(argsets)
 

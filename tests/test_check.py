@@ -1,8 +1,20 @@
+from dataclasses import replace
+
 from conftest import theory
 from defeasidl import evaluator, generator
 from defeasidl import theory as theory_module
-from defeasidl.check import check_theory, minimize, minimize_failure
+from defeasidl.check import CheckResult, _structural, check_theory, minimize, minimize_failure
+from defeasidl.compiler import compile_individual, compile_team
+from defeasidl.datalog import (
+    DatalogProgram,
+    dependency_graph,
+    is_safe,
+    parse_datalog,
+    stratify,
+    stratify_heads,
+)
 from defeasidl.theory import DefeasibleTheory
+from analysis_reference import restrict_to
 from test_evaluation import corpus_slice
 
 
@@ -105,3 +117,31 @@ def test_each_theory_is_validated_once(monkeypatch):
     for t in theories:
         check_theory(t)
     assert calls[0] == len(theories)
+
+
+def test_floor_is_stratified_on_the_whole_programs_graph():
+    # check_theory stratifies each floor from the program's own graph; the
+    # verdict and the levels are those of the floor subprogram.
+    for t in corpus_slice():
+        for compile_ in (compile_team, compile_individual):
+            out = compile_(t)
+            want = stratify(restrict_to(out.program, out.floor_names))
+            got = stratify_heads(dependency_graph(out.program), out.floor_names)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert {p: got[p] for p in want} == want
+
+
+def test_non_stratified_floor_is_reported(tweety):
+    team, indiv = compile_team(tweety), compile_individual(tweety)
+    # Two atoms that defeat each other: call-consistent, but not stratified.
+    loop = parse_datalog("p0 :- not p1.\np1 :- not p0.").clauses
+    planted = replace(team, program=DatalogProgram(team.program.clauses + loop),
+                      floor_names=team.floor_names | {"p0", "p1"})
+    programs = (planted, indiv)
+    result = CheckResult("planted")
+    _structural(result, tweety, planted, indiv,
+                {out.mode: stratify(out.program) for out in programs},
+                {out.mode: is_safe(out.program) for out in programs})
+    assert "structural: team floor subprogram is not stratified" in result.failures
+    assert not any(f.startswith("structural: individual") for f in result.failures)

@@ -195,6 +195,24 @@ class TestSolve:
             assert code == 1, backend
             assert result_lines(out)[-1].startswith("error unsafe-program: "), backend
 
+    def test_long_rule_body_on_every_backend(self, tmp_path):
+        # The grounder joins a body without recursion, so its length has no
+        # limit; 1,200 positive literals once overflowed Python's stack.
+        n = 1200
+        src = tmp_path / "long.dfl"
+        body = ", ".join(f"e{i}(X)" for i in range(n))
+        src.write_text("".join(f"e{i}(a).\n" for i in range(n)) + f"r1: {body} => p(X).\n",
+                       encoding="utf-8")
+        code, want = run("--no-timings", "solve", str(src), "--backend", "oracle")
+        assert code == 0 and "+dpar p(a)" in result_lines(want)
+        for backend in ("wf", "hybrid", "stratified"):
+            code, out = run("--no-timings", "solve", str(src), "--backend", backend)
+            assert (code, result_lines(out)) == (0, result_lines(want)), backend
+        program = tmp_path / "long.dl"
+        assert run("--no-timings", "compile", str(src), "-o", str(program))[0] == 0
+        code, out = run("--no-timings", "eval", str(program), "--semantics", "wf")
+        assert code == 0 and "true defeasibly__p(a)" in result_lines(out)
+
 
 class TestEval:
     def test_wf_unknown(self, tmp_path):

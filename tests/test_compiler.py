@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import lit, theory
-from defeasidl import corpus, generator
+from defeasidl import compiler, corpus, generator
 from defeasidl.compiler import (
     compile_individual,
     compile_team,
@@ -266,3 +266,21 @@ class TestReadback:
         assert sets["defeasibly"] == {lit("neg fly(tweety)")}
         assert sets["definitely"] == {lit("bird(freddie)")}
         assert sets["lambda"] == {lit("penguin(tweety)")}
+
+    def test_each_constant_becomes_one_checked_term(self, tweety, monkeypatch):
+        out = compile_team(tweety)
+        built = []
+        real = compiler.Term
+
+        def counting(name):
+            built.append(name)
+            return real(name)
+
+        monkeypatch.setattr(compiler, "Term", counting)
+        atoms = [(pred, ("tweety",)) for pred in ("defeasibly__fly", "definitely__bird",
+                                                   "lambda__penguin", "lambda__bird")]
+        sets = read_conclusions(out, atoms + [("definitely__bird", ("freddie",))])
+        assert sorted(built) == ["freddie", "tweety"]
+        assert sets["lambda"] == {lit("penguin(tweety)"), lit("bird(tweety)")}
+        with pytest.raises(ValueError):
+            read_conclusions(out, [("definitely__bird", ("no-name",))])

@@ -56,3 +56,30 @@ def test_every_module_has_a_readme_row():
         f"`defeasidl.{path.stem}`" for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
     }
     assert modules - rows == set()
+
+
+def test_every_private_top_level_name_has_a_package_caller():
+    # A private function or class that nothing in the package uses outside
+    # its own definition serves only tests, and belongs in tests/.
+    defined = {}
+    used = set()  # (name, the top-level definition it is used in, or None)
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and owner.startswith("_"):
+                if not owner.startswith("__"):
+                    defined[owner] = f"{path.name}:{top.lineno}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    used.add((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    used.add((node.attr, owner))
+                elif isinstance(node, ast.alias):
+                    used.add((node.name, None))
+    unused = [
+        f"{where} {name}"
+        for name, where in defined.items()
+        if not any(ref == name and owner != name for ref, owner in used)
+    ]
+    assert unused == []
