@@ -281,7 +281,7 @@ def cmd_eval(args: argparse.Namespace, reporter: Reporter) -> int:
     reporter.emit_input(path, data)
     try:
         program = parse_datalog(data.decode("utf-8", errors="replace"))
-    except (DatalogSyntaxError, ValueError) as exc:
+    except DatalogSyntaxError as exc:
         reporter.result(f"parse-error {exc}")
         return DOMAIN_FAILURE
     try:

@@ -14,7 +14,8 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .graph import _tarjan_sccs, levels, two_colouring
-from .theory import Atom, Term
+from .parser import ParseError, parse_clauses
+from .theory import Atom
 
 
 class DatalogSyntaxError(Exception):
@@ -186,107 +187,13 @@ def print_datalog(program: DatalogProgram) -> str:
 
 
 def parse_datalog(text: str) -> DatalogProgram:
-    """Parse Datalog text; rejects function symbols and arity conflicts."""
-    clauses: list[DClause] = []
-    arities: dict[str, int] = {}
-    pending = ""
-    pending_start = 1
-    line_no = 1
-    in_comment = False
-    for ch in text:
-        if ch == "\n":
-            line_no += 1
-            in_comment = False
-            ch = " "
-        if in_comment:
-            continue
-        if ch == "%":
-            in_comment = True
-            continue
-        if ch == ".":
-            if not pending.strip():
-                raise DatalogSyntaxError("clause expected before '.'", line_no, 1)
-            clauses.append(_parse_clause(pending, pending_start, arities))
-            pending = ""
-            pending_start = line_no
-            continue
-        if not pending.strip() and not ch.isspace():
-            pending_start = line_no
-        pending += ch
-    if pending.strip():
-        raise DatalogSyntaxError("unterminated clause (missing '.')", pending_start, 1)
-    return DatalogProgram(tuple(clauses))
-
-
-def _parse_clause(text: str, line: int, arities: dict[str, int]) -> DClause:
-    head_text, sep, body_text = text.partition(":-")
-    head = _parse_atom(head_text.strip(), line, arities)
-    positive: list[Atom] = []
-    negative: list[Atom] = []
-    if sep:
-        for part in _split_body(body_text, line):
-            part = part.strip()
-            if not part:
-                raise DatalogSyntaxError("empty body literal", line, 1)
-            if part.startswith("not ") or part.startswith("not\t"):
-                negative.append(_parse_atom(part[4:].strip(), line, arities))
-            else:
-                positive.append(_parse_atom(part, line, arities))
-    return DClause(head, tuple(positive), tuple(negative))
-
-
-def _split_body(body: str, line: int) -> list[str]:
-    parts = []
-    depth = 0
-    current = ""
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise DatalogSyntaxError("unbalanced ')'", line, 1)
-        if ch == "," and depth == 0:
-            parts.append(current)
-            current = ""
-        else:
-            current += ch
-    if depth != 0:
-        raise DatalogSyntaxError("unbalanced '('", line, 1)
-    parts.append(current)
-    return parts
-
-
-def _is_name(token: str) -> bool:
-    return bool(token) and all(c.isalnum() or c == "_" for c in token) and not token[0] == "_"
-
-
-def _parse_atom(text: str, line: int, arities: dict[str, int]) -> Atom:
-    text = text.strip()
-    if "(" not in text:
-        if not _is_name(text) or text[0].isupper() or text[0].isdigit():
-            raise DatalogSyntaxError(f"malformed atom {text!r}", line, 1)
-        atom = Atom(text, ())
-    else:
-        name, _, rest = text.partition("(")
-        name = name.strip()
-        if not _is_name(name) or name[0].isupper() or name[0].isdigit():
-            raise DatalogSyntaxError(f"malformed predicate {name!r}", line, 1)
-        if not rest.endswith(")"):
-            raise DatalogSyntaxError(f"missing ')' in {text!r}", line, 1)
-        inner = rest[:-1]
-        if "(" in inner or ")" in inner:
-            raise DatalogSyntaxError(f"function symbol in {text!r}", line, 1)
-        args = []
-        for tok in inner.split(","):
-            tok = tok.strip()
-            if not _is_name(tok):
-                raise DatalogSyntaxError(f"malformed term {tok!r}", line, 1)
-            args.append(Term(tok))
-        atom = Atom(name, tuple(args))
-    known = arities.setdefault(atom.predicate, atom.arity)
-    if known != atom.arity:
+    """Parse ``.dl`` text through the ``.dfl`` lexer and atom grammar;
+    rejects function symbols and arity conflicts by raising the first error
+    as a :class:`DatalogSyntaxError`."""
+    parsed = parse_clauses(text)
+    if isinstance(parsed, ParseError):
+        where = parsed.location
         raise DatalogSyntaxError(
-            f"predicate {atom.predicate!r} used with arities {known} and {atom.arity}", line, 1
+            f"expected {parsed.expected}, found {parsed.found}", where.line, where.column
         )
-    return atom
+    return DatalogProgram(tuple(DClause(*clause) for clause in parsed))

@@ -71,7 +71,8 @@ class Atom:
     @classmethod
     def unchecked(cls, predicate: str, args: tuple[Term, ...] = ()) -> "Atom":
         """An atom built without the name check, for a predicate name the
-        caller has already made well-formed (the compiler's mangled names)."""
+        caller has already made well-formed (the compiler's mangled names,
+        the parser's lexed ones)."""
         atom = object.__new__(cls)
         object.__setattr__(atom, "predicate", predicate)
         object.__setattr__(atom, "args", args)

@@ -254,6 +254,15 @@ class TestEval:
             "error unsafe-program: program is not safe; grounding would not terminate on ground atoms"
         ]
 
+    @pytest.mark.parametrize("semantics", ["wf", "fitting", "stratified"])
+    def test_malformed_program_reports_the_token(self, tmp_path, capsys, semantics):
+        path = tmp_path / "broken.dl"
+        path.write_text("p(a).\nq :- r(.\n", encoding="utf-8")
+        code, out = run("--no-timings", "eval", str(path), "--semantics", semantics)
+        assert code == 1
+        assert result_lines(out) == ["parse-error 2:8: expected a term, found ."]
+        assert capsys.readouterr().err == ""
+
 
 # Values the generator cannot honour, and the message each is refused with.
 BAD_GENERATOR_FLAGS = {

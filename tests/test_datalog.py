@@ -60,9 +60,43 @@ class TestParsing:
             parse_datalog("p(a).\np(a, b).")
 
     def test_error_location(self):
-        with pytest.raises(DatalogSyntaxError) as exc:
+        # The offending token's line and column, as in ".dfl" errors.
+        cases = {
+            "p(a).\nq :- r(.\n": (2, 8),
+            "p(a).\np(a, b).": (2, 1),
+            "p(f(X)).": (1, 4),
+            "p(X) :-\n  q(X) r.": (2, 8),
+        }
+        for text, location in cases.items():
+            with pytest.raises(DatalogSyntaxError) as exc:
+                parse_datalog(text)
+            assert (exc.value.line, exc.value.column) == location, text
+        with pytest.raises(DatalogSyntaxError, match=r"^2:8: expected a term, found \.$"):
             parse_datalog("p(a).\nq :- r(.\n")
-        assert exc.value.line == 2
+
+    def test_not_negates_only_before_a_name(self):
+        for text, positive, negative in [
+            ("p :- not.", ["not"], []),
+            ("p :- not(q).", ["not(q)"], []),
+            ("p :- not not, q.", ["q"], ["not"]),
+        ]:
+            (clause,) = parse_datalog(text).clauses
+            assert [str(a) for a in clause.positive] == positive, text
+            assert [str(a) for a in clause.negative] == negative, text
+
+    def test_fuzz_total(self, rng):
+        # The ".dl" punctuation, "not", comments, a non-ASCII letter, a
+        # whitespace character other than space, tab, CR and LF, and "½",
+        # alphanumeric but neither a letter nor a digit.
+        pieces = ["p", "q", "X", "0", "_", "(", ")", ",", ".", ":-", ":", "-", "not",
+                  " ", "\n", "\t", "%", "½", "é", "\f"]
+        for _ in range(1000):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
+            try:
+                result = parse_datalog(text)
+            except DatalogSyntaxError:
+                continue
+            assert isinstance(result, DatalogProgram)
 
     def test_round_trip_random(self, rng):
         for _ in range(100):

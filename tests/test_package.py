@@ -1,7 +1,9 @@
 """Package-wide rules: the exported API, no bare ``assert`` in the code, no
-import outside the standard library and a README row for every module."""
+import outside the standard library, a README row for every module and
+README examples that parse."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -56,6 +58,26 @@ def test_every_module_has_a_readme_row():
         f"`defeasidl.{path.stem}`" for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
     }
     assert modules - rows == set()
+
+
+def test_readme_examples_parse():
+    # Each ```prolog block is an example of the format its section names.
+    from defeasidl.datalog import parse_datalog
+    from defeasidl.parser import parse_theory
+
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    parsed = []
+    for section in readme.split("\n## ")[1:]:
+        heading = section.partition("\n")[0]
+        for block in re.findall(r"^```prolog\n(.*?)^```$", section, re.M | re.S):
+            if "(`.dfl`)" in heading:
+                result = parse_theory(block)
+                assert not isinstance(result, list), [str(e) for e in result]
+            else:
+                assert "(`.dl`)" in heading, heading
+                assert parse_datalog(block).clauses
+            parsed.append(heading)
+    assert parsed == ["Theory format (`.dfl`)", "Compiled form (`.dl`)"]
 
 
 def test_every_private_top_level_name_has_a_package_caller():

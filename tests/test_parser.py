@@ -31,8 +31,14 @@ def test_all_three_arrows():
 
 
 def test_empty_body_rule():
-    t = theory("r: => p.")
-    assert t.rules[0].body == ()
+    # ".dfl" lexes ":" and "->" apart; it has no ":-" symbol.
+    for text, kind in [
+        ("r: => p.", RuleKind.DEFEASIBLE),
+        ("r1:->p.", RuleKind.STRICT),
+        ("r1:=>p.", RuleKind.DEFEASIBLE),
+    ]:
+        (rule,) = theory(text).rules
+        assert rule.body == () and rule.kind is kind, text
 
 
 def test_labelled_fact_label_discarded():
