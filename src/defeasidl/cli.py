@@ -484,6 +484,11 @@ def main(argv=None) -> int:
     except ValidationFailed as exc:
         _fail(str(exc))
         return DOMAIN_FAILURE
+    except MemoryError:
+        code = None  # reported below, once the handler has freed the frames of the partial work
+    if code is None:
+        reporter.result("error resource-exhausted: the input needs more memory than is available")
+        code = DOMAIN_FAILURE
     reporter.finish()
     return code
 

@@ -171,34 +171,21 @@ def _compile(theory: DefeasibleTheory, mode: str) -> CompilationOutput:
             "C19",
         )
 
-    if mode == TEAM:
-        for r in sd:
-            em.emit(
-                DClause(
-                    em.lit_atom(TAG_DEFEASIBLY, r.head),
-                    (em.body_atom(r, FLAVOR_D),),
-                    (
-                        em.lit_atom(TAG_DEFINITELY, r.head.complement()),
-                        em.lit_atom(TAG_OVERRULED, r.head),
-                    ),
+    for r in sd:
+        # Individual defeat overrules a conclusion per defending rule (C25).
+        label_arg = () if mode == TEAM else (Term(r.label),)
+        em.emit(
+            DClause(
+                em.lit_atom(TAG_DEFEASIBLY, r.head),
+                (em.body_atom(r, FLAVOR_D),),
+                (
+                    em.lit_atom(TAG_DEFINITELY, r.head.complement()),
+                    em.lit_atom(TAG_OVERRULED, r.head, extra=label_arg),
                 ),
-                r.label,
-                "C20",
-            )
-    else:
-        for r in sd:
-            em.emit(
-                DClause(
-                    em.lit_atom(TAG_DEFEASIBLY, r.head),
-                    (em.body_atom(r, FLAVOR_D),),
-                    (
-                        em.lit_atom(TAG_DEFINITELY, r.head.complement()),
-                        em.lit_atom(TAG_OVERRULED, r.head, extra=(Term(r.label),)),
-                    ),
-                ),
-                r.label,
-                "C25",
-            )
+            ),
+            r.label,
+            "C20" if mode == TEAM else "C25",
+        )
 
     for r in theory.rules:  # lambda-bodies exist for defeaters too: overruled needs them
         em.emit(

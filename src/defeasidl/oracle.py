@@ -5,8 +5,9 @@ logic: definite conclusions (strict rules and facts only), potential
 defeasible conclusions, and the two defeasible consequence relations --
 team defeat (an attacked conclusion survives if every applicable
 attacker is beaten by some applicable supporting rule) and individual
-defeat (one supporting rule must beat every attacker itself).  This is
-the ground truth the compiled pipeline is differential-tested against.
+defeat (one supporting rule must beat every attacker itself), which
+differ only in that beat test.  One naive fixpoint computes all four.
+This is the ground truth the compiled pipeline is differential-tested against.
 """
 
 from __future__ import annotations
@@ -36,111 +37,77 @@ class ConclusionSet:
         return {"delta": self.delta, "lambda": self.lam, "dpar": self.dpar, "dpar_star": self.dpar_star}
 
 
-def delta_closure(g: DefeasibleTheory) -> set[Literal]:
-    """Least set containing the facts and closed under the strict rules."""
-    strict = [r for r in g.rules if r.kind is RuleKind.STRICT]
-    state = set(g.facts)
+def _closure(rules, start, ready) -> set[Literal]:
+    """Naive forward chaining: the least superset of ``start`` holding the
+    head of every rule whose body it holds and for which ``ready(rule,
+    state)`` is true of the current set."""
+    state = set(start)
     changed = True
     while changed:
         changed = False
-        for rule in strict:
-            if rule.head not in state and all(b in state for b in rule.body):
+        for rule in rules:
+            if rule.head not in state and all(b in state for b in rule.body) and ready(rule, state):
                 state.add(rule.head)
                 changed = True
     return state
+
+
+def delta_closure(g: DefeasibleTheory) -> set[Literal]:
+    """Least set containing the facts and closed under the strict rules."""
+    strict = [r for r in g.rules if r.kind is RuleKind.STRICT]
+    return _closure(strict, g.facts, lambda rule, state: True)
 
 
 def lambda_closure(g: DefeasibleTheory, delta: set[Literal]) -> set[Literal]:
     """Potential conclusions: delta plus heads of strict-or-defeasible rules
     whose bodies are potential and whose complement is not definite."""
     sd = [r for r in g.rules if r.is_strict_or_defeasible]
-    state = set(delta)
-    changed = True
-    while changed:
-        changed = False
-        for rule in sd:
-            if rule.head in state:
-                continue
-            if rule.head.complement() in delta:
-                continue
-            if all(b in state for b in rule.body):
-                state.add(rule.head)
-                changed = True
-    return state
+    return _closure(sd, delta, lambda rule, state: rule.head.complement() not in delta)
 
 
-def _attack_tables(g: DefeasibleTheory):
+def _defeasible_closure(g: DefeasibleTheory, delta: set[Literal], lam: set[Literal], beats):
+    """Delta plus the heads of strict-or-defeasible rules with a derived body
+    and a complement that is not definite, once ``beats(rule, s, state)``
+    holds for every attacker ``s`` of the head that may be applicable."""
     attackers: dict[Literal, list[Rule]] = {}
-    supporters: dict[Literal, list[Rule]] = {}
     for rule in g.rules:
         attackers.setdefault(rule.head, []).append(rule)
-        if rule.is_strict_or_defeasible:
-            supporters.setdefault(rule.head, []).append(rule)
-    return attackers, supporters
+
+    def ready(rule: Rule, state: set[Literal]) -> bool:
+        against = rule.head.complement()
+        return against not in delta and all(
+            beats(rule, s, state)
+            for s in attackers.get(against, ())
+            if all(b in lam for b in s.body)  # else the attacker is provably inapplicable
+        )
+
+    sd = [r for r in g.rules if r.is_strict_or_defeasible]
+    return _closure(sd, delta, ready)
 
 
 def dpar_closure(g: DefeasibleTheory, delta: set[Literal], lam: set[Literal]) -> set[Literal]:
     """Team defeat: every surviving attacker must be beaten by some applicable
     strict-or-defeasible rule for the conclusion, not necessarily the same one."""
-    attackers, supporters = _attack_tables(g)
     sup = set(g.superiority)
-    state = set(delta)
-    changed = True
-    while changed:
-        changed = False
-        for rule in g.rules:
-            q = rule.head
-            if q in state or not rule.is_strict_or_defeasible:
-                continue
-            if q.complement() in delta:
-                continue
-            if not all(b in state for b in rule.body):
-                continue
-            team = supporters.get(q, ())
-            beaten = True
-            for s in attackers.get(q.complement(), ()):
-                if any(b not in lam for b in s.body):
-                    continue  # attacker provably inapplicable
-                if not any(
-                    (t.label, s.label) in sup and all(b in state for b in t.body)
-                    for t in team
-                ):
-                    beaten = False
-                    break
-            if beaten:
-                state.add(q)
-                changed = True
-    return state
+    team: dict[Literal, list[Rule]] = {}
+    for t in g.rules:
+        if t.is_strict_or_defeasible:
+            team.setdefault(t.head, []).append(t)
+
+    def beats(rule: Rule, s: Rule, state: set[Literal]) -> bool:
+        return any(
+            (t.label, s.label) in sup and all(b in state for b in t.body)
+            for t in team[rule.head]
+        )
+
+    return _defeasible_closure(g, delta, lam, beats)
 
 
 def dpar_star_closure(g: DefeasibleTheory, delta: set[Literal], lam: set[Literal]) -> set[Literal]:
     """Individual defeat: the supporting rule itself must beat every
     surviving attacker."""
-    attackers, _ = _attack_tables(g)
     sup = set(g.superiority)
-    state = set(delta)
-    changed = True
-    while changed:
-        changed = False
-        for rule in g.rules:
-            q = rule.head
-            if q in state or not rule.is_strict_or_defeasible:
-                continue
-            if q.complement() in delta:
-                continue
-            if not all(b in state for b in rule.body):
-                continue
-            ok = True
-            for s in attackers.get(q.complement(), ()):
-                if any(b not in lam for b in s.body):
-                    continue
-                if (rule.label, s.label) not in sup:
-                    ok = False
-                    break
-            if ok:
-                state.add(q)
-                changed = True
-    return state
+    return _defeasible_closure(g, delta, lam, lambda rule, s, state: (rule.label, s.label) in sup)
 
 
 def conclusions(theory: DefeasibleTheory) -> ConclusionSet:

@@ -353,7 +353,8 @@ def ground_theory(theory: DefeasibleTheory) -> DefeasibleTheory:
 
     A variable-free theory grounds to itself, labels included; otherwise
     the ground rule labels are synthesized as ``<source>__<ordinal>``.
-    Superiority lifts to every pair of instances of related source rules.
+    Superiority ``t > s`` lifts only to the instance pairs whose ground
+    heads are complementary: the oracle reads no other pair.
     """
     if not theory.has_variables():
         return theory
@@ -363,29 +364,32 @@ def ground_theory(theory: DefeasibleTheory) -> DefeasibleTheory:
     universe = [Term(c) for c in constants]
 
     ground_rules: list[Rule] = []
-    instances: dict[str, list[str]] = {}
+    # source label -> ground head -> labels of the instances with that head
+    instances: dict[str, dict[Literal, list[str]]] = {}
     for rule in theory.rules:
         names = rule.variables()
-        labels: list[str] = []
+        by_head: dict[Literal, list[str]] = {}
         for ordinal, values in enumerate(product(universe, repeat=len(names)), start=1):
             binding = dict(zip(names, values))
             label = f"{rule.label}__{ordinal}"
+            head = _apply(rule.head, binding)
             ground_rules.append(
                 Rule(
                     label=label,
                     body=tuple(_apply(b, binding) for b in rule.body),
-                    head=_apply(rule.head, binding),
+                    head=head,
                     kind=rule.kind,
                 )
             )
-            labels.append(label)
-        instances[rule.label] = labels
+            by_head.setdefault(head, []).append(label)
+        instances[rule.label] = by_head
 
     lifted = frozenset(
         (gt, gs)
         for t, s in theory.superiority
-        for gt in instances.get(t, ())
-        for gs in instances.get(s, ())
+        for head, superior in instances.get(t, {}).items()
+        for gt in superior
+        for gs in instances.get(s, {}).get(head.complement(), ())
     )
     return DefeasibleTheory(
         facts=theory.facts,

@@ -23,6 +23,7 @@ from defeasidl.datalog import stratify
 from defeasidl.evaluator import eval_fitting, eval_stratified, eval_wellfounded
 from defeasidl.oracle import conclusions
 from defeasidl.theory import DefeasibleTheory, theory_size
+from program_generator import random_program
 
 SEED = 20260809
 GROUND_THEORIES = 1000
@@ -179,7 +180,7 @@ def test_criterion_6_semantics_lattice():
         rng = random.Random(SEED + 6)
         stratified_seen = 0
         for _ in range(RANDOM_PROGRAMS):
-            program = generator.random_program(rng)
+            program = random_program(rng)
             fitting = eval_fitting(program)
             wf = eval_wellfounded(program)
             assert fitting.leq(wf)

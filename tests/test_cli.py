@@ -355,3 +355,61 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "solve" in done.stdout
+
+
+def capped_cli(cap_bytes, *argv):
+    """``python -m defeasidl`` in a child process whose address space alone
+    is capped at ``cap_bytes``."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
+
+    package_root = str(Path(defeasidl.__file__).resolve().parent.parent)
+    return subprocess.Popen(
+        [sys.executable, "-m", "defeasidl", *argv, "--no-timings"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+        preexec_fn=cap,
+    )
+
+
+class TestResourceLimits:
+    def test_analyze_reach_path_40_under_2_gb(self, tmp_path):
+        # 40 edges make 41 constants, so r2 has 41**3 instances; lifting its
+        # superiority pair to every instance pair took 118,681,962 pairs.
+        path = tmp_path / "reach-path-40.dfl"
+        path.write_text(
+            "".join(f"edge(n{i}, n{i + 1}).\n" for i in range(40))
+            + "r1: edge(X,Y) => path(X,Y).\n"
+            "r2: path(X,Z), edge(Z,Y) => path(X,Y).\n"
+            "r3: edge(X,Y) => neg path(Y,X).\n"
+            "r1 > r3.\nr2 > r3.\n"
+        )
+        child = capped_cli(2_000_000 * 1024, "analyze", str(path))
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        assert "locally-hierarchical: no" in result_lines(out)
+
+    def test_exhausted_memory_is_a_typed_error(self, tmp_path):
+        # q has 40**6 instances: no subcommand can ground it in 150 MB.
+        path = tmp_path / "blowup.dfl"
+        path.write_text(
+            "".join(f"p(c{i}).\n" for i in range(40))
+            + "r: p(A), p(B), p(C), p(D), p(E), p(F) => q(A, B, C, D, E, F).\n"
+        )
+        commands = [
+            ["analyze", str(path)],
+            ["solve", str(path), "--backend", "oracle"],
+            ["solve", str(path), "--backend", "wf"],
+            ["check", str(path)],
+        ]
+        children = [capped_cli(150 << 20, *argv) for argv in commands]
+        for argv, child in zip(commands, children):
+            out, err = child.communicate(timeout=120)
+            assert (child.returncode, err) == (1, ""), argv
+            assert result_lines(out)[-1] == (
+                "error resource-exhausted: the input needs more memory than is available"
+            ), argv

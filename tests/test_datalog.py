@@ -18,6 +18,7 @@ from defeasidl.datalog import (
 from defeasidl.theory import is_hierarchical
 from analysis_reference import has_negative_edge_in_scc, reference_call_consistent, reference_strata
 from test_evaluation import corpus_slice
+from program_generator import random_program
 
 
 # Independent cross-checks of the analyses.
@@ -100,7 +101,7 @@ class TestParsing:
 
     def test_round_trip_random(self, rng):
         for _ in range(100):
-            p = generator.random_program(rng)
+            p = random_program(rng)
             assert set(parse_datalog(print_datalog(p)).clauses) == set(p.clauses)
 
     def test_comments_and_multiline(self):
@@ -149,18 +150,18 @@ class TestStratification:
 
     def test_mapping_is_always_a_valid_witness(self, rng):
         for _ in range(100):
-            p = generator.random_program(rng)
+            p = random_program(rng)
             mapping = stratify(p)
             if mapping is not None:
                 assert is_valid_stratification(p, mapping)
 
     def test_agrees_with_scc_characterisation(self, rng):
         for _ in range(150):
-            p = generator.random_program(rng)
+            p = random_program(rng)
             assert (stratify(p) is None) == has_negative_edge_in_scc(p)
 
     def test_mapping_is_the_least_stratification(self, rng):
-        programs = [generator.random_program(rng) for _ in range(150)]
+        programs = [random_program(rng) for _ in range(150)]
         programs += [compile_(t).program for t in corpus_slice()
                      for compile_ in (compile_team, compile_individual)]
         outcomes = {stratify(p) is None for p in programs}
@@ -211,7 +212,7 @@ class TestCallConsistency:
             assert is_call_consistent(compile_team(t).program)
 
     def test_agrees_with_product_graph_search(self, rng):
-        programs = [generator.random_program(rng) for _ in range(150)]
+        programs = [random_program(rng) for _ in range(150)]
         programs += [compile_(t).program for t in corpus_slice()
                      for compile_ in (compile_team, compile_individual)]
         verdicts = [is_call_consistent(p) for p in programs]
@@ -220,7 +221,7 @@ class TestCallConsistency:
 
     def test_stratified_implies_call_consistent(self, rng):
         for _ in range(150):
-            p = generator.random_program(rng)
+            p = random_program(rng)
             if stratify(p) is not None:
                 assert is_call_consistent(p)
 
@@ -250,7 +251,7 @@ class TestSigning:
     def test_found_signings_satisfy_constraint(self, rng):
         found = 0
         for _ in range(150):
-            p = generator.random_program(rng)
+            p = random_program(rng)
             signing = compute_signing(p, p.predicates)
             if signing is not None:
                 found += 1
@@ -291,7 +292,7 @@ def test_arity_check_in_constructor():
 
 def test_dependency_graph_round_trip(rng):
     for _ in range(50):
-        p = generator.random_program(rng)
+        p = random_program(rng)
         g1 = dependency_graph(p)
         g2 = dependency_graph(parse_datalog(print_datalog(p)))
         assert g1.nodes == g2.nodes and g1.edges == g2.edges

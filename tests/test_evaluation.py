@@ -30,6 +30,7 @@ from evaluation_reference import (
     reference_stratified,
     reference_wellfounded,
 )
+from program_generator import random_program
 
 CORPUS_SEED = 20260809
 GROUND_THEORIES = 60
@@ -148,12 +149,12 @@ def test_compiled_domains_hold_only_theory_constants():
 
 def test_random_programs_match_reference(rng):
     for _ in range(150):
-        assert_same_evaluation(generator.random_program(rng))
+        assert_same_evaluation(random_program(rng))
 
 
 def random_normal_program(rng: random.Random) -> str:
     """A propositional program whose bodies may be purely negative, unlike
-    ``generator.random_program``'s: few atoms, many clauses, so it makes
+    ``random_program``'s: few atoms, many clauses, so it makes
     large components with negative edges and many unknown atoms."""
     atoms = "abcdefg"[: rng.randint(2, 7)]
     clauses = []

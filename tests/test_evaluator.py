@@ -19,6 +19,7 @@ from defeasidl.evaluator import (
 )
 from defeasidl.oracle import conclusions
 from grounding_reference import is_three_valued_model
+from program_generator import random_program
 
 
 def atom(text: str):
@@ -83,7 +84,7 @@ class TestStratifiedSemantics:
     def test_matches_wellfounded_when_stratified(self, rng):
         hits = 0
         for _ in range(120):
-            p = generator.random_program(rng)
+            p = random_program(rng)
             if stratify(p) is None:
                 continue
             hits += 1
@@ -110,7 +111,7 @@ class TestFittingSemantics:
 
     def test_below_wellfounded(self, rng):
         for _ in range(150):
-            p = generator.random_program(rng)
+            p = random_program(rng)
             assert eval_fitting(p).leq(eval_wellfounded(p))
 
 
@@ -136,7 +137,7 @@ class TestWellFoundedSemantics:
 
     def test_result_is_a_model(self, rng):
         for _ in range(100):
-            p = generator.random_program(rng)
+            p = random_program(rng)
             assert is_three_valued_model(p, eval_wellfounded(p))
 
     def test_oracle_agreement_on_corpus(self, tweety, platypus, nonstrat):

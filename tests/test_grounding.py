@@ -21,6 +21,7 @@ from defeasidl.evaluator import (
 from defeasidl.parser import parse_theory
 from analysis_reference import restrict_to
 from grounding_reference import naive_ground_clauses
+from program_generator import ProgramShape, random_program
 
 CORPUS_SEED = 20260809
 GROUND_THEORIES = 60
@@ -78,9 +79,9 @@ def test_corpus_slice_matches_reference():
 
 def test_random_programs_match_reference(rng):
     # With arity 3, the two variables of a random atom often repeat in it.
-    for shape in (generator.ProgramShape(), generator.ProgramShape(max_arity=3)):
+    for shape in (ProgramShape(), ProgramShape(max_arity=3)):
         for _ in range(150):
-            assert_same_grounding(generator.random_program(rng, shape))
+            assert_same_grounding(random_program(rng, shape))
 
 
 @pytest.mark.parametrize(

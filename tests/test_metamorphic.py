@@ -1,6 +1,7 @@
 """Metamorphic relations over theories: renaming the rule labels of a
-theory, or shuffling the order of its rules, must not change its
-conclusions, on any backend or on the oracle.
+theory, shuffling the order of its rules, or adding superiority pairs that
+cannot matter must not change its conclusions, on any backend or on the
+oracle.
 
 Labels never occur in source literals, so the conclusions map back to the
 original theory unchanged.  Each backend is compared on its whole
@@ -24,7 +25,7 @@ from defeasidl.evaluator import (
     ground_program,
 )
 from defeasidl.oracle import conclusions
-from defeasidl.theory import DefeasibleTheory, Rule
+from defeasidl.theory import DefeasibleTheory, Rule, RuleKind, validate_theory
 from test_evaluation import corpus_slice
 
 LABEL_EXAMPLE = "q(a).\nr0: q(X) -> q(X).\nr1: q(X) => p(X).\n"
@@ -99,3 +100,60 @@ def test_shuffling_rules_changes_no_conclusion(name, t):
         rng.shuffle(shuffled)
     permuted = DefeasibleTheory.of(t.facts, shuffled, t.superiority)
     assert conclusions_by_backend(permuted) == conclusions_by_backend(t)
+
+
+def with_inert_pairs(t: DefeasibleTheory) -> DefeasibleTheory:
+    """The theory plus every superiority pair that is inert, between rules
+    whose heads are not complementary or with a defeater as the superior
+    rule, except those that would close a cycle."""
+    succs: dict[str, set[str]] = {}
+    for a, b in t.superiority:
+        succs.setdefault(a, set()).add(b)
+
+    def reaches(src: str, dst: str) -> bool:
+        stack, seen = [src], {src}
+        while stack:
+            node = stack.pop()
+            if node == dst:
+                return True
+            fresh = succs.get(node, set()) - seen
+            seen |= fresh
+            stack.extend(fresh)
+        return False
+
+    added = set(t.superiority)
+    for sup in t.rules:
+        for inf in t.rules:
+            complementary = sup.head.predicate == inf.head.predicate and sup.head.negated != inf.head.negated
+            if complementary and sup.kind is not RuleKind.DEFEATER:
+                continue
+            if (sup.label, inf.label) in added or reaches(inf.label, sup.label):
+                continue
+            added.add((sup.label, inf.label))
+            succs.setdefault(sup.label, set()).add(inf.label)
+    return DefeasibleTheory.of(t.facts, t.rules, added)
+
+
+# Were the defeater d counted as a supporter of flies(tweety), the inert
+# pair d > r2 would beat r2 and make flies(tweety) a +dpar conclusion.
+DEFEATER_EXAMPLE = (
+    "bird(tweety).\npenguin(tweety).\n"
+    "r1: bird(X) => flies(X).\nr2: penguin(X) => neg flies(X).\nd: bird(X) ~> flies(X).\n"
+)
+
+INERT = [
+    (name, t, more)
+    for name, t in [("defeater-example", theory(DEFEATER_EXAMPLE)), *CASES]
+    if (more := with_inert_pairs(t)).superiority != t.superiority
+]
+
+
+@pytest.mark.parametrize("name, t, more", INERT, ids=[case[0] for case in INERT])
+def test_inert_superiority_pairs_change_no_conclusion(name, t, more):
+    report = validate_theory(more)
+    assert report.ok, [issue.message for issue in report.errors]
+    # Validation warns of each added pair as inert.
+    warned = {issue.location for issue in report.warnings}
+    assert {f"{a} > {b}" for a, b in more.superiority - t.superiority} <= warned
+    assert conclusions_by_backend(more) == conclusions_by_backend(t)
+

@@ -1,6 +1,6 @@
 """Package-wide rules: the exported API, no bare ``assert`` in the code, no
-import outside the standard library, a README row for every module and
-README examples that parse."""
+import outside the standard library, an oracle that imports only the data
+model, a README row for every module and README examples that parse."""
 
 import ast
 import re
@@ -48,6 +48,26 @@ def test_imports_only_the_standard_library():
                 for name in names
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
+    assert found == []
+
+
+def test_oracle_imports_only_the_theory_module():
+    # The oracle is the reference the compiled path is tested against, so it
+    # shares no code with it: besides the standard library it reads only
+    # the data model and its grounding.
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+    found = [
+        name
+        for name in names
+        if name not in (".theory", "defeasidl.theory")
+        and name.partition(".")[0] not in sys.stdlib_module_names
+    ]
     assert found == []
 
 

@@ -134,9 +134,27 @@ class TestGrounding:
         g = ground_theory(tweety)
         # Two constants, each rule has one variable: two instances per rule.
         assert len(g.rules) == 8
-        # r2 > r1 lifts to all instance pairs.
-        assert len(g.superiority) == 4
+        # r2 > r1 lifts only to the instance pairs with complementary heads.
+        assert len(g.superiority) == 2
         assert all(not l.args or l.is_ground() for r in g.rules for l in (*r.body, r.head))
+
+    def test_superiority_lifts_only_to_complementary_heads(self):
+        # reach over the path n0 -> n1 -> n2 -> n3: four constants, so r1 and
+        # r3 have 16 instances and r2 has 64.  Each ground head of r1 meets
+        # one r3 instance with the complementary head (16 pairs) and each of
+        # r2's 16 heads, made by 4 instances, meets one (64 pairs); lifting
+        # every instance pair would give 16 * 16 + 64 * 16 = 1,280.
+        t = theory(
+            "edge(n0, n1).\nedge(n1, n2).\nedge(n2, n3).\n"
+            "r1: edge(X,Y) => path(X,Y).\n"
+            "r2: path(X,Z), edge(Z,Y) => path(X,Y).\n"
+            "r3: edge(X,Y) => neg path(Y,X).\n"
+            "r1 > r3.\nr2 > r3.\n"
+        )
+        g = ground_theory(t)
+        assert len(g.superiority) == 80
+        heads = {r.label: r.head for r in g.rules}
+        assert all(heads[a] == heads[b].complement() for a, b in g.superiority)
 
     def test_identity_on_variable_free(self):
         t = theory("p(a).\nr: p(a) => q(a).")
