@@ -4,7 +4,8 @@ Clauses are ``head :- pos..., not neg...`` over constants and variables
 only.  The analyses here are the predicate-level ones the backend
 selection depends on: the signed dependency graph, stratification,
 call-consistency (no odd negative self-dependence) and signings of a
-predicate set, each a routine of ``defeasidl.graph``, and safety.
+predicate set, each a routine of ``defeasidl.graph``, and safety.  The
+graph is condensed once, for every analysis (``DependencyGraph.components``).
 """
 
 from __future__ import annotations
@@ -106,6 +107,12 @@ class DependencyGraph:
             adj[p].append((q, sign))
         return adj
 
+    @cached_property
+    def components(self) -> list[list[str]]:
+        """The strongly connected components, dependencies first, found once."""
+        successors = {p: [q for q, _ in out] for p, out in self.successors.items()}
+        return _tarjan_sccs(self.nodes, successors)
+
 
 def dependency_graph(program: DatalogProgram) -> DependencyGraph:
     """The program's graph, built once per program and shared by every
@@ -117,19 +124,8 @@ def stratify(program: DatalogProgram) -> Optional[dict[str, int]]:
     """A stratum mapping (heads >= positive bodies, > negative bodies),
     or None iff some strongly connected component contains a negative edge."""
     graph = dependency_graph(program)
-    return stratify_heads(graph, graph.nodes)
-
-
-def stratify_heads(graph: DependencyGraph, heads: Iterable[str]) -> Optional[dict[str, int]]:
-    """``stratify`` of the subprogram made of the clauses whose head
-    predicate is in ``heads``, read off the whole program's graph: levels
-    over the edges out of ``heads`` only."""
-    steps = {
-        p: [(q, int(sign < 0)) for q, sign in graph.successors[p]]
-        for p in heads
-        if p in graph.successors
-    }
-    return levels(steps, steps)
+    steps = {p: [(q, int(sign < 0)) for q, sign in out] for p, out in graph.successors.items()}
+    return levels(graph.components, steps)
 
 
 def is_call_consistent(program: DatalogProgram) -> bool:
@@ -140,8 +136,7 @@ def is_call_consistent(program: DatalogProgram) -> bool:
     by one path back, make closed walks, and those split into cycles.
     """
     graph = dependency_graph(program)
-    successors = {p: [q for q, _ in succs] for p, succs in graph.successors.items()}
-    comp_of = {n: i for i, comp in enumerate(_tarjan_sccs(graph.nodes, successors)) for n in comp}
+    comp_of = {n: i for i, comp in enumerate(graph.components) for n in comp}
     inside = [(p, q, sign) for p, q, sign in graph.edges if comp_of[p] == comp_of[q]]
     return two_colouring(graph.nodes, inside) is not None
 

@@ -5,14 +5,15 @@ immediate-consequence operator: an atom becomes true when some clause
 body is true, false when every clause body is false (so atoms with no
 clauses are false at once).  The well-founded semantics also falsifies
 atoms supported only through positive loops.  One engine computes both,
-one strongly connected component of the ground atom graph at a time:
-Fitting's operator decides each component, or, for the well-founded
-semantics, each single atom without a self-loop, and the alternating
-fixpoint decides the other well-founded components.  On stratified
-programs the well-founded result is the total perfect model.  The hybrid
-backend for compiled programs decides the stratified floor's components
-under the well-founded semantics and the components above it under
-Fitting's; this provably recovers exactly the well-founded truths of the
+one strongly connected component of the ground atom graph at a time,
+found once per grounding, so that its well-founded and hybrid evaluations
+share them: Fitting's operator decides each component, or, for the
+well-founded semantics, each single atom without a self-loop, and the
+alternating fixpoint decides the other well-founded components.  On
+stratified programs the well-founded result is the total perfect model.
+The hybrid backend for compiled programs decides the stratified floor's
+components as under the well-founded semantics and the rest by Fitting's
+operator; this provably recovers exactly the well-founded truths of the
 defeasibly predicates.
 
 Ground atoms are plain ``(predicate, args)`` tuples for speed.
@@ -21,6 +22,7 @@ Ground atoms are plain ``(predicate, args)`` tuples for speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -52,6 +54,15 @@ class GroundProgram:
 
     clauses: tuple[GroundClause, ...]
     herbrand_base: frozenset[GAtom]
+
+    @cached_property
+    def components(self) -> list[tuple[list[GAtom], bool]]:
+        """The atom graph's components, dependencies first, each flagged if it holds an edge."""
+        successors: dict[GAtom, list[GAtom]] = {}
+        for clause in self.clauses:
+            successors.setdefault(clause.head, []).extend(clause.positive + clause.negative)
+        return [(comp, len(comp) > 1 or comp[0] in successors.get(comp[0], ()))
+                for comp in _tarjan_sccs(self.herbrand_base, successors)]
 
 
 def format_atom(atom: GAtom) -> str:
@@ -450,24 +461,18 @@ def _kleene(component, by_head, true: set[GAtom], false: set[GAtom]) -> None:
 
 
 def _evaluate(g: GroundProgram, fitting: bool, floor=frozenset()) -> ThreeValuedInterpretation:
-    """Fitting's or the well-founded model, one strongly connected component
-    of the ground atom graph (head to positive and negative body atoms) at
-    a time, dependencies first.  ``_kleene`` decides every component under
-    Fitting's semantics, and a single atom without a self-loop under the
-    well-founded one, where any other component alternates.  With
-    ``fitting``, the components of ``floor`` predicates are still decided
-    as under the well-founded semantics."""
+    """Fitting's or the well-founded model, one of ``g.components`` at a time.
+    ``_kleene`` decides every component under Fitting's semantics and one
+    without an internal edge under the well-founded one, where any other
+    component alternates; with ``fitting``, the components of ``floor``
+    predicates are still decided as under the well-founded semantics."""
     by_head: dict[GAtom, list[GroundClause]] = {}
-    successors: dict[GAtom, list[GAtom]] = {}
     for clause in g.clauses:
         by_head.setdefault(clause.head, []).append(clause)
-        successors.setdefault(clause.head, []).extend(clause.positive + clause.negative)
     true: set[GAtom] = set()
     false: set[GAtom] = set()
-    for component in _tarjan_sccs(g.herbrand_base, successors):
-        atom = component[0]
-        single = len(component) == 1 and atom not in successors.get(atom, ())
-        if single or (fitting and atom[0] not in floor):
+    for component, recursive in g.components:
+        if not recursive or (fitting and component[0][0] not in floor):
             _kleene(component, by_head, true, false)
         else:
             _alternate(component, by_head, true, false)

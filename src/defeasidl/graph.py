@@ -58,18 +58,18 @@ def _tarjan_sccs(nodes: Iterable[Hashable], successors: Mapping) -> list[list]:
     return sccs
 
 
-def levels(nodes: Iterable[Hashable], steps: Mapping) -> Optional[dict]:
+def levels(components: Iterable[list], steps: Mapping) -> Optional[dict]:
     """The least levels with ``level(p) >= level(q) + step`` for every edge,
     or None when an edge of step 1 lies inside a strongly connected component.
 
     ``steps`` maps a node ``p`` to its ``(q, step)`` pairs, each step 0 or 1;
-    the result covers ``nodes`` and every node they reach.  The nodes of one
-    component share a level.
+    ``components`` are their strongly connected components as ``_tarjan_sccs``
+    lists them, and the result covers those nodes, one level per component.
     """
     level: dict = {}
     # Components come dependencies first, so a successor without a level
     # yet lies in the component at hand.
-    for comp in _tarjan_sccs(nodes, {p: [q for q, _ in out] for p, out in steps.items()}):
+    for comp in components:
         out = [(q, step) for p in comp for q, step in steps.get(p, ())]
         if any(step and q not in level for q, step in out):
             return None

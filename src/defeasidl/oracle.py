@@ -23,6 +23,10 @@ from .theory import (
 )
 
 
+class ChainViolation(RuntimeError):
+    """The closures break the chain Delta <= dpar* <= dpar <= lambda (internal error)."""
+
+
 @dataclass(frozen=True)
 class ConclusionSet:
     """The four closures; the inclusion chain delta <= dpar_star <= dpar <= lam
@@ -124,5 +128,5 @@ def conclusions(theory: DefeasibleTheory) -> ConclusionSet:
         dpar_star=frozenset(dpar_star),
     )
     if not result.delta <= result.dpar_star <= result.dpar <= result.lam:
-        raise RuntimeError("conclusions violate Delta <= dpar* <= dpar <= lambda (internal error)")
+        raise ChainViolation("conclusions violate Delta <= dpar* <= dpar <= lambda (internal error)")
     return result

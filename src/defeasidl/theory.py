@@ -404,19 +404,21 @@ def is_hierarchical(theory: DefeasibleTheory) -> Optional[dict[str, int]]:
     The mapping places every rule head strictly above every body predicate,
     ignoring polarity.
     """
-    steps: dict[str, list[tuple[str, int]]] = {}
+    uses: dict[str, list[str]] = {}
     for rule in theory.rules:
-        steps.setdefault(rule.head.predicate, []).extend((b.predicate, 1) for b in rule.body)
-    return levels(theory.predicates(), steps)
+        uses.setdefault(rule.head.predicate, []).extend(b.predicate for b in rule.body)
+    steps = {p: [(q, 1) for q in qs] for p, qs in uses.items()}
+    return levels(_tarjan_sccs(theory.predicates(), uses), steps)
 
 
 def is_locally_hierarchical(theory: DefeasibleTheory) -> bool:
     """True iff the ground-atom dependency graph of ground(theory) is acyclic."""
     g = ground_theory(theory)
-    steps: dict[str, list[tuple[str, int]]] = {}
+    uses: dict[str, list[str]] = {}
     for rule in g.rules:
-        steps.setdefault(str(rule.head.atom), []).extend((str(b.atom), 1) for b in rule.body)
-    return levels(steps, steps) is not None
+        uses.setdefault(str(rule.head.atom), []).extend(str(b.atom) for b in rule.body)
+    steps = {p: [(q, 1) for q in qs] for p, qs in uses.items()}
+    return levels(_tarjan_sccs(uses, uses), steps) is not None
 
 
 def theory_size(theory) -> int:

@@ -1,18 +1,13 @@
+import sys
 from dataclasses import replace
 
 from conftest import theory
-from defeasidl import evaluator, generator
+from defeasidl import corpus, datalog, evaluator, generator, oracle
 from defeasidl import theory as theory_module
 from defeasidl.check import CheckResult, _structural, check_theory, minimize, minimize_failure
+from defeasidl.cli import main
 from defeasidl.compiler import compile_individual, compile_team
-from defeasidl.datalog import (
-    DatalogProgram,
-    dependency_graph,
-    is_safe,
-    parse_datalog,
-    stratify,
-    stratify_heads,
-)
+from defeasidl.datalog import DatalogProgram, parse_datalog, stratify
 from defeasidl.theory import DefeasibleTheory
 from analysis_reference import restrict_to
 from test_evaluation import corpus_slice
@@ -120,16 +115,20 @@ def test_each_theory_is_validated_once(monkeypatch):
 
 
 def test_floor_is_stratified_on_the_whole_programs_graph():
-    # check_theory stratifies each floor from the program's own graph; the
-    # verdict and the levels are those of the floor subprogram.
+    # check_theory decides each floor on the whole program's condensation;
+    # the verdict is that of the floor subprogram, and where the whole
+    # program stratifies, its levels on the floor are the floor's own.
     for t in corpus_slice():
-        for compile_ in (compile_team, compile_individual):
-            out = compile_(t)
+        team, indiv = compile_team(t), compile_individual(t)
+        result = CheckResult("floor")
+        _structural(result, t, team, indiv)
+        for out in (team, indiv):
             want = stratify(restrict_to(out.program, out.floor_names))
-            got = stratify_heads(dependency_graph(out.program), out.floor_names)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert {p: got[p] for p in want} == want
+            refused = f"structural: {out.mode} floor subprogram is not stratified"
+            assert (refused in result.failures) == (want is None)
+            whole = stratify(out.program)
+            if whole is not None:
+                assert {p: whole[p] for p in want} == want
 
 
 def test_non_stratified_floor_is_reported(tweety):
@@ -138,10 +137,59 @@ def test_non_stratified_floor_is_reported(tweety):
     loop = parse_datalog("p0 :- not p1.\np1 :- not p0.").clauses
     planted = replace(team, program=DatalogProgram(team.program.clauses + loop),
                       floor_names=team.floor_names | {"p0", "p1"})
-    programs = (planted, indiv)
     result = CheckResult("planted")
-    _structural(result, tweety, planted, indiv,
-                {out.mode: stratify(out.program) for out in programs},
-                {out.mode: is_safe(out.program) for out in programs})
+    _structural(result, tweety, planted, indiv)
     assert "structural: team floor subprogram is not stratified" in result.failures
     assert not any(f.startswith("structural: individual") for f in result.failures)
+
+
+def tarjan_passes(monkeypatch, *modules):
+    """Count the ``_tarjan_sccs`` passes made through the given modules'
+    bindings, by default through every ``defeasidl`` module that binds it;
+    returns a function reading the running total."""
+    if not modules:
+        modules = [m for name, m in sys.modules.items()
+                   if name.startswith("defeasidl") and hasattr(m, "_tarjan_sccs")]
+    counts = [counting(monkeypatch, module, "_tarjan_sccs") for module in modules]
+    return lambda: sum(calls[0] for calls in counts)
+
+
+def test_each_theory_condenses_at_most_eight_graphs(monkeypatch):
+    # One pass per compiled program's graph (2), per grounding's positive
+    # predicate graph (2) and per grounding's atom graph (2), plus the
+    # superiority cycle search and, for a team program that does not
+    # stratify, the hierarchy test.
+    passes = tarjan_passes(monkeypatch)
+    evaluated = 0
+    for t in corpus_slice():
+        before = passes()
+        result = check_theory(t)
+        assert result.agree, result.failures
+        assert passes() - before <= 8
+        evaluated += not result.skipped_eval
+    assert evaluated > 0
+
+
+def test_analyze_condenses_each_compiled_program_once(monkeypatch):
+    # Only DependencyGraph.components condenses through the datalog binding.
+    passes = tarjan_passes(monkeypatch, datalog)
+    code = main(["--no-timings", "analyze", str(corpus.path("tweety"))])
+    assert (code, passes()) == (0, 2)
+
+
+def test_wellfounded_and_hybrid_share_one_condensation(tweety, monkeypatch):
+    out = compile_team(tweety)
+    g = evaluator.ground_program(out.program, out.constants)
+    passes = tarjan_passes(monkeypatch, evaluator)
+    evaluator.eval_wellfounded(out.program, g)
+    evaluator.eval_hybrid(out, g)
+    assert passes() == 1
+
+
+def test_chain_violation_is_a_chain_failure(tweety, monkeypatch):
+    # Plant a broken chain: dpar* as large as lambda, which tweety's
+    # conflicts make larger than dpar.
+    monkeypatch.setattr(oracle, "dpar_star_closure", lambda g, delta, lam: set(lam))
+    result = check_theory(tweety)
+    assert len(result.failures_in("chain")) == 1
+    assert result.failures == result.failures_in("chain")

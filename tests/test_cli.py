@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import defeasidl
-from defeasidl import corpus, evaluator
+from defeasidl import corpus, evaluator, oracle
 from defeasidl.cli import main
 from test_check import counting
 
@@ -318,6 +318,14 @@ class TestCheck:
         monkeypatch.setenv("DEFEASIDL_SEED", "123")
         _, out = run("--no-timings", "check", "--random", "1")
         assert "seed=123" in out or '"seed": "123"' in out
+
+    def test_broken_subset_chain_is_a_failure_line(self, monkeypatch, capsys):
+        # dpar* as large as lambda breaks the chain on tweety's conflicts.
+        monkeypatch.setattr(oracle, "dpar_star_closure", lambda g, delta, lam: set(lam))
+        code, out = run("--no-timings", "check", TWEETY)
+        assert code == 1
+        assert len([line for line in out.splitlines() if line.startswith("  chain: ")]) == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestReporting:

@@ -1,11 +1,12 @@
 import dataclasses
+import random
 
 import pytest
 
 from conftest import theory
 from defeasidl import generator
 from defeasidl.compiler import compile_individual, compile_team, read_conclusions
-from defeasidl.datalog import DatalogProgram, parse_datalog, stratify
+from defeasidl.datalog import DatalogProgram, is_safe, parse_datalog, stratify
 from defeasidl.evaluator import (
     NotStratified,
     ThreeValuedInterpretation,
@@ -20,6 +21,7 @@ from defeasidl.evaluator import (
 from defeasidl.oracle import conclusions
 from grounding_reference import is_three_valued_model
 from program_generator import random_program
+from test_evaluation import corpus_slice
 
 
 def atom(text: str):
@@ -216,6 +218,26 @@ class TestHybrid:
         ):
             with pytest.raises(TypeError):
                 eval_hybrid(bad)
+
+
+def test_a_shared_grounding_evaluates_as_a_fresh_one():
+    # The grounding caches its condensation; every evaluation of it, in
+    # either order, must equal the same evaluation of a fresh grounding.
+    cases = [(out, out.program, out.constants)
+             for t in corpus_slice()
+             for out in (compile_team(t), compile_individual(t))
+             if is_safe(out.program)]
+    rng = random.Random(7)
+    cases += [(None, p, None) for p in (random_program(rng) for _ in range(60))]
+    for out, program, constants in cases:
+        runs = [(eval_wellfounded, program), (eval_fitting, program)]
+        if out is not None:
+            runs.insert(0, (eval_hybrid, out))
+        for order in (runs, runs[::-1]):
+            shared = ground_program(program, constants)
+            for evaluate, arg in order:
+                fresh = evaluate(arg, ground_program(program, constants))
+                assert evaluate(arg, shared) == fresh
 
 
 def test_interpretation_invariants():
