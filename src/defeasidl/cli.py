@@ -247,7 +247,13 @@ def cmd_solve(args: argparse.Namespace, reporter: Reporter) -> int:
             extra = None
         else:
             out = compile_team(theory) if args.logic == "dpar" else compile_individual(theory)
-            ground = ground_program(out.program, out.constants)
+            # The well-founded and stratified models make every atom outside
+            # the least model of the positive part false, so those backends
+            # ground by derivability; hybrid's Fitting part, and the false
+            # atoms --three-valued lists, need the self-supporting grounding.
+            derivable = args.backend in ("wf", "stratified") and not args.three_valued
+            ground = ground_program(out.program, out.constants,
+                                    seed="derivable" if derivable else "self-supporting")
             if args.backend == "wf":
                 interp = eval_wellfounded(out.program, ground)
             elif args.backend == "stratified":

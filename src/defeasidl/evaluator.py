@@ -1,5 +1,11 @@
 """Grounding and evaluation of safe Datalog-with-negation programs.
 
+The grounder has two seeds for positively recursive components (see
+``_ground_clauses``).  The self-supporting one keeps every atom that
+supports itself, which Fitting's semantics needs; the derivable one keeps
+the least model of the positive part, found by semi-naive rounds, which
+is smaller and exact for the well-founded and stratified semantics.
+
 Fitting's semantics is the least fixpoint of the three-valued
 immediate-consequence operator: an atom becomes true when some clause
 body is true, false when every clause body is false (so atoms with no
@@ -54,6 +60,7 @@ class GroundProgram:
 
     clauses: tuple[GroundClause, ...]
     herbrand_base: frozenset[GAtom]
+    seed: str = "self-supporting"  # see ``_ground_clauses``
 
     @cached_property
     def components(self) -> list[tuple[list[GAtom], bool]]:
@@ -241,10 +248,11 @@ def _head_instances(clauses: Iterable[DClause], constants: list[str]) -> dict[st
     """Every instance of the given clauses' head patterns over the constant
     pool.
 
-    ``_ground_clauses`` seeds a positively recursive component with it: the
-    coarsest universe of atoms any semantics could make true there.  Unlike
-    a derivability overestimate it keeps positively self-supporting atoms
-    (``q :- q``), which Fitting's semantics must leave unknown.
+    The self-supporting seed of ``_ground_clauses`` starts a positively
+    recursive component from it: the coarsest universe of atoms any
+    semantics could make true there.  Unlike the derivable seed it keeps
+    positively self-supporting atoms (``q :- q``), which Fitting's
+    semantics must leave unknown.
     """
     universe: dict[str, set[tuple]] = {}
     for clause in clauses:
@@ -287,38 +295,144 @@ def _drop_unsupported(found: list[GroundClause], members: set[str]) -> list[Grou
     return [inst for inst, keep in zip(found, alive) if keep]
 
 
-def _ground_clauses(program: DatalogProgram, constants) -> tuple[list[GroundClause], set[GAtom]]:
-    """Clause instances over ``constants`` whose positive body atoms can all appear as heads.
+class _Atoms:
+    """Ground atoms by predicate, with a hash index per (predicate, probed
+    positions) that is built on first use and then grows with every atom
+    added.  ``table`` gives a join step its index, or the predicate's atom
+    list when the step probes no position."""
 
-    This is the greatest set of atoms that supports itself: an atom stays
-    when it is the head of a retained instance, and an instance stays when
-    every positive body atom does.  Dropped atoms are false under the
-    stratified, Fitting and well-founded semantics alike (each of their
-    clause bodies contains an atom already proven false), so the pruning
-    changes no verdict over the retained base.
+    __slots__ = ("lists", "indexes")
 
-    It is computed one component of the positive predicate dependency
-    graph at a time, dependencies first, so the atoms of lower components
-    are final when a component is joined.  Each clause is joined once
-    through its plan (``_plan``, walked by ``_join``), probing a hash index
-    per (predicate, bound positions) that is built on first use; bound
+    def __init__(self, lists: Optional[dict[str, list[GAtom]]] = None):
+        self.lists: dict[str, list[GAtom]] = {} if lists is None else lists
+        self.indexes: dict[str, dict[tuple[int, ...], tuple[Callable, dict]]] = {}
+
+    def add(self, atoms: Iterable[GAtom]) -> None:
+        lists, indexes = self.lists, self.indexes
+        for atom in atoms:
+            pred = atom[0]
+            bucket = lists.get(pred)
+            if bucket is None:
+                lists[pred] = [atom]
+            else:
+                bucket.append(atom)
+            by_positions = indexes.get(pred)
+            if by_positions:
+                for key, index in by_positions.values():
+                    index.setdefault(key(atom[1]), []).append(atom)
+
+    def table(self, step: _Step):
+        if not step.positions:
+            atoms = self.lists.get(step.pred)
+            if atoms is None:
+                atoms = self.lists[step.pred] = []
+            return atoms
+        by_positions = self.indexes.get(step.pred)
+        if by_positions is None:
+            by_positions = self.indexes[step.pred] = {}
+        entry = by_positions.get(step.positions)
+        if entry is None:
+            key = itemgetter(*step.positions)
+            index: dict[tuple, list[GAtom]] = {}
+            for atom in self.lists.get(step.pred, ()):
+                index.setdefault(key(atom[1]), []).append(atom)
+            entry = by_positions[step.positions] = (key, index)
+        return entry[1]
+
+
+def _derive(plans: list[_Plan], members: set[str], new: list[GAtom], final: _Atoms,
+            interned: dict) -> list[GroundClause]:
+    """The instances of a positively recursive component after its round 0,
+    by semi-naive rounds; ``new`` holds round 0's heads, and every derived
+    atom goes into ``final``.
+
+    Each round joins only the instances that read at least one atom new in
+    the last round (the delta): for each member step of a body in turn,
+    the earlier member steps read the older atoms, that step the delta, and
+    the later ones every atom derived so far.  So each instance is built in
+    exactly one round and one of its body's variants, and none is dropped:
+    the positive atoms of every instance are derivable.  The member indexes
+    of ``final`` and of the older atoms grow in place, so a variant's other
+    tables stay valid from round to round; the delta's are built once per
+    round."""
+    older = _Atoms()
+    keep_older = False  # only a body with two member atoms reads the older ones
+    variants = []  # (plan, its delta step's position, the tables of its steps)
+    for plan in plans:
+        inner = [i for i, step in enumerate(plan.steps) if step.pred in members]
+        keep_older = keep_older or len(inner) > 1
+        for j in inner:
+            tables = [(older if i < j and i in inner else final).table(step)
+                      for i, step in enumerate(plan.steps)]
+            variants.append((plan, j, tables))
+    derived = set(new)
+    instances: list[GroundClause] = []
+    while new:
+        final.add(new)
+        delta = _Atoms()
+        delta.add(new)
+        found: dict[GroundClause, None] = {}
+        for plan, j, tables in variants:
+            step = plan.steps[j]
+            if step.pred in delta.lists:
+                tables[j] = delta.table(step)
+                _join(plan, tables, interned, found)
+        if keep_older:
+            older.add(new)
+        new = []
+        for inst in found:
+            if inst.head not in derived:
+                derived.add(inst.head)
+                new.append(inst.head)
+        instances += found
+    return instances
+
+
+def _ground_clauses(program: DatalogProgram, constants, *,
+                    seed: str = "self-supporting") -> tuple[list[GroundClause], set[GAtom]]:
+    """Clause instances over ``constants`` whose positive body atoms can all
+    appear as heads, and the atoms they mention.
+
+    It works one component of the positive predicate dependency graph at a
+    time, dependencies first, so the atoms of lower components are final
+    when a component is joined.  Each clause is joined through its plan
+    (``_plan``, walked by ``_join``), probing a hash index per (predicate,
+    bound positions) that is built on first use and grows in place
+    (``_Atoms``); bound
     positions are the constant positions and those whose variable an
-    earlier body atom bound.  A component that is one predicate
-    without a positive self-edge reads final atoms only, so every instance
-    it joins is kept and its heads are its final atoms.  Only a positively
-    recursive component is joined over a universe of its own atoms, every
-    instance of its head patterns (``_head_instances``), and then pruned to
-    the greatest fixpoint by ``_drop_unsupported``.  Every atom is
-    interned, so each ground atom is one object however many instances
-    mention it.
+    earlier body atom bound.  A component that is one predicate without a
+    positive self-edge reads final atoms only, so every instance it joins
+    is kept and its heads are its final atoms.  Every atom is interned, so
+    each ground atom is one object however many instances mention it.
 
-    It must stay a greatest fixpoint.  A least fixpoint (derivability)
-    would drop positively self-supporting atoms (``q :- q``, or ``path(x,
-    a)`` supported only around a cycle through ``a``) together with their
-    clauses, making them false; Fitting's semantics has to leave them
-    unknown, and only the well-founded and stratified semantics make them
-    false.
+    The ``seed`` decides how a positively recursive component starts:
+
+    * ``"derivable"``: from none of its atoms.  Round 0 joins its clauses
+      over the final atoms, and ``_derive`` runs semi-naive rounds from
+      there, so the component keeps the instances whose positive atoms are
+      in the least model of the program's positive part.  Every other atom
+      is false in the well-founded model, whose first upper bound is that
+      least model, so this grounding is exact for the well-founded and
+      stratified semantics.  It reads no constant pool.
+    * ``"self-supporting"``: from every instance of its head patterns
+      (``_head_instances``), joined once and pruned by ``_drop_unsupported``
+      to the greatest set of atoms that supports itself: an atom stays when
+      it is the head of a retained instance, and an instance stays when
+      every positive body atom does.  Dropped atoms are false under every
+      semantics (each of their clause bodies contains an atom already
+      proven false), so the pruning changes no verdict over the retained
+      base.
+
+    The grounding must stay self-supporting where Fitting reads it.  The
+    derivable seed drops positively self-supporting atoms (``q :- q``, or
+    ``path(x, a)`` supported only around a cycle through ``a``) together
+    with their clauses, making them false; Fitting's semantics has to
+    leave them unknown, and only the well-founded and stratified semantics
+    make them false.
     """
+    derivable = seed == "derivable"
+    if not derivable and seed != "self-supporting":
+        raise ValueError(f"unknown grounding seed {seed!r}")
     clauses_of: dict[str, list[DClause]] = {}
     uses: dict[str, list[str]] = {}  # positive predicate dependencies
     for clause in program.clauses:
@@ -327,58 +441,51 @@ def _ground_clauses(program: DatalogProgram, constants) -> tuple[list[GroundClau
         uses.setdefault(pred, []).extend(a.predicate for a in clause.positive)
     constants = sorted(constants)
     interned: dict[GAtom, GAtom] = {}
-    atoms: dict[str, list[GAtom]] = {}  # final atoms, or a recursive component's universe
-    indexes: dict[tuple[str, tuple[int, ...]], dict[tuple, list[GAtom]]] = {}
-
-    def table(step: _Step):
-        if not step.positions:
-            return atoms.get(step.pred, [])
-        index = indexes.get((step.pred, step.positions))
-        if index is None:
-            index = indexes[(step.pred, step.positions)] = {}
-            key = itemgetter(*step.positions)
-            for atom in atoms.get(step.pred, ()):
-                index.setdefault(key(atom[1]), []).append(atom)
-        return index
-
+    final = _Atoms()  # the atoms of finished components, and those derived so far
+    final_table = final.table
     instances: list[GroundClause] = []
     for component in _tarjan_sccs(clauses_of, uses):
         rules = [clause for pred in component for clause in clauses_of.get(pred, ())]
+        plans = list(map(_plan, rules))
         recursive = len(component) > 1 or component[0] in uses.get(component[0], ())
+        members = set(component) if recursive else ()  # the predicates a body reads recursively
+        start = final  # what the member steps of round 0 read
         if recursive:
-            for pred, argsets in _head_instances(rules, constants).items():
-                atoms[pred] = [interned.setdefault((pred, a), (pred, a)) for a in argsets]
+            start = _Atoms() if derivable else _Atoms({
+                pred: [interned.setdefault((pred, args), (pred, args)) for args in argsets]
+                for pred, argsets in _head_instances(rules, constants).items()})
         found: dict[GroundClause, None] = {}
-        for clause in rules:
-            plan = _plan(clause)
-            _join(plan, [table(step) for step in plan.steps], interned, found)
+        for plan in plans:
+            tables = [start.table(step) if step.pred in members else final_table(step)
+                      for step in plan.steps]
+            _join(plan, tables, interned, found)
         kept = list(found)
-        if recursive:
-            members = set(component)
+        if recursive and not derivable:
             kept = _drop_unsupported(kept, members)
-            # Only a recursive component reads its own atoms, so only its
-            # indexes were built over a universe instead of final atoms.
-            for key in [key for key in indexes if key[0] in members]:
-                del indexes[key]
-        for pred in component:
-            atoms[pred] = []
-        for head in dict.fromkeys(inst.head for inst in kept):
-            atoms[head[0]].append(head)
+        heads = dict.fromkeys(inst.head for inst in kept)
+        if recursive and derivable:
+            kept += _derive(plans, members, heads, final, interned)
+        else:
+            final.add(heads)
         instances += kept
     base = {a for inst in instances for a in (inst.head, *inst.positive, *inst.negative)}
     return instances, base
 
 
-def ground_program(program: DatalogProgram, constants=None) -> GroundProgram:
+def ground_program(program: DatalogProgram, constants=None, *,
+                   seed: str = "self-supporting") -> GroundProgram:
     """Ground a safe program over the constant pool ``constants``, by default
-    its own constants, pruning the clause instances that ``_ground_clauses``
-    shows can never fire.  A compiled program's own constants include its
-    rule labels, so it is grounded over ``CompilationOutput.constants``."""
+    its own constants, keeping the clause instances whose positive atoms
+    the ``seed`` of ``_ground_clauses`` can support.  The default,
+    ``"self-supporting"``, suits every semantics; ``"derivable"`` is
+    smaller and exact only for the well-founded and stratified ones.  A
+    compiled program's own constants include its rule labels, so it is
+    grounded over ``CompilationOutput.constants``."""
     if not is_safe(program):
         raise UnsafeProgram("program is not safe; grounding would not terminate on ground atoms")
     pool = program.constants() if constants is None else constants
-    instances, base = _ground_clauses(program, pool)
-    return GroundProgram(tuple(instances), frozenset(base))
+    instances, base = _ground_clauses(program, pool, seed=seed)
+    return GroundProgram(tuple(instances), frozenset(base), seed)
 
 
 def _least_model(clauses: list[GroundClause], blocked: set[GAtom]) -> set[GAtom]:
@@ -466,6 +573,8 @@ def _evaluate(g: GroundProgram, fitting: bool, floor=frozenset()) -> ThreeValued
     without an internal edge under the well-founded one, where any other
     component alternates; with ``fitting``, the components of ``floor``
     predicates are still decided as under the well-founded semantics."""
+    if fitting and g.seed != "self-supporting":
+        raise ValueError("Fitting's semantics needs the self-supporting grounding")
     by_head: dict[GAtom, list[GroundClause]] = {}
     for clause in g.clauses:
         by_head.setdefault(clause.head, []).append(clause)

@@ -86,9 +86,9 @@ def counting(monkeypatch, module, name):
     calls = [0]
     real = getattr(module, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls[0] += 1
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
     return calls

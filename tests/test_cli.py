@@ -11,7 +11,9 @@ import pytest
 import defeasidl
 from defeasidl import corpus, evaluator, oracle
 from defeasidl.cli import main
+from defeasidl.parser import format_theory
 from test_check import counting
+from test_grounding import rot_theory
 
 
 def run(*argv):
@@ -150,10 +152,54 @@ class TestSolve:
         assert "+dpar q" not in result_lines(out)
 
     def test_three_valued_listing(self):
-        code, out = run("--no-timings", "solve", TWEETY, "--three-valued")
+        for backend in ("wf", "stratified"):
+            code, out = run("--no-timings", "solve", TWEETY, "--backend", backend, "--three-valued")
+            assert code == 0, backend
+            lines = result_lines(out)
+            assert [line for line in lines if line[0] in "-?"] == [
+                "-dpar fly(freddie)",
+                "-dpar fly(tweety)",
+            ], backend
+
+    def test_three_valued_lists_self_supporting_literals(self, tmp_path):
+        # p supports only itself, so the well-founded model makes it false;
+        # a derivable grounding would drop it from the listing.
+        src = tmp_path / "loop.dfl"
+        src.write_text("q.\nr1: p => p.\n", encoding="utf-8")
+        code, out = run("--no-timings", "solve", str(src), "--three-valued")
         assert code == 0
-        lines = result_lines(out)
-        assert "-dpar fly(freddie)" in lines or "?dpar fly(freddie)" in lines
+        assert result_lines(out) == ["+Delta q", "+dpar q", "-dpar p"]
+
+    @pytest.mark.parametrize("name", corpus.names())
+    def test_three_valued_keeps_the_true_conclusions(self, name):
+        # Plain solve grounds wf and stratified by derivability and
+        # --three-valued by self-support; both give the same + lines.
+        path = str(corpus.path(name))
+        for logic in ("dpar", "dpar_star"):
+            for backend in ("wf", "stratified"):
+                argv = ("--no-timings", "solve", path, "--logic", logic, "--backend", backend)
+                code, plain = run(*argv)
+                code_3v, three_valued = run(*argv, "--three-valued")
+                assert code == code_3v, (logic, backend)
+                assert [line for line in result_lines(three_valued) if line[0] not in "-?"] == (
+                    result_lines(plain)
+                ), (logic, backend)
+
+    def test_rot_solves_by_derivability(self, tmp_path):
+        # The self-supporting grounding of t holds 30**3 triples; the
+        # derivable one holds the fact's three rotations and the (c, c, c).
+        src = tmp_path / "rot.dfl"
+        src.write_text(format_theory(rot_theory(30)), encoding="utf-8")
+        code, out = run("--no-timings", "solve", str(src), "--backend", "wf")
+        assert code == 0
+        constants = [f"c{i}" for i in range(30)]
+        rotations = ["t(c0, c1, c2)", "t(c1, c2, c0)", "t(c2, c0, c1)"]
+        defeasible = [f"e({c})" for c in constants] + rotations
+        defeasible += [f"neg t({c}, {c}, {c})" for c in constants]
+        assert result_lines(out) == (
+            [f"+Delta {lit}" for lit in sorted([f"e({c})" for c in constants] + rotations[:1])]
+            + [f"+dpar {lit}" for lit in sorted(defeasible)]
+        )
 
     def test_three_valued_rejected_for_hybrid(self):
         code, _ = run("--no-timings", "solve", TWEETY, "--backend", "hybrid", "--three-valued")
@@ -186,6 +232,29 @@ class TestSolve:
             before = calls[0]
             code, _ = run("--no-timings", "solve", NONSTRAT, "--logic", logic, "--backend", "hybrid")
             assert (code, calls[0] - before) == (0, 1), logic
+
+    def test_backend_picks_the_grounding_seed(self, monkeypatch):
+        seeds = []
+        real = evaluator._ground_clauses
+
+        def recording(*args, seed):
+            seeds.append(seed)
+            return real(*args, seed=seed)
+
+        monkeypatch.setattr(evaluator, "_ground_clauses", recording)
+        for backend, extra, seed in (
+            ("wf", (), "derivable"),
+            ("stratified", (), "derivable"),
+            ("hybrid", (), "self-supporting"),
+            ("wf", ("--three-valued",), "self-supporting"),
+            ("stratified", ("--three-valued",), "self-supporting"),
+        ):
+            seeds.clear()
+            code, _ = run("--no-timings", "solve", TWEETY, "--backend", backend, *extra)
+            assert (code, seeds) == (0, [seed]), (backend, extra)
+        seeds.clear()
+        assert run("--no-timings", "check", TWEETY)[0] == 0
+        assert set(seeds) == {"self-supporting"}
 
     def test_unsafe_theory_exits_1_on_every_compiled_backend(self, tmp_path):
         src = tmp_path / "unsafe.dfl"

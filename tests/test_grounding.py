@@ -1,6 +1,8 @@
-"""Differential gate for the grounder: ``evaluator._ground_clauses`` must
-give the same instance set and Herbrand base as the naive round-based
-reference on compiled corpus programs and on hand-picked corner cases."""
+"""Differential gate for the grounder: under each seed,
+``evaluator._ground_clauses`` must give the same instance set and Herbrand
+base as the naive round-based reference of that seed on compiled corpus
+programs, random programs and hand-picked corner cases, and the two seeds
+must give the same well-founded and stratified conclusions."""
 
 import random
 
@@ -8,7 +10,7 @@ import pytest
 
 from defeasidl import evaluator, generator
 from defeasidl.compiler import compile_individual, compile_team
-from defeasidl.datalog import DatalogProgram, is_safe, parse_datalog
+from defeasidl.datalog import DatalogProgram, is_safe, parse_datalog, stratify
 from defeasidl.evaluator import (
     GroundClause,
     NotStratified,
@@ -20,7 +22,7 @@ from defeasidl.evaluator import (
 )
 from defeasidl.parser import parse_theory
 from analysis_reference import restrict_to
-from grounding_reference import naive_ground_clauses
+from grounding_reference import naive_derivable_clauses, naive_ground_clauses
 from program_generator import ProgramShape, random_program
 
 CORPUS_SEED = 20260809
@@ -35,15 +37,32 @@ def atom(text: str):
     return (name, tuple(a.strip() for a in rest[:-1].split(",")))
 
 
+def assert_seeds_agree(program, constants):
+    """The derivable grounding gives the well-founded true and unknown sets
+    and the stratified model of the self-supporting one."""
+    full = ground_program(program, constants)
+    small = ground_program(program, constants, seed="derivable")
+    wf, wf_small = eval_wellfounded(program, full), eval_wellfounded(program, small)
+    assert wf_small.true_set == wf.true_set
+    assert wf_small.unknown_set == wf.unknown_set
+    if stratify(program) is not None:
+        assert eval_stratified(program, small).true_set == eval_stratified(program, full).true_set
+
+
 def assert_same_grounding(program, constants=None):
+    """Hold both seeds to their references and to each other; return the
+    self-supporting grounding."""
     if constants is None:
         constants = program.constants()
-    instances, base = _ground_clauses(program, constants)
-    reference, reference_base = naive_ground_clauses(program, constants)
-    assert len(instances) == len(set(instances))
-    assert set(instances) == set(reference)
-    assert base == reference_base
-    return instances, base
+    results = {}
+    for seed, reference in (("derivable", naive_derivable_clauses(program)),
+                            ("self-supporting", naive_ground_clauses(program, constants))):
+        instances, base = results[seed] = _ground_clauses(program, constants, seed=seed)
+        assert len(instances) == len(set(instances)), seed
+        assert set(instances) == set(reference[0]), seed
+        assert base == reference[1], seed
+    assert_seeds_agree(program, constants)
+    return results["self-supporting"]
 
 
 def grounding_cases(out):
@@ -202,8 +221,11 @@ def reach_path(edges: int):
 
 
 def test_few_instances_are_built_to_be_dropped(monkeypatch):
-    # Only positively recursive components join over a universe of all head
-    # instances; the others join over final atoms and keep what they build.
+    # Under the self-supporting seed only positively recursive components
+    # join over a universe of all head instances; the others join over
+    # final atoms and keep what they build.  Under the derivable seed every
+    # instance is built once and kept: a body with two recursive atoms
+    # reads the older atoms before the delta step and all atoms after it.
     built = 0
     real = evaluator.GroundClause
 
@@ -218,6 +240,54 @@ def test_few_instances_are_built_to_be_dropped(monkeypatch):
         built = 0
         instances, _ = _ground_clauses(program, out.constants)
         assert built <= 2.5 * len(instances)
+        built = 0
+        instances, _ = _ground_clauses(program, out.constants, seed="derivable")
+        assert built == len(instances)
+    squared = parse_datalog(
+        "".join(f"edge(n{i}, n{(i + 1) % 12}).\n" for i in range(12))
+        + "path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), path(Z, Y)."
+    )
+    built = 0
+    instances, _ = _ground_clauses(squared, squared.constants(), seed="derivable")
+    assert built == len(instances) == 12 + 12 + 12**3
+    assert set(instances) == set(naive_derivable_clauses(squared)[0])
+
+
+def rot_theory(n: int):
+    """``n`` constants, one triple, its rotations by defeasible rule, and a
+    rule for ``neg t(c, c, c)`` on every constant."""
+    text = "".join(f"e(c{i}).\n" for i in range(n))
+    return parse_theory(text + "t(c0, c1, c2).\nr1: t(X,Y,Z) => t(Y,Z,X).\nr2: e(X) => neg t(X,X,X).\n")
+
+
+def test_rot_grounds_only_derivable_triples():
+    # The self-supporting seed starts t from all n**3 triples, nearly all
+    # of which support each other around a rotation; the derivable seed
+    # keeps the three rotations of the fact and the triples (c, c, c) that
+    # r2 reads.
+    rotations = {("c0", "c1", "c2"), ("c1", "c2", "c0"), ("c2", "c0", "c1")}
+    kept = 0
+    for compile_ in (compile_team, compile_individual):
+        out = compile_(rot_theory(40))
+        instances, base = _ground_clauses(out.program, out.constants, seed="derivable")
+        reference, reference_base = naive_derivable_clauses(out.program)
+        assert len(instances) == len(set(instances))
+        assert set(instances) == set(reference) and base == reference_base
+        triples = {args for _, args in base if len(args) == 3}
+        assert triples == rotations | {(c, c, c) for c in out.constants}
+        kept += len(instances)
+    assert kept == 676
+
+
+def test_fitting_refuses_a_derivable_grounding():
+    program = parse_datalog("q :- q.\nr :- not q.")
+    ground = ground_program(program, seed="derivable")
+    assert ground.clauses == (GroundClause(atom("r"), (), (atom("q"),)),)
+    assert eval_wellfounded(program, ground).true_set == {atom("r")}
+    with pytest.raises(ValueError):
+        eval_fitting(program, ground)
+    with pytest.raises(ValueError):
+        ground_program(program, seed="greatest")
 
 
 def interpretations(program, constants):
