@@ -125,7 +125,9 @@ def check_theory(theory: DefeasibleTheory, name: str = "theory") -> CheckResult:
         return result
 
     for out, closure in ((team, "dpar"), (indiv, "dpar_star")):
-        ground = ground_program(out.program, out.constants)
+        # Only Fitting's part above the floor needs the self-supporting seed.
+        ground = ground_program(out.program, out.constants,
+                                self_supporting=out.program.predicates.keys() - out.floor_names)
         wf = eval_wellfounded(out.program, ground)
         got = read_conclusions(out, wf.true_set)
         category = f"oracle-{out.mode}"

@@ -11,6 +11,7 @@ input; the trailing timings line can be suppressed with --no-timings, and
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -247,13 +248,13 @@ def cmd_solve(args: argparse.Namespace, reporter: Reporter) -> int:
             extra = None
         else:
             out = compile_team(theory) if args.logic == "dpar" else compile_individual(theory)
-            # The well-founded and stratified models make every atom outside
-            # the least model of the positive part false, so those backends
-            # ground by derivability; hybrid's Fitting part, and the false
-            # atoms --three-valued lists, need the self-supporting grounding.
-            derivable = args.backend in ("wf", "stratified") and not args.three_valued
-            ground = ground_program(out.program, out.constants,
-                                    seed="derivable" if derivable else "self-supporting")
+            # Atoms decided as under the well-founded semantics are grounded
+            # by derivability; Fitting's operator, which hybrid runs above the
+            # floor, and the false atoms --three-valued lists need self-support.
+            keep = None if args.three_valued else frozenset()
+            if args.backend == "hybrid":
+                keep = out.program.predicates.keys() - out.floor_names
+            ground = ground_program(out.program, out.constants, self_supporting=keep)
             if args.backend == "wf":
                 interp = eval_wellfounded(out.program, ground)
             elif args.backend == "stratified":
@@ -405,6 +406,7 @@ def _bounded(kind, low, high=None):
     return parse
 
 
+@functools.cache  # built once per process: parse_args does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="defeasidl",

@@ -85,6 +85,7 @@ class _Emitter:
         self.provenance: list[ClauseInfo] = []
         self.predicate_info: dict[str, MangledPredicate] = {}
         self.names: dict[tuple, str] = {}  # descriptor fields -> name
+        self.arities: dict[str, int] = {}  # name -> arity, fixed by the validated theory
 
     def atom(self, fields: tuple, args: tuple[Term, ...]) -> Atom:
         """An atom of the predicate described by ``fields``, the fields of its
@@ -94,6 +95,7 @@ class _Emitter:
             mp = MangledPredicate(*fields)
             name = self.names[fields] = mp.name
             self.predicate_info[name] = mp
+            self.arities[name] = len(args)
         # Mangled from validated names, so ``Atom``'s name check is skipped.
         return Atom.unchecked(name, args)
 
@@ -109,7 +111,7 @@ class _Emitter:
 
     def finish(self, constants: frozenset[str]) -> CompilationOutput:
         return CompilationOutput(
-            program=DatalogProgram(tuple(self.clauses)),
+            program=DatalogProgram(tuple(self.clauses), self.arities),
             provenance=tuple(self.provenance),
             mode=self.mode,
             predicate_info=self.predicate_info,

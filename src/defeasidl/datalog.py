@@ -10,7 +10,7 @@ graph is condensed once, for every analysis (``DependencyGraph.components``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -49,9 +49,12 @@ class DClause:
 @dataclass(frozen=True)
 class DatalogProgram:
     clauses: tuple[DClause, ...] = ()
+    arities: InitVar[Optional[dict[str, int]]] = None  # the compiler's table
 
-    def __post_init__(self):
-        self.predicates  # force the arity-consistency check
+    def __post_init__(self, arities):
+        if arities is not None:  # fixed per mangled predicate, so not re-derived
+            self.__dict__["predicates"] = arities
+        self.predicates  # otherwise force the arity-consistency check
 
     @cached_property
     def predicates(self) -> dict[str, int]:
@@ -113,6 +116,12 @@ class DependencyGraph:
         successors = {p: [q for q, _ in out] for p, out in self.successors.items()}
         return _tarjan_sccs(self.nodes, successors)
 
+    @cached_property
+    def strata(self) -> Optional[dict[str, int]]:
+        """``stratify``'s result, computed once per graph."""
+        steps = {p: [(q, int(sign < 0)) for q, sign in out] for p, out in self.successors.items()}
+        return levels(self.components, steps)
+
 
 def dependency_graph(program: DatalogProgram) -> DependencyGraph:
     """The program's graph, built once per program and shared by every
@@ -122,10 +131,9 @@ def dependency_graph(program: DatalogProgram) -> DependencyGraph:
 
 def stratify(program: DatalogProgram) -> Optional[dict[str, int]]:
     """A stratum mapping (heads >= positive bodies, > negative bodies),
-    or None iff some strongly connected component contains a negative edge."""
-    graph = dependency_graph(program)
-    steps = {p: [(q, int(sign < 0)) for q, sign in out] for p, out in graph.successors.items()}
-    return levels(graph.components, steps)
+    or None iff some strongly connected component contains a negative edge.
+    Cached with the program's graph, so callers must not change it."""
+    return dependency_graph(program).strata
 
 
 def is_call_consistent(program: DatalogProgram) -> bool:

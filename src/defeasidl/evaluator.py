@@ -1,10 +1,10 @@
 """Grounding and evaluation of safe Datalog-with-negation programs.
 
-The grounder has two seeds for positively recursive components (see
-``_ground_clauses``).  The self-supporting one keeps every atom that
-supports itself, which Fitting's semantics needs; the derivable one keeps
-the least model of the positive part, found by semi-naive rounds, which
-is smaller and exact for the well-founded and stratified semantics.
+The grounder seeds each positively recursive component one of two ways
+(see ``_ground_clauses``): self-supporting, keeping every atom that
+supports itself, where Fitting's operator decides atoms; or derivable,
+keeping the least model of the positive part, found by semi-naive rounds,
+which is smaller and exact where atoms are decided as under the WF model.
 
 Fitting's semantics is the least fixpoint of the three-valued
 immediate-consequence operator: an atom becomes true when some clause
@@ -56,11 +56,12 @@ class GroundClause(NamedTuple):
 
 @dataclass(frozen=True)
 class GroundProgram:
-    """Relevance-pruned ground instances plus the Herbrand base they span."""
+    """Relevance-pruned ground instances plus the Herbrand base they span;
+    ``derived`` names the predicates grounded by derivability."""
 
     clauses: tuple[GroundClause, ...]
     herbrand_base: frozenset[GAtom]
-    seed: str = "self-supporting"  # see ``_ground_clauses``
+    derived: frozenset[str] = frozenset()
 
     @cached_property
     def components(self) -> list[tuple[list[GAtom], bool]]:
@@ -259,6 +260,9 @@ def _head_instances(clauses: Iterable[DClause], constants: list[str]) -> dict[st
         args = clause.head.args
         names = list(dict.fromkeys(t.name for t in args if t.is_variable))
         bucket = universe.setdefault(clause.head.predicate, set())
+        if len(names) == len(args):  # distinct variables: every tuple is an instance
+            bucket.update(product(constants, repeat=len(args)))
+            continue
         for values in product(constants, repeat=len(names)):
             binding = dict(zip(names, values))
             bucket.add(tuple(binding[t.name] if t.is_variable else t.name for t in args))
@@ -389,7 +393,7 @@ def _derive(plans: list[_Plan], members: set[str], new: list[GAtom], final: _Ato
 
 
 def _ground_clauses(program: DatalogProgram, constants, *,
-                    seed: str = "self-supporting") -> tuple[list[GroundClause], set[GAtom]]:
+                    self_supporting=None) -> tuple[list[GroundClause], set[GAtom]]:
     """Clause instances over ``constants`` whose positive body atoms can all
     appear as heads, and the atoms they mention.
 
@@ -405,16 +409,18 @@ def _ground_clauses(program: DatalogProgram, constants, *,
     is kept and its heads are its final atoms.  Every atom is interned, so
     each ground atom is one object however many instances mention it.
 
-    The ``seed`` decides how a positively recursive component starts:
+    A positively recursive component is seeded self-supporting if
+    ``self_supporting`` is None or names one of its predicates, else derivable:
 
-    * ``"derivable"``: from none of its atoms.  Round 0 joins its clauses
-      over the final atoms, and ``_derive`` runs semi-naive rounds from
-      there, so the component keeps the instances whose positive atoms are
-      in the least model of the program's positive part.  Every other atom
-      is false in the well-founded model, whose first upper bound is that
-      least model, so this grounding is exact for the well-founded and
-      stratified semantics.  It reads no constant pool.
-    * ``"self-supporting"``: from every instance of its head patterns
+    * derivable: from none of its atoms.  Round 0 joins its clauses over
+      the final atoms, and ``_derive`` runs semi-naive rounds from there,
+      so the component keeps the instances whose positive atoms are in the
+      least model of the program's positive part.  Every other atom is
+      false in the well-founded model, whose first upper bound is that
+      least model, so this grounding is exact where atoms are decided as
+      under the well-founded semantics; a later instance that read a dropped
+      atom positively had a false body, so no Fitting value changes either.
+    * self-supporting: from every instance of its head patterns
       (``_head_instances``), joined once and pruned by ``_drop_unsupported``
       to the greatest set of atoms that supports itself: an atom stays when
       it is the head of a retained instance, and an instance stays when
@@ -423,16 +429,13 @@ def _ground_clauses(program: DatalogProgram, constants, *,
       proven false), so the pruning changes no verdict over the retained
       base.
 
-    The grounding must stay self-supporting where Fitting reads it.  The
-    derivable seed drops positively self-supporting atoms (``q :- q``, or
-    ``path(x, a)`` supported only around a cycle through ``a``) together
-    with their clauses, making them false; Fitting's semantics has to
-    leave them unknown, and only the well-founded and stratified semantics
-    make them false.
+    The grounding must stay self-supporting where Fitting's operator
+    decides atoms.  The derivable seed drops positively self-supporting
+    atoms (``q :- q``, or ``path(x, a)`` supported only around a cycle
+    through ``a``) together with their clauses, making them false; Fitting's
+    semantics has to leave them unknown, and only the well-founded and
+    stratified semantics make them false.
     """
-    derivable = seed == "derivable"
-    if not derivable and seed != "self-supporting":
-        raise ValueError(f"unknown grounding seed {seed!r}")
     clauses_of: dict[str, list[DClause]] = {}
     uses: dict[str, list[str]] = {}  # positive predicate dependencies
     for clause in program.clauses:
@@ -449,6 +452,8 @@ def _ground_clauses(program: DatalogProgram, constants, *,
         plans = list(map(_plan, rules))
         recursive = len(component) > 1 or component[0] in uses.get(component[0], ())
         members = set(component) if recursive else ()  # the predicates a body reads recursively
+        derivable = (recursive and self_supporting is not None
+                     and members.isdisjoint(self_supporting))
         start = final  # what the member steps of round 0 read
         if recursive:
             start = _Atoms() if derivable else _Atoms({
@@ -463,7 +468,7 @@ def _ground_clauses(program: DatalogProgram, constants, *,
         if recursive and not derivable:
             kept = _drop_unsupported(kept, members)
         heads = dict.fromkeys(inst.head for inst in kept)
-        if recursive and derivable:
+        if derivable:
             kept += _derive(plans, members, heads, final, interned)
         else:
             final.add(heads)
@@ -473,19 +478,20 @@ def _ground_clauses(program: DatalogProgram, constants, *,
 
 
 def ground_program(program: DatalogProgram, constants=None, *,
-                   seed: str = "self-supporting") -> GroundProgram:
+                   self_supporting=None) -> GroundProgram:
     """Ground a safe program over the constant pool ``constants``, by default
     its own constants, keeping the clause instances whose positive atoms
-    the ``seed`` of ``_ground_clauses`` can support.  The default,
-    ``"self-supporting"``, suits every semantics; ``"derivable"`` is
-    smaller and exact only for the well-founded and stratified ones.  A
-    compiled program's own constants include its rule labels, so it is
-    grounded over ``CompilationOutput.constants``."""
+    ``_ground_clauses`` can support.  The default ``self_supporting=None``
+    suits every semantics; predicates left out of it are recorded as
+    ``derived``, and Fitting's operator must not decide them.  A compiled
+    program's own constants include its rule labels, so it is grounded over
+    ``CompilationOutput.constants``."""
     if not is_safe(program):
         raise UnsafeProgram("program is not safe; grounding would not terminate on ground atoms")
     pool = program.constants() if constants is None else constants
-    instances, base = _ground_clauses(program, pool, seed=seed)
-    return GroundProgram(tuple(instances), frozenset(base), seed)
+    instances, base = _ground_clauses(program, pool, self_supporting=self_supporting)
+    derived = frozenset() if self_supporting is None else program.predicates.keys() - self_supporting
+    return GroundProgram(tuple(instances), frozenset(base), frozenset(derived))
 
 
 def _least_model(clauses: list[GroundClause], blocked: set[GAtom]) -> set[GAtom]:
@@ -573,8 +579,8 @@ def _evaluate(g: GroundProgram, fitting: bool, floor=frozenset()) -> ThreeValued
     without an internal edge under the well-founded one, where any other
     component alternates; with ``fitting``, the components of ``floor``
     predicates are still decided as under the well-founded semantics."""
-    if fitting and g.seed != "self-supporting":
-        raise ValueError("Fitting's semantics needs the self-supporting grounding")
+    if fitting and not g.derived <= floor:
+        raise ValueError("Fitting's operator would decide atoms grounded by derivability")
     by_head: dict[GAtom, list[GroundClause]] = {}
     for clause in g.clauses:
         by_head.setdefault(clause.head, []).append(clause)

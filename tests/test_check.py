@@ -114,6 +114,18 @@ def test_each_theory_is_validated_once(monkeypatch):
     assert calls[0] == len(theories)
 
 
+def test_each_compiled_program_is_stratified_once(monkeypatch):
+    # check_theory asks for each compiled program's strata in the structural
+    # battery and again before the totality check; the program's dependency
+    # graph keeps them, so each is levelled once.
+    calls = counting(monkeypatch, datalog, "levels")
+    for t in corpus_slice():
+        before = calls[0]
+        result = check_theory(t)
+        assert result.agree, result.failures
+        assert calls[0] - before == 2
+
+
 def test_floor_is_stratified_on_the_whole_programs_graph():
     # check_theory decides each floor on the whole program's condensation;
     # the verdict is that of the floor subprogram, and where the whole

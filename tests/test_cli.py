@@ -10,8 +10,9 @@ import pytest
 
 import defeasidl
 from defeasidl import corpus, evaluator, oracle
-from defeasidl.cli import main
-from defeasidl.parser import format_theory
+from defeasidl.cli import build_parser, main
+from defeasidl.compiler import compile_individual, compile_team
+from defeasidl.parser import format_theory, parse_theory
 from test_check import counting
 from test_grounding import rot_theory
 
@@ -201,6 +202,19 @@ class TestSolve:
             + [f"+dpar {lit}" for lit in sorted(defeasible)]
         )
 
+    def test_rot_hybrid_prints_the_wf_conclusions(self, tmp_path):
+        # hybrid grounds the floor by derivability and the part above it
+        # self-supporting; its + lines are those of wf.
+        src = tmp_path / "rot.dfl"
+        src.write_text(format_theory(rot_theory(20)), encoding="utf-8")
+        for logic in ("dpar", "dpar_star"):
+            argv = ("--no-timings", "solve", str(src), "--logic", logic, "--backend")
+            code, wf = run(*argv, "wf")
+            code_hybrid, hybrid = run(*argv, "hybrid")
+            assert (code, code_hybrid) == (0, 0), logic
+            assert result_lines(hybrid) == result_lines(wf), logic
+            assert len(result_lines(wf)) == 20 + 1 + 20 + 3 + 20, logic
+
     def test_three_valued_rejected_for_hybrid(self):
         code, _ = run("--no-timings", "solve", TWEETY, "--backend", "hybrid", "--three-valued")
         assert code == 2
@@ -234,27 +248,34 @@ class TestSolve:
             assert (code, calls[0] - before) == (0, 1), logic
 
     def test_backend_picks_the_grounding_seed(self, monkeypatch):
-        seeds = []
+        # Records the predicates each grounding keeps self-supporting: none
+        # for wf and stratified, those above the floor for hybrid and check,
+        # and every predicate (None) for --three-valued.
+        kept = []
         real = evaluator._ground_clauses
 
-        def recording(*args, seed):
-            seeds.append(seed)
-            return real(*args, seed=seed)
+        def recording(program, constants, *, self_supporting):
+            kept.append(self_supporting)
+            return real(program, constants, self_supporting=self_supporting)
 
         monkeypatch.setattr(evaluator, "_ground_clauses", recording)
+        out = compile_team(parse_theory(Path(TWEETY).read_text(encoding="utf-8")))
+        upper = out.program.predicates.keys() - out.floor_names
+        assert upper and out.floor_names
         for backend, extra, seed in (
-            ("wf", (), "derivable"),
-            ("stratified", (), "derivable"),
-            ("hybrid", (), "self-supporting"),
-            ("wf", ("--three-valued",), "self-supporting"),
-            ("stratified", ("--three-valued",), "self-supporting"),
+            ("wf", (), set()),
+            ("stratified", (), set()),
+            ("hybrid", (), upper),
+            ("wf", ("--three-valued",), None),
+            ("stratified", ("--three-valued",), None),
         ):
-            seeds.clear()
+            kept.clear()
             code, _ = run("--no-timings", "solve", TWEETY, "--backend", backend, *extra)
-            assert (code, seeds) == (0, [seed]), (backend, extra)
-        seeds.clear()
+            assert (code, kept) == (0, [seed]), (backend, extra)
+        kept.clear()
         assert run("--no-timings", "check", TWEETY)[0] == 0
-        assert set(seeds) == {"self-supporting"}
+        indiv = compile_individual(parse_theory(Path(TWEETY).read_text(encoding="utf-8")))
+        assert kept == [upper, indiv.program.predicates.keys() - indiv.floor_names]
 
     def test_unsafe_theory_exits_1_on_every_compiled_backend(self, tmp_path):
         src = tmp_path / "unsafe.dfl"
@@ -432,6 +453,28 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "solve" in done.stdout
+
+
+def test_one_parser_serves_every_request_of_a_process():
+    # The parser is built once per process; a json-lines request leaves
+    # nothing behind, so a plain request after it prints text, and both
+    # print what a fresh process prints.
+    package_root = str(Path(defeasidl.__file__).resolve().parent.parent)
+
+    def fresh(*argv):
+        done = subprocess.run([sys.executable, "-m", "defeasidl", *argv], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": package_root})
+        return done.returncode, done.stdout
+
+    for json_argv in (("--format", "json-lines", "solve", TWEETY),
+                      ("solve", TWEETY, "--format", "json-lines")):
+        plain_argv = ("solve", TWEETY)
+        first = run("--no-timings", *json_argv)
+        second = run("--no-timings", *plain_argv)
+        assert first == fresh("--no-timings", *json_argv)
+        assert second == fresh("--no-timings", *plain_argv)
+        assert first[1].startswith("{") and second[1].startswith("# defeasidl solve")
+    assert build_parser() is build_parser()
 
 
 def capped_cli(cap_bytes, *argv):

@@ -9,7 +9,7 @@ from defeasidl.compiler import (
     emit_datalog_text,
     read_conclusions,
 )
-from defeasidl.datalog import dependency_graph, parse_datalog
+from defeasidl.datalog import DatalogProgram, DClause, dependency_graph, parse_datalog
 from defeasidl.mangling import MangledPredicate
 from defeasidl.theory import (
     DefeasibleTheory,
@@ -148,6 +148,22 @@ class TestCompileGuards:
                     assert name[0].islower(), name
                     names += 1
         assert names > 0
+
+    def test_handed_arity_table_is_the_derived_one(self, tweety, monkeypatch):
+        # The compiler hands over the arity it fixed per mangled predicate;
+        # a program built from the same clauses derives and checks its own.
+        derived = 0
+        for t in [*(corpus.load(name) for name in corpus.names()), *corpus_slice()]:
+            for out in (compile_team(t), compile_individual(t)):
+                rebuilt = DatalogProgram(out.program.clauses)
+                assert out.program.predicates == rebuilt.predicates
+                assert out.program == rebuilt
+                derived += 1
+        assert derived > 2 * len(corpus.names())
+        # Compiling reads no atom to build the table.
+        monkeypatch.setattr(DClause, "atoms", None)
+        for compile_ in (compile_team, compile_individual):
+            assert compile_(tweety).program.predicates
 
     def test_floor_is_downward_closed(self, tweety, nonstrat):
         for t in (tweety, nonstrat, WORKED_PAIR):

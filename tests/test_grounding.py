@@ -1,21 +1,27 @@
-"""Differential gate for the grounder: under each seed,
-``evaluator._ground_clauses`` must give the same instance set and Herbrand
-base as the naive round-based reference of that seed on compiled corpus
-programs, random programs and hand-picked corner cases, and the two seeds
-must give the same well-founded and stratified conclusions."""
+"""Differential gate for the grounder: with every predicate self-supporting
+and with none, ``evaluator._ground_clauses`` must give the same instance
+set and Herbrand base as the naive round-based reference of that seed on
+compiled corpus programs, random programs and hand-picked corner cases;
+the two seeds must give the same well-founded and stratified conclusions,
+and the per-component mix ``solve --backend hybrid`` and ``check`` ground
+must give the same well-founded and hybrid ones."""
 
 import random
+from itertools import product
 
 import pytest
 
 from defeasidl import evaluator, generator
 from defeasidl.compiler import compile_individual, compile_team
-from defeasidl.datalog import DatalogProgram, is_safe, parse_datalog, stratify
+from defeasidl.datalog import DatalogProgram, dependency_graph, is_safe, parse_datalog, stratify
 from defeasidl.evaluator import (
     GroundClause,
     NotStratified,
+    _evaluate,
     _ground_clauses,
+    _head_instances,
     eval_fitting,
+    eval_hybrid,
     eval_stratified,
     eval_wellfounded,
     ground_program,
@@ -41,7 +47,7 @@ def assert_seeds_agree(program, constants):
     """The derivable grounding gives the well-founded true and unknown sets
     and the stratified model of the self-supporting one."""
     full = ground_program(program, constants)
-    small = ground_program(program, constants, seed="derivable")
+    small = ground_program(program, constants, self_supporting=set())
     wf, wf_small = eval_wellfounded(program, full), eval_wellfounded(program, small)
     assert wf_small.true_set == wf.true_set
     assert wf_small.unknown_set == wf.unknown_set
@@ -55,9 +61,11 @@ def assert_same_grounding(program, constants=None):
     if constants is None:
         constants = program.constants()
     results = {}
-    for seed, reference in (("derivable", naive_derivable_clauses(program)),
-                            ("self-supporting", naive_ground_clauses(program, constants))):
-        instances, base = results[seed] = _ground_clauses(program, constants, seed=seed)
+    for seed, kept, reference in (
+        ("derivable", set(), naive_derivable_clauses(program)),
+        ("self-supporting", None, naive_ground_clauses(program, constants)),
+    ):
+        instances, base = results[seed] = _ground_clauses(program, constants, self_supporting=kept)
         assert len(instances) == len(set(instances)), seed
         assert set(instances) == set(reference[0]), seed
         assert base == reference[1], seed
@@ -135,6 +143,24 @@ def test_random_programs_match_reference(rng):
 )
 def test_hand_cases_match_reference(text):
     assert_same_grounding(parse_datalog(text))
+
+
+def test_head_instances_match_each_pattern_exactly():
+    # A head of distinct variables is filled straight from the product of
+    # the pool; any other head keeps only the tuples its constants and
+    # repeated variables allow.
+    constants = ["a", "b", "c"]
+    heads = ["p(X, Y)", "p(X, X)", "p(a, Y)", "p(X, Y, X)", "p(X, b, Z)", "p(X)", "p"]
+    for head in heads:
+        (clause,) = parse_datalog(f"{head} :- e.").clauses
+        args = clause.head.args
+        want = set()
+        for values in product(constants, repeat=len(args)):
+            binding = {}
+            if all(value == (binding.setdefault(t.name, value) if t.is_variable else t.name)
+                   for t, value in zip(args, values)):
+                want.add(values)
+        assert _head_instances([clause], constants) == {"p": want}, head
 
 
 def test_positive_self_support_is_kept():
@@ -241,14 +267,14 @@ def test_few_instances_are_built_to_be_dropped(monkeypatch):
         instances, _ = _ground_clauses(program, out.constants)
         assert built <= 2.5 * len(instances)
         built = 0
-        instances, _ = _ground_clauses(program, out.constants, seed="derivable")
+        instances, _ = _ground_clauses(program, out.constants, self_supporting=set())
         assert built == len(instances)
     squared = parse_datalog(
         "".join(f"edge(n{i}, n{(i + 1) % 12}).\n" for i in range(12))
         + "path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), path(Z, Y)."
     )
     built = 0
-    instances, _ = _ground_clauses(squared, squared.constants(), seed="derivable")
+    instances, _ = _ground_clauses(squared, squared.constants(), self_supporting=set())
     assert built == len(instances) == 12 + 12 + 12**3
     assert set(instances) == set(naive_derivable_clauses(squared)[0])
 
@@ -269,7 +295,7 @@ def test_rot_grounds_only_derivable_triples():
     kept = 0
     for compile_ in (compile_team, compile_individual):
         out = compile_(rot_theory(40))
-        instances, base = _ground_clauses(out.program, out.constants, seed="derivable")
+        instances, base = _ground_clauses(out.program, out.constants, self_supporting=set())
         reference, reference_base = naive_derivable_clauses(out.program)
         assert len(instances) == len(set(instances))
         assert set(instances) == set(reference) and base == reference_base
@@ -281,13 +307,120 @@ def test_rot_grounds_only_derivable_triples():
 
 def test_fitting_refuses_a_derivable_grounding():
     program = parse_datalog("q :- q.\nr :- not q.")
-    ground = ground_program(program, seed="derivable")
+    ground = ground_program(program, self_supporting=set())
     assert ground.clauses == (GroundClause(atom("r"), (), (atom("q"),)),)
+    assert ground.derived == {"q", "r"}
     assert eval_wellfounded(program, ground).true_set == {atom("r")}
     with pytest.raises(ValueError):
         eval_fitting(program, ground)
+    # Naming q keeps its self-support; r alone is derived, and Fitting's
+    # operator still decides it.
+    ground = ground_program(program, self_supporting={"q"})
+    assert ground.derived == {"r"}
+    assert set(ground.clauses) == set(ground_program(program).clauses)
     with pytest.raises(ValueError):
-        ground_program(program, seed="greatest")
+        eval_fitting(program, ground)
+    ground = ground_program(program, self_supporting={"q", "r"})
+    assert eval_fitting(program, ground).unknown_set == {atom("q"), atom("r")}
+
+
+def upper_names(out):
+    """The predicates above a compiled program's floor, the ones ``solve
+    --backend hybrid`` and ``check`` keep self-supporting."""
+    return out.program.predicates.keys() - out.floor_names
+
+
+def true_and_unknown(interp):
+    return interp.true_set, interp.unknown_set
+
+
+def assert_floor_by_derivability_agrees(program, constants, floor):
+    """Grounding the downward-closed ``floor`` by derivability and the rest
+    self-supporting changes no well-founded or floor-over-Fitting true or
+    unknown atom; the false atoms it loses are those that leave the base,
+    floor atoms and the upper atoms whose every instance read one."""
+    full = ground_program(program, constants)
+    mixed = ground_program(program, constants,
+                           self_supporting=program.predicates.keys() - floor)
+    for fitting in (False, True):
+        want = _evaluate(full, fitting, floor)
+        got = _evaluate(mixed, fitting, floor)
+        assert true_and_unknown(got) == true_and_unknown(want), fitting
+        assert got.false_set == want.false_set & mixed.herbrand_base, fitting
+    return full, mixed
+
+
+def test_floor_by_derivability_on_the_corpus_slice():
+    checked = 0
+    for theory in corpus_slice():
+        for compile_ in (compile_team, compile_individual):
+            out = compile_(theory)
+            if not is_safe(out.program):
+                continue
+            full, mixed = assert_floor_by_derivability_agrees(
+                out.program, out.constants, out.floor_names)
+            assert mixed.derived == out.floor_names
+            got, want = eval_hybrid(out, mixed), eval_hybrid(out, full)
+            assert true_and_unknown(got) == true_and_unknown(want)
+            checked += 1
+    assert checked >= 2 * GROUND_THEORIES
+
+
+def downward_closure(program, start):
+    """``start`` and every predicate it depends on, positively or negatively."""
+    successors = dependency_graph(program).successors
+    closed, stack = set(), [start]
+    while stack:
+        pred = stack.pop()
+        if pred not in closed:
+            closed.add(pred)
+            stack.extend(q for q, _ in successors[pred])
+    return closed
+
+
+def test_floor_by_derivability_on_random_programs(rng):
+    for shape in (ProgramShape(), ProgramShape(max_arity=3)):
+        for _ in range(100):
+            program = random_program(rng, shape)
+            heads = sorted({c.head.predicate for c in program.clauses})
+            floor = downward_closure(program, rng.choice(heads)) if heads else set()
+            assert_floor_by_derivability_agrees(program, program.constants(), floor)
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_rot_hybrid_floor_grounds_only_derivable_atoms(n):
+    # The self-supporting seed gives the floor's t component all n**3
+    # triples; grounded by derivability it holds what the naive derivable
+    # twin holds, while the upper part keeps its universe.
+    for compile_ in (compile_team, compile_individual):
+        out = compile_(rot_theory(n))
+        floor = out.floor_names
+        ground = ground_program(out.program, out.constants, self_supporting=upper_names(out))
+        got = {c for c in ground.clauses if c.head[0] in floor}
+        want, _ = naive_derivable_clauses(restrict_to(out.program, floor))
+        assert got == set(want)
+        assert len(got) < 8 * n  # against n**3 under the self-supporting seed
+        assert len(ground.clauses) - len(got) > n**3
+
+
+def test_fitting_and_hybrid_refuse_derivable_atoms_they_would_decide(tweety):
+    out = compile_team(tweety)
+    upper = upper_names(out)
+    for kept, hybrid_ok, fitting_ok in (
+        (None, True, True),
+        (upper, True, False),  # the floor is derived, so Fitting alone refuses
+        (set(), False, False),
+        (out.floor_names, False, False),  # the upper part is derived
+    ):
+        ground = ground_program(out.program, out.constants, self_supporting=kept)
+        for evaluate, ok in ((lambda: eval_hybrid(out, ground), hybrid_ok),
+                             (lambda: eval_fitting(out.program, ground), fitting_ok)):
+            if ok:
+                evaluate()
+            else:
+                with pytest.raises(ValueError):
+                    evaluate()
+        eval_wellfounded(out.program, ground)
 
 
 def interpretations(program, constants):
