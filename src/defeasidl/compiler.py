@@ -297,7 +297,9 @@ def read_conclusions(out: CompilationOutput, true_atoms) -> dict[str, frozenset[
     """Map true compiled atoms back to tagged source literals.
 
     ``true_atoms`` iterates (predicate, args) pairs; the result has the
-    keys "definitely", "lambda" and "defeasibly".
+    keys "definitely", "lambda" and "defeasibly".  The source predicate
+    names come from a validated theory, so atoms are built unchecked; each
+    constant becomes one name-checked term.
     """
     sets: dict[str, set[Literal]] = {TAG_DEFINITELY: set(), TAG_LAMBDA: set(), TAG_DEFEASIBLY: set()}
     terms: dict[str, Term] = {}  # one name-checked term per distinct constant
@@ -308,6 +310,7 @@ def read_conclusions(out: CompilationOutput, true_atoms) -> dict[str, frozenset[
         for name in args:
             if name not in terms:
                 terms[name] = Term(name)
-        lit = Literal(Atom(mp.source_predicate, tuple(map(terms.__getitem__, args))), mp.negated)
+        lit = Literal(Atom.unchecked(mp.source_predicate, tuple(map(terms.__getitem__, args))),
+                      mp.negated)
         sets[mp.base].add(lit)
     return {tag: frozenset(lits) for tag, lits in sets.items()}

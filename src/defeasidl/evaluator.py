@@ -10,26 +10,27 @@ Fitting's semantics is the least fixpoint of the three-valued
 immediate-consequence operator: an atom becomes true when some clause
 body is true, false when every clause body is false (so atoms with no
 clauses are false at once).  The well-founded semantics also falsifies
-atoms supported only through positive loops.  One engine computes both,
-one strongly connected component of the ground atom graph at a time,
-found once per grounding, so that its well-founded and hybrid evaluations
-share them: Fitting's operator decides each component, or, for the
-well-founded semantics, each single atom without a self-loop, and the
-alternating fixpoint decides the other well-founded components.  On
-stratified programs the well-founded result is the total perfect model.
-The hybrid backend for compiled programs decides the stratified floor's
-components as under the well-founded semantics and the rest by Fitting's
-operator; this provably recovers exactly the well-founded truths of the
-defeasibly predicates.
+atoms supported only through positive loops.  One engine computes both
+in three phases, over an occurrence index built once per grounding: it
+propagates Fitting's operator to its fixpoint by counting each clause's
+pending body literals and each atom's live clauses; for the well-founded
+semantics it falsifies the undecided atoms outside the least model of
+their live clauses (the greatest unfounded set), then condenses those
+left and decides each component, dependencies first, by the alternating
+fixpoint, propagating each decision.  On stratified programs the result
+is the total perfect model.  The hybrid backend decides the stratified
+floor's atoms as under the well-founded semantics and the rest by
+Fitting's operator; its defeasibly truths are exactly the well-founded ones.
 
 Ground atoms are plain ``(predicate, args)`` tuples for speed.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import compress, product
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -64,13 +65,26 @@ class GroundProgram:
     derived: frozenset[str] = frozenset()
 
     @cached_property
-    def components(self) -> list[tuple[list[GAtom], bool]]:
-        """The atom graph's components, dependencies first, each flagged if it holds an edge."""
-        successors: dict[GAtom, list[GAtom]] = {}
-        for clause in self.clauses:
-            successors.setdefault(clause.head, []).extend(clause.positive + clause.negative)
-        return [(comp, len(comp) > 1 or comp[0] in successors.get(comp[0], ()))
-                for comp in _tarjan_sccs(self.herbrand_base, successors)]
+    def occurrences(self) -> tuple:
+        """The index ``_evaluate`` propagates over: atom numbers, in mapping
+        order; per clause, its head and body length; per atom, its clause count
+        and the clauses reading it positively and negatively, once per
+        occurrence; and the first decisions: facts true, atoms without clause false."""
+        number = {atom: i for i, atom in enumerate(self.herbrand_base)}
+        live = [0] * len(number)
+        positive: list[list[int]] = [[] for _ in number]
+        negative: list[list[int]] = [[] for _ in number]
+        heads = [number[head] for head, _, _ in self.clauses]
+        need = [len(pos) + len(neg) for _, pos, neg in self.clauses]
+        for idx, (_, pos, neg) in enumerate(self.clauses):
+            live[heads[idx]] += 1
+            for atom in pos:
+                positive[number[atom]].append(idx)
+            for atom in neg:
+                negative[number[atom]].append(idx)
+        return (number, heads, need, live, positive, negative,
+                [(head, 1) for head, n in zip(heads, need) if not n]
+                + [(atom, 2) for atom, n in enumerate(live) if not n])
 
 
 def format_atom(atom: GAtom) -> str:
@@ -494,46 +508,50 @@ def ground_program(program: DatalogProgram, constants=None, *,
     return GroundProgram(tuple(instances), frozenset(base), frozenset(derived))
 
 
-def _least_model(clauses: list[GroundClause], blocked: set[GAtom]) -> set[GAtom]:
-    """Least model of the clauses with no negative atom in ``blocked``; the
-    negative literals of those clauses count as satisfied."""
-    usable = [c for c in clauses if blocked.isdisjoint(c.negative)]
-    need = [len(set(c.positive)) for c in usable]
-    waiting: dict[GAtom, list[int]] = {}
-    for idx, clause in enumerate(usable):
-        for atom in set(clause.positive):
-            waiting.setdefault(atom, []).append(idx)
-    queue = [c.head for c, n in zip(usable, need) if not n]
-    true: set[GAtom] = set()
+def _founded(pending: dict, waiting, heads) -> set:
+    """The least model of the clauses of ``pending``, which counts each one's
+    positive atoms not yet derived: a derived atom counts down the clauses in
+    ``waiting[atom]``, and one at 0 derives its head, ``heads[clause]``."""
+    queue = [heads[idx] for idx, n in pending.items() if not n]
+    true = set()
     while queue:
         atom = queue.pop()
         if atom not in true:
             true.add(atom)
-            for idx in waiting.get(atom, ()):
-                need[idx] -= 1
-                if not need[idx]:
-                    queue.append(usable[idx].head)
+            for idx in waiting[atom]:
+                if idx in pending:
+                    pending[idx] -= 1
+                    if not pending[idx]:
+                        queue.append(heads[idx])
     return true
 
 
-def _alternate(component, by_head, true: set[GAtom], false: set[GAtom]) -> None:
-    """Decide a component by the alternating fixpoint over its own atoms.
-    An outside atom is in ``true``, in ``false``, or else unknown: a false
-    outside literal drops its clause, and an unknown one is satisfied in
-    the overestimate only.  Blocking sets lie inside the component, so the
-    first round is final unless an internal negative edge makes it alternate."""
+def _least_model(clauses: list[GroundClause], blocked: set) -> set:
+    """Least model of the clauses with no negative atom in ``blocked``; the
+    negative literals of those clauses count as satisfied."""
+    usable = [c for c in clauses if blocked.isdisjoint(c.negative)]
+    waiting: defaultdict[int, list[int]] = defaultdict(list)
+    for idx, clause in enumerate(usable):
+        for atom in clause.positive:
+            waiting[atom].append(idx)
+    return _founded({idx: len(c.positive) for idx, c in enumerate(usable)}, waiting,
+                    [c.head for c in usable])
+
+
+def _alternate(component, held, value: bytearray) -> list[tuple[int, int]]:
+    """The (atom, value) pairs a component's alternating fixpoint decides.
+    An outside atom is true (``value`` 1), false (2) or else unknown: a false
+    outside literal drops its clause, and an unknown one is satisfied in the
+    overestimate only.  Blocking sets lie inside the component, so the first
+    round is final unless an internal negative edge makes it alternate."""
     inside = set(component)
-    maybe: list[GroundClause] = []  # clauses of the overestimate
-    sure: list[GroundClause] = []  # those whose outside literals are all true
-    for c in (c for atom in component for c in by_head.get(atom, ())):
-        if not (false.isdisjoint(c.positive) and true.isdisjoint(c.negative)):
-            continue
-        local = GroundClause(c.head, tuple(p for p in c.positive if p in inside), c.negative)
-        maybe.append(local)
-        if true.issuperset(p for p in c.positive if p not in inside) and false.issuperset(
-            n for n in c.negative if n not in inside
-        ):
-            sure.append(local)
+    maybe, sure = [], []  # the overestimate's clauses, and those with true outside literals
+    for c in (c for atom in component for c in held[atom]):
+        if all(value[p] != 2 for p in c.positive) and all(value[n] != 1 for n in c.negative):
+            inner = tuple(p for p in c.positive if p in inside)
+            maybe.append(GroundClause(c.head, inner, c.negative))
+            if all(value[a] or a in inside for a in c.positive + c.negative):
+                sure.append(maybe[-1])
     alternates = any(n in inside for c in maybe for n in c.negative)
     lower, upper = set(), inside
     while True:
@@ -544,54 +562,66 @@ def _alternate(component, by_head, true: set[GAtom], false: set[GAtom]) -> None:
         if new_lower == lower or not alternates:
             break
         lower, upper = new_lower, new_upper
-    true |= new_lower
-    false |= inside - new_upper
-
-
-def _kleene(component, by_head, true: set[GAtom], false: set[GAtom]) -> None:
-    """Decide a component by Fitting's operator over its own atoms, pass
-    after pass until one changes nothing: an atom becomes true once some
-    clause body is true and false once every clause body is false.  Outside
-    atoms are final, so a single atom without a self-loop takes one pass."""
-    undecided = component
-    while undecided:
-        left = []
-        for atom in undecided:
-            verdict: Optional[set[GAtom]] = false
-            for c in by_head.get(atom, ()):
-                if false.isdisjoint(c.positive) and true.isdisjoint(c.negative):
-                    if true.issuperset(c.positive) and false.issuperset(c.negative):
-                        verdict = true
-                        break
-                    verdict = None  # a body neither true nor false, so far
-            if verdict is None:
-                left.append(atom)
-            else:
-                verdict.add(atom)
-        if len(left) == len(undecided):
-            return
-        undecided = left
+    return [(atom, 1) for atom in new_lower] + [(atom, 2) for atom in inside - new_upper]
 
 
 def _evaluate(g: GroundProgram, fitting: bool, floor=frozenset()) -> ThreeValuedInterpretation:
-    """Fitting's or the well-founded model, one of ``g.components`` at a time.
-    ``_kleene`` decides every component under Fitting's semantics and one
-    without an internal edge under the well-founded one, where any other
-    component alternates; with ``fitting``, the components of ``floor``
-    predicates are still decided as under the well-founded semantics."""
+    """Fitting's or the well-founded model, in the module docstring's three phases; with
+    ``fitting``, ``floor`` predicates' atoms are still decided as under the well-founded one."""
     if fitting and not g.derived <= floor:
         raise ValueError("Fitting's operator would decide atoms grounded by derivability")
-    by_head: dict[GAtom, list[GroundClause]] = {}
-    for clause in g.clauses:
-        by_head.setdefault(clause.head, []).append(clause)
-    true: set[GAtom] = set()
-    false: set[GAtom] = set()
-    for component, recursive in g.components:
-        if not recursive or (fitting and component[0][0] not in floor):
-            _kleene(component, by_head, true, false)
-        else:
-            _alternate(component, by_head, true, false)
-    return ThreeValuedInterpretation(frozenset(true), frozenset(false), g.herbrand_base)
+    number, heads, need, live, positive, negative, seeds = g.occurrences
+    need, live = need.copy(), live.copy()  # pending literals per clause, live clauses per atom
+    alive = bytearray(b"\1") * len(heads)
+    value = bytearray(len(number))  # 0 undecided, 1 true, 2 false
+
+    def settle(queue: list[tuple[int, int]]) -> None:
+        """Decide the (atom, value) pairs of ``queue``, and propagate."""
+        while queue:
+            atom, verdict = queue.pop()
+            if value[atom]:
+                continue
+            value[atom] = verdict
+            met, broken = (positive, negative) if verdict == 1 else (negative, positive)
+            for idx in met[atom]:
+                need[idx] -= 1
+                if not need[idx]:
+                    queue.append((heads[idx], 1))
+            for idx in broken[atom]:
+                if alive[idx]:
+                    alive[idx] = 0
+                    live[heads[idx]] -= 1
+                    if not live[heads[idx]]:
+                        queue.append((heads[idx], 2))
+
+    settle(seeds.copy())
+    scope = {i for i, (atom, v) in enumerate(zip(number, value))
+             if not v and (not fitting or atom[0] in floor)}
+    if scope:
+        pending = {idx: 0 for idx in compress(range(len(heads)), alive) if heads[idx] in scope}
+        for atom in scope:
+            for idx in positive[atom]:
+                if idx in pending:  # a live clause of the scope
+                    pending[idx] += 1
+        founded = _founded(pending, positive, heads)
+        settle([(atom, 2) for atom in scope - founded])
+        scope = [atom for atom in scope if not value[atom]]
+    if scope:
+        held: dict[int, list[GroundClause]] = {atom: [] for atom in scope}  # live, numbered
+        for idx in compress(range(len(heads)), alive):
+            if heads[idx] in held:
+                _, pos, neg = g.clauses[idx]
+                held[heads[idx]].append(GroundClause(heads[idx], (*map(number.get, pos),),
+                                                     (*map(number.get, neg),)))
+        successors = {atom: [b for c in held[atom] for b in c.positive + c.negative if b in held]
+                      for atom in scope}
+        for component in _tarjan_sccs(scope, successors):
+            component = [atom for atom in component if not value[atom]]
+            if component:
+                settle(_alternate(component, held, value))
+    return ThreeValuedInterpretation(frozenset(a for a, v in zip(number, value) if v == 1),
+                                     frozenset(a for a, v in zip(number, value) if v == 2),
+                                     g.herbrand_base)
 
 
 def eval_stratified(program: DatalogProgram,
@@ -615,8 +645,8 @@ def eval_fitting(program: DatalogProgram,
 
 def eval_wellfounded(program: DatalogProgram,
                      ground: Optional[GroundProgram] = None) -> ThreeValuedInterpretation:
-    """The well-founded model, computed one ground component at a time
-    over ``ground`` if given, else over ``ground_program(program)``."""
+    """The well-founded model, over ``ground`` if given, else over
+    ``ground_program(program)``."""
     return _evaluate(ground or ground_program(program), fitting=False)
 
 

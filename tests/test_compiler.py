@@ -10,9 +10,12 @@ from defeasidl.compiler import (
     read_conclusions,
 )
 from defeasidl.datalog import DatalogProgram, DClause, dependency_graph, parse_datalog
+from defeasidl.evaluator import eval_wellfounded
 from defeasidl.mangling import MangledPredicate
 from defeasidl.theory import (
+    Atom,
     DefeasibleTheory,
+    Literal,
     ValidationFailed,
     _check_name,
     theory_size,
@@ -300,3 +303,20 @@ class TestReadback:
         assert sets["lambda"] == {lit("penguin(tweety)"), lit("bird(tweety)")}
         with pytest.raises(ValueError):
             read_conclusions(out, [("definitely__bird", ("no-name",))])
+
+    def test_atoms_are_built_unchecked(self, tweety, monkeypatch):
+        out = compile_team(tweety)
+        true_atoms = eval_wellfounded(out.program).true_set
+        checked = {tag: {Literal(Atom(l.atom.predicate, l.atom.args), l.negated) for l in lits}
+                   for tag, lits in read_conclusions(out, true_atoms).items()}
+        calls = []
+        real = Atom.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            real(self)
+
+        monkeypatch.setattr(Atom, "__post_init__", counting)
+        sets = read_conclusions(out, true_atoms)
+        assert calls == []
+        assert sets == checked and sets["defeasibly"]

@@ -15,7 +15,6 @@ from defeasidl.compiler import compile_individual, compile_team
 from defeasidl.datalog import is_safe, parse_datalog, stratify
 from defeasidl.evaluator import (
     NotStratified,
-    _kleene,
     eval_fitting,
     eval_hybrid,
     eval_stratified,
@@ -199,6 +198,11 @@ def test_random_normal_programs_match_reference(rng):
         # An unknown atom negated inside a component.
         ("p :- not q, not u.\nq :- not p.\nu :- not u.", {"p": "unknown", "q": "unknown"}),
         ("p :- q, not u.\nq :- p.\nq :- not w.\nu :- not u.", {"p": "unknown", "q": "true"}),
+        # A repeated body atom, an atom read both ways, and a head with one
+        # clause killed and one satisfied.
+        ("p :- q, q.\nq.", {"p": "true", "q": "true"}),
+        ("p :- q, not q.\nq.", {"p": "false", "q": "true"}),
+        ("p :- not q.\np :- r.\nq.\nr :- q.", {"p": "true", "q": "true", "r": "true"}),
     ],
 )
 def test_hand_cases(text, values):
@@ -226,6 +230,10 @@ def test_hand_cases(text, values):
         ),
         # One component {a, b}: b is true at once, which makes a false.
         ("a :- not b.\nb :- not a.\nb.", {"a": "false", "b": "true"}),
+        ("p :- q, q.\nq.", {"p": "true", "q": "true"}),
+        ("p :- q, not q.\nq.", {"p": "false", "q": "true"}),
+        # One clause of p is killed by q, the other satisfied by r.
+        ("p :- not q.\np :- r.\nq.\nr :- q.", {"p": "true", "q": "true", "r": "true"}),
     ],
 )
 def test_fitting_hand_cases(text, values):
@@ -235,16 +243,48 @@ def test_fitting_hand_cases(text, values):
     assert {name: interp.value(atom(name)) for name in values} == values
 
 
-def test_kleene_repeats_passes_until_nothing_changes():
-    # Listed against the direction truth flows in, the chain needs one pass
-    # per atom.
+def test_truth_crosses_a_component_one_atom_at_a_time():
+    # Listed against the direction truth flows in, the chain of two-atom
+    # loops is decided from d upward.
     program = parse_datalog("a :- b.\nb :- a.\nb :- c.\nc :- b.\nc :- d.\nd :- c.\nd.")
-    by_head = {}
-    for clause in ground_program(program).clauses:
-        by_head.setdefault(clause.head, []).append(clause)
-    true, false = set(), set()
-    _kleene([atom(name) for name in "abcd"], by_head, true, false)
-    assert true == {atom(name) for name in "abcd"} and not false
+    for evaluate in (eval_fitting, eval_wellfounded):
+        interp = evaluate(program)
+        assert interp.true_set == {atom(name) for name in "abcd"} and not interp.false_set
+
+
+def gated_loops(links: int):
+    """``x0 :- x0.`` and, per link i, ``y_i :- not x_i.``, ``x_{i+1} :-
+    x_{i+1}.`` and ``x_{i+1} :- not y_i.``: each loop is unfounded only once
+    the one below it is decided."""
+    text = ["x0 :- x0."]
+    for i in range(links):
+        text += [f"y{i} :- not x{i}.", f"x{i + 1} :- x{i + 1}.", f"x{i + 1} :- not y{i}."]
+    return parse_datalog("\n".join(text))
+
+
+def test_gated_loops_are_decided_exactly():
+    program = gated_loops(30)
+    interp = assert_same_evaluation(program)
+    assert interp.false_set == {atom(f"x{i}") for i in range(31)}
+    assert interp.true_set == {atom(f"y{i}") for i in range(30)}
+
+
+def test_gated_loops_take_linear_time():
+    # Host-independent: twice the links may take at most three times as
+    # long.  Each of three rounds times both sizes back to back, so a burst
+    # of load elsewhere slows both, and the best round counts.
+    groundings = [ground_program(gated_loops(n)) for n in (2000, 4000)]
+    for links, g in zip((2000, 4000), groundings):  # builds each grounding's index
+        assert len(eval_wellfounded(None, g).true_set) == links
+    ratios = []
+    for _ in range(3):
+        times = []
+        for g in groundings:
+            started = time.perf_counter()
+            eval_wellfounded(None, g)
+            times.append(time.perf_counter() - started)
+        ratios.append(times[1] / times[0])
+    assert min(ratios) <= 3
 
 
 def succ_chain(length: int):
