@@ -22,15 +22,16 @@ is the total perfect model.  The hybrid backend decides the stratified
 floor's atoms as under the well-founded semantics and the rest by
 Fitting's operator; its defeasibly truths are exactly the well-founded ones.
 
-Ground atoms are plain ``(predicate, args)`` tuples for speed.
+The grounder numbers each ground atom, a ``(predicate, args)`` tuple, once;
+instances, join tables and the occurrence index hold numbers, which a
+``GroundProgram`` decodes only for its clauses, its base and its models.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, product
+from itertools import compress, islice, product
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -49,7 +50,7 @@ class NotStratified(Exception):
     """The stratified semantics was requested for a non-stratified program."""
 
 
-class GroundClause(NamedTuple):
+class GroundClause(NamedTuple):  # of atom numbers, or of atoms once decoded
     head: GAtom
     positive: tuple[GAtom, ...]
     negative: tuple[GAtom, ...]
@@ -57,34 +58,46 @@ class GroundClause(NamedTuple):
 
 @dataclass(frozen=True)
 class GroundProgram:
-    """Relevance-pruned ground instances plus the Herbrand base they span;
-    ``derived`` names the predicates grounded by derivability."""
+    """Relevance-pruned ground instances over numbered atoms: ``atoms`` maps
+    the number of each atom of the Herbrand base to the atom, in number
+    order, and ``derived`` names the predicates grounded by derivability.
+    ``clauses`` and ``herbrand_base`` are decoded on first read."""
 
-    clauses: tuple[GroundClause, ...]
-    herbrand_base: frozenset[GAtom]
+    instances: tuple[GroundClause, ...]
+    atoms: dict[int, GAtom]
     derived: frozenset[str] = frozenset()
 
     @cached_property
+    def clauses(self) -> tuple[GroundClause, ...]:
+        atom = self.atoms.__getitem__
+        return tuple(GroundClause(atom(head), tuple(map(atom, pos)), tuple(map(atom, neg)))
+                     for head, pos, neg in self.instances)
+
+    @cached_property
+    def herbrand_base(self) -> frozenset[GAtom]:
+        return frozenset(self.atoms.values())
+
+    @cached_property
     def occurrences(self) -> tuple:
-        """The index ``_evaluate`` propagates over: atom numbers, in mapping
-        order; per clause, its head and body length; per atom, its clause count
-        and the clauses reading it positively and negatively, once per
-        occurrence; and the first decisions: facts true, atoms without clause false."""
-        number = {atom: i for i, atom in enumerate(self.herbrand_base)}
-        live = [0] * len(number)
-        positive: list[list[int]] = [[] for _ in number]
-        negative: list[list[int]] = [[] for _ in number]
-        heads = [number[head] for head, _, _ in self.clauses]
-        need = [len(pos) + len(neg) for _, pos, neg in self.clauses]
-        for idx, (_, pos, neg) in enumerate(self.clauses):
-            live[heads[idx]] += 1
+        """The index ``_evaluate`` propagates over: per clause, its head and
+        body length; per atom number, its clause count and the clauses reading
+        it positively and negatively, once per occurrence; and the first
+        decisions: facts true, atoms without clause false."""
+        size = next(reversed(self.atoms), -1) + 1  # numbers grounding dropped have no entry
+        live = [0] * size
+        positive: list[list[int]] = [[] for _ in range(size)]
+        negative: list[list[int]] = [[] for _ in range(size)]
+        heads = [head for head, _, _ in self.instances]
+        need = [len(pos) + len(neg) for _, pos, neg in self.instances]
+        for idx, (head, pos, neg) in enumerate(self.instances):
+            live[head] += 1
             for atom in pos:
-                positive[number[atom]].append(idx)
+                positive[atom].append(idx)
             for atom in neg:
-                negative[number[atom]].append(idx)
-        return (number, heads, need, live, positive, negative,
+                negative[atom].append(idx)
+        return (heads, need, live, positive, negative,
                 [(head, 1) for head, n in zip(heads, need) if not n]
-                + [(atom, 2) for atom, n in enumerate(live) if not n])
+                + [(atom, 2) for atom in self.atoms if not live[atom]])
 
 
 def format_atom(atom: GAtom) -> str:
@@ -208,10 +221,11 @@ def _plan(clause: DClause) -> _Plan:
     return _Plan(tuple(values), head, tuple(steps), negative)
 
 
-def _join(plan: _Plan, tables: list, interned: dict, found: dict) -> None:
+def _join(plan: _Plan, tables: list, number: dict, atoms: list, found: dict) -> None:
     """Add to ``found`` one ``GroundClause`` per way of matching the plan's
     steps in order, ``tables[i]`` being step i's index (or, for a step
-    without positions, its atom list).
+    without positions, its atom list); ``atoms[n]`` is the atom numbered n
+    in ``number``, which numbers each new head or negative atom.
 
     It walks the steps with one iterator each, without recursion, so a body
     of any length joins.  A step's iterator yields only the atoms whose
@@ -222,39 +236,37 @@ def _join(plan: _Plan, tables: list, interned: dict, found: dict) -> None:
     steps = plan.steps
     head_pred, head_args = plan.head
     negative = plan.negative
+    numbered = number.setdefault  # an atom's number, or else the next one
     if not steps:  # a safe clause without positive atoms has no variables
-        head = (head_pred, head_args(values))
-        neg = [(pred, get(values)) for pred, get in negative]
-        found[GroundClause(interned.setdefault(head, head), (),
-                           tuple(interned.setdefault(atom, atom) for atom in neg))] = None
+        neg = tuple(numbered((pred, get(values)), len(number)) for pred, get in negative)
+        found[GroundClause(numbered((head_pred, head_args(values)), len(number)), (), neg)] = None
         return
     last = len(steps) - 1
-    chosen: list[GAtom] = [None] * len(steps)
+    chosen: list[int] = [None] * len(steps)
     iters = [None] * len(steps)
     first = steps[0]
     iters[0] = iter(tables[0] if first.key is None else tables[0].get(first.key(values), ()))
     i = 0
     while i >= 0:
         binds, checks = steps[i].binds, steps[i].checks
-        for atom in iters[i]:
-            args = atom[1]
+        for n in iters[i]:
+            args = atoms[n][1]
             for position, slot in binds:
                 values[slot] = args[position]
             if checks and any(args[position] != values[slot] for position, slot in checks):
                 continue
-            chosen[i] = atom
+            chosen[i] = n
             if i < last:
                 i += 1
                 step = steps[i]
                 table = tables[i]
                 iters[i] = iter(table if step.key is None else table.get(step.key(values), ()))
                 break
-            head = (head_pred, head_args(values))
             neg = []
             for pred, get in negative:
-                other = (pred, get(values))
-                neg.append(interned.setdefault(other, other))
-            found[GroundClause(interned.setdefault(head, head), tuple(chosen), tuple(neg))] = None
+                neg.append(numbered((pred, get(values)), len(number)))
+            head = numbered((head_pred, head_args(values)), len(number))
+            found[GroundClause(head, tuple(chosen), tuple(neg))] = None
         else:
             i -= 1
 
@@ -283,25 +295,24 @@ def _head_instances(clauses: Iterable[DClause], constants: list[str]) -> dict[st
     return universe
 
 
-def _drop_unsupported(found: list[GroundClause], members: set[str]) -> list[GroundClause]:
+def _drop_unsupported(found: list[GroundClause], seeds: list[int]) -> list[GroundClause]:
     """The greatest subset of one component's instances that supports itself.
 
     Counter-based deletion: each atom counts the instances that have it as
-    head, a ``members`` atom with no support is dropped, and dropping an
-    atom drops the instances that use it positively, which decrements their
-    heads' counts in turn.  Atoms of other predicates are final."""
-    support: dict[GAtom, int] = {}
+    head, a seed with no support is dropped, and dropping an atom drops the
+    instances that use it positively, which decrements their heads' counts
+    in turn.  A body reads the component's seeds and other predicates' final atoms."""
+    support: dict[int, int] = {}
     for inst in found:
         support[inst.head] = support.get(inst.head, 0) + 1
-    dead = {a for inst in found for a in inst.positive if a[0] in members and a not in support}
-    if not dead:
+    stack = [seed for seed in seeds if seed not in support]
+    if not stack:
         return found
-    users: dict[GAtom, list[int]] = {}
+    users: dict[int, list[int]] = {}
     for idx, inst in enumerate(found):
         for atom in inst.positive:
             users.setdefault(atom, []).append(idx)
     alive = [True] * len(found)
-    stack = list(dead)
     while stack:
         for idx in users.get(stack.pop(), ()):
             if alive[idx]:
@@ -314,52 +325,51 @@ def _drop_unsupported(found: list[GroundClause], members: set[str]) -> list[Grou
 
 
 class _Atoms:
-    """Ground atoms by predicate, with a hash index per (predicate, probed
+    """Atom numbers by predicate, with a hash index per (predicate, probed
     positions) that is built on first use and then grows with every atom
     added.  ``table`` gives a join step its index, or the predicate's atom
-    list when the step probes no position."""
+    list when the step probes no position.  ``add`` first extends ``atoms``,
+    the atoms by number, with the last ones ``number`` has numbered since."""
 
-    __slots__ = ("lists", "indexes")
+    __slots__ = ("number", "atoms", "lists", "indexes")
 
-    def __init__(self, lists: Optional[dict[str, list[GAtom]]] = None):
-        self.lists: dict[str, list[GAtom]] = {} if lists is None else lists
+    def __init__(self, number: dict[GAtom, int], atoms: list[GAtom]):
+        self.number, self.atoms = number, atoms
+        self.lists: dict[str, list[int]] = {}
         self.indexes: dict[str, dict[tuple[int, ...], tuple[Callable, dict]]] = {}
 
-    def add(self, atoms: Iterable[GAtom]) -> None:
-        lists, indexes = self.lists, self.indexes
-        for atom in atoms:
-            pred = atom[0]
+    def add(self, numbers: Iterable[int]) -> None:
+        number, atoms, lists, indexes = self.number, self.atoms, self.lists, self.indexes
+        atoms += reversed(list(islice(reversed(number), len(number) - len(atoms))))
+        for n in numbers:
+            pred, args = atoms[n]
             bucket = lists.get(pred)
             if bucket is None:
-                lists[pred] = [atom]
+                lists[pred] = [n]
             else:
-                bucket.append(atom)
+                bucket.append(n)
             by_positions = indexes.get(pred)
             if by_positions:
                 for key, index in by_positions.values():
-                    index.setdefault(key(atom[1]), []).append(atom)
+                    index.setdefault(key(args), []).append(n)
 
     def table(self, step: _Step):
         if not step.positions:
-            atoms = self.lists.get(step.pred)
-            if atoms is None:
-                atoms = self.lists[step.pred] = []
-            return atoms
-        by_positions = self.indexes.get(step.pred)
-        if by_positions is None:
-            by_positions = self.indexes[step.pred] = {}
+            return self.lists.setdefault(step.pred, [])
+        by_positions = self.indexes.setdefault(step.pred, {})
         entry = by_positions.get(step.positions)
         if entry is None:
             key = itemgetter(*step.positions)
-            index: dict[tuple, list[GAtom]] = {}
-            for atom in self.lists.get(step.pred, ()):
-                index.setdefault(key(atom[1]), []).append(atom)
+            index: dict[tuple, list[int]] = {}
+            atoms = self.atoms
+            for n in self.lists.get(step.pred, ()):
+                index.setdefault(key(atoms[n][1]), []).append(n)
             entry = by_positions[step.positions] = (key, index)
         return entry[1]
 
 
-def _derive(plans: list[_Plan], members: set[str], new: list[GAtom], final: _Atoms,
-            interned: dict) -> list[GroundClause]:
+def _derive(plans: list[_Plan], members: set[str], new: list[int],
+            final: _Atoms) -> list[GroundClause]:
     """The instances of a positively recursive component after its round 0,
     by semi-naive rounds; ``new`` holds round 0's heads, and every derived
     atom goes into ``final``.
@@ -373,7 +383,7 @@ def _derive(plans: list[_Plan], members: set[str], new: list[GAtom], final: _Ato
     of ``final`` and of the older atoms grow in place, so a variant's other
     tables stay valid from round to round; the delta's are built once per
     round."""
-    older = _Atoms()
+    older = _Atoms(final.number, final.atoms)
     keep_older = False  # only a body with two member atoms reads the older ones
     variants = []  # (plan, its delta step's position, the tables of its steps)
     for plan in plans:
@@ -387,29 +397,27 @@ def _derive(plans: list[_Plan], members: set[str], new: list[GAtom], final: _Ato
     instances: list[GroundClause] = []
     while new:
         final.add(new)
-        delta = _Atoms()
+        delta = _Atoms(final.number, final.atoms)
         delta.add(new)
         found: dict[GroundClause, None] = {}
         for plan, j, tables in variants:
             step = plan.steps[j]
             if step.pred in delta.lists:
                 tables[j] = delta.table(step)
-                _join(plan, tables, interned, found)
+                _join(plan, tables, final.number, final.atoms, found)
         if keep_older:
             older.add(new)
-        new = []
-        for inst in found:
-            if inst.head not in derived:
-                derived.add(inst.head)
-                new.append(inst.head)
+        new = [head for head in dict.fromkeys(inst.head for inst in found) if head not in derived]
+        derived.update(new)
         instances += found
     return instances
 
 
 def _ground_clauses(program: DatalogProgram, constants, *,
-                    self_supporting=None) -> tuple[list[GroundClause], set[GAtom]]:
+                    self_supporting=None) -> tuple[list[GroundClause], dict[int, GAtom]]:
     """Clause instances over ``constants`` whose positive body atoms can all
-    appear as heads, and the atoms they mention.
+    appear as heads, and the atoms they mention; an instance holds atom
+    numbers, and the atoms come by number, in number order.
 
     It works one component of the positive predicate dependency graph at a
     time, dependencies first, so the atoms of lower components are final
@@ -420,8 +428,8 @@ def _ground_clauses(program: DatalogProgram, constants, *,
     positions are the constant positions and those whose variable an
     earlier body atom bound.  A component that is one predicate without a
     positive self-edge reads final atoms only, so every instance it joins
-    is kept and its heads are its final atoms.  Every atom is interned, so
-    each ground atom is one object however many instances mention it.
+    is kept and its heads are its final atoms.  Each atom is numbered when
+    first met; one that the pruning drops is left out of the result's atoms.
 
     A positively recursive component is seeded self-supporting if
     ``self_supporting`` is None or names one of its predicates, else derivable:
@@ -457,8 +465,9 @@ def _ground_clauses(program: DatalogProgram, constants, *,
         clauses_of.setdefault(pred, []).append(clause)
         uses.setdefault(pred, []).extend(a.predicate for a in clause.positive)
     constants = sorted(constants)
-    interned: dict[GAtom, GAtom] = {}
-    final = _Atoms()  # the atoms of finished components, and those derived so far
+    number: dict[GAtom, int] = {}
+    atoms: list[GAtom] = []  # by number
+    final = _Atoms(number, atoms)  # the atoms of finished components, and those derived so far
     final_table = final.table
     instances: list[GroundClause] = []
     for component in _tarjan_sccs(clauses_of, uses):
@@ -470,25 +479,28 @@ def _ground_clauses(program: DatalogProgram, constants, *,
                      and members.isdisjoint(self_supporting))
         start = final  # what the member steps of round 0 read
         if recursive:
-            start = _Atoms() if derivable else _Atoms({
-                pred: [interned.setdefault((pred, args), (pred, args)) for args in argsets]
-                for pred, argsets in _head_instances(rules, constants).items()})
+            start = _Atoms(number, atoms)
+            if not derivable:
+                seeds = [number.setdefault((pred, args), len(number))
+                         for pred, argsets in _head_instances(rules, constants).items()
+                         for args in argsets]
+                start.add(seeds)
         found: dict[GroundClause, None] = {}
         for plan in plans:
             tables = [start.table(step) if step.pred in members else final_table(step)
                       for step in plan.steps]
-            _join(plan, tables, interned, found)
+            _join(plan, tables, number, atoms, found)
         kept = list(found)
         if recursive and not derivable:
-            kept = _drop_unsupported(kept, members)
+            kept = _drop_unsupported(kept, seeds)
         heads = dict.fromkeys(inst.head for inst in kept)
         if derivable:
-            kept += _derive(plans, members, heads, final, interned)
+            kept += _derive(plans, members, heads, final)
         else:
             final.add(heads)
         instances += kept
     base = {a for inst in instances for a in (inst.head, *inst.positive, *inst.negative)}
-    return instances, base
+    return instances, {n: atom for atom, n in number.items() if n in base}
 
 
 def ground_program(program: DatalogProgram, constants=None, *,
@@ -503,22 +515,25 @@ def ground_program(program: DatalogProgram, constants=None, *,
     if not is_safe(program):
         raise UnsafeProgram("program is not safe; grounding would not terminate on ground atoms")
     pool = program.constants() if constants is None else constants
-    instances, base = _ground_clauses(program, pool, self_supporting=self_supporting)
+    instances, atoms = _ground_clauses(program, pool, self_supporting=self_supporting)
     derived = frozenset() if self_supporting is None else program.predicates.keys() - self_supporting
-    return GroundProgram(tuple(instances), frozenset(base), frozenset(derived))
+    return GroundProgram(tuple(instances), atoms, frozenset(derived))
 
 
-def _founded(pending: dict, waiting, heads) -> set:
-    """The least model of the clauses of ``pending``, which counts each one's
-    positive atoms not yet derived: a derived atom counts down the clauses in
-    ``waiting[atom]``, and one at 0 derives its head, ``heads[clause]``."""
+def _founded(g: GroundProgram, usable: Iterable[int], inside) -> set:
+    """The least model of the clauses ``usable`` of ``g``, with positive atoms
+    outside ``inside`` true: each clause counts its pending positive atoms,
+    and a derived atom counts down the clauses of its occurrence list."""
+    clauses = g.instances
+    heads, _, _, positive, _, _ = g.occurrences
+    pending = {idx: sum(p in inside for p in clauses[idx].positive) for idx in usable}
     queue = [heads[idx] for idx, n in pending.items() if not n]
     true = set()
     while queue:
         atom = queue.pop()
         if atom not in true:
             true.add(atom)
-            for idx in waiting[atom]:
+            for idx in positive[atom]:
                 if idx in pending:
                     pending[idx] -= 1
                     if not pending[idx]:
@@ -526,37 +541,28 @@ def _founded(pending: dict, waiting, heads) -> set:
     return true
 
 
-def _least_model(clauses: list[GroundClause], blocked: set) -> set:
-    """Least model of the clauses with no negative atom in ``blocked``; the
-    negative literals of those clauses count as satisfied."""
-    usable = [c for c in clauses if blocked.isdisjoint(c.negative)]
-    waiting: defaultdict[int, list[int]] = defaultdict(list)
-    for idx, clause in enumerate(usable):
-        for atom in clause.positive:
-            waiting[atom].append(idx)
-    return _founded({idx: len(c.positive) for idx, c in enumerate(usable)}, waiting,
-                    [c.head for c in usable])
-
-
-def _alternate(component, held, value: bytearray) -> list[tuple[int, int]]:
-    """The (atom, value) pairs a component's alternating fixpoint decides.
-    An outside atom is true (``value`` 1), false (2) or else unknown: a false
-    outside literal drops its clause, and an unknown one is satisfied in the
-    overestimate only.  Blocking sets lie inside the component, so the first
-    round is final unless an internal negative edge makes it alternate."""
+def _alternate(g: GroundProgram, component, held, value: bytearray) -> list[tuple[int, int]]:
+    """The (atom, value) pairs a component's alternating fixpoint decides over
+    ``held`` clauses.  An outside atom is true (``value`` 1), false (2) or
+    else unknown: a false outside literal drops its clause, and an unknown
+    one is satisfied in the overestimate only.
+    Blocking sets lie inside the component, so the first round is final
+    unless an internal negative edge makes it alternate."""
+    clauses = g.instances
     inside = set(component)
     maybe, sure = [], []  # the overestimate's clauses, and those with true outside literals
-    for c in (c for atom in component for c in held[atom]):
-        if all(value[p] != 2 for p in c.positive) and all(value[n] != 1 for n in c.negative):
-            inner = tuple(p for p in c.positive if p in inside)
-            maybe.append(GroundClause(c.head, inner, c.negative))
-            if all(value[a] or a in inside for a in c.positive + c.negative):
-                sure.append(maybe[-1])
-    alternates = any(n in inside for c in maybe for n in c.negative)
+    for idx in (idx for atom in component for idx in held[atom]):
+        _, pos, neg = clauses[idx]
+        if all(value[p] != 2 for p in pos) and all(value[n] != 1 for n in neg):
+            maybe.append(idx)
+            if all(value[a] or a in inside for a in pos + neg):
+                sure.append(idx)
+    alternates = any(n in inside for idx in maybe for n in clauses[idx].negative)
     lower, upper = set(), inside
     while True:
-        new_upper = _least_model(maybe, blocked=lower)
-        new_lower = _least_model(sure, blocked=new_upper)
+        new_upper = _founded(g, [i for i in maybe if lower.isdisjoint(clauses[i].negative)], inside)
+        new_lower = _founded(g, [i for i in sure if new_upper.isdisjoint(clauses[i].negative)],
+                             inside)
         if not (lower <= new_lower and new_upper <= upper):
             raise RuntimeError("alternating fixpoint is not monotone (internal error)")
         if new_lower == lower or not alternates:
@@ -570,10 +576,11 @@ def _evaluate(g: GroundProgram, fitting: bool, floor=frozenset()) -> ThreeValued
     ``fitting``, ``floor`` predicates' atoms are still decided as under the well-founded one."""
     if fitting and not g.derived <= floor:
         raise ValueError("Fitting's operator would decide atoms grounded by derivability")
-    number, heads, need, live, positive, negative, seeds = g.occurrences
+    clauses, atoms = g.instances, g.atoms
+    heads, need, live, positive, negative, seeds = g.occurrences
     need, live = need.copy(), live.copy()  # pending literals per clause, live clauses per atom
     alive = bytearray(b"\1") * len(heads)
-    value = bytearray(len(number))  # 0 undecided, 1 true, 2 false
+    value = bytearray(len(live))  # by atom number: 0 undecided, 1 true, 2 false
 
     def settle(queue: list[tuple[int, int]]) -> None:
         """Decide the (atom, value) pairs of ``queue``, and propagate."""
@@ -595,32 +602,25 @@ def _evaluate(g: GroundProgram, fitting: bool, floor=frozenset()) -> ThreeValued
                         queue.append((heads[idx], 2))
 
     settle(seeds.copy())
-    scope = {i for i, (atom, v) in enumerate(zip(number, value))
-             if not v and (not fitting or atom[0] in floor)}
+    scope = {n for n, atom in atoms.items() if not value[n] and (not fitting or atom[0] in floor)}
     if scope:
-        pending = {idx: 0 for idx in compress(range(len(heads)), alive) if heads[idx] in scope}
-        for atom in scope:
-            for idx in positive[atom]:
-                if idx in pending:  # a live clause of the scope
-                    pending[idx] += 1
-        founded = _founded(pending, positive, heads)
-        settle([(atom, 2) for atom in scope - founded])
-        scope = [atom for atom in scope if not value[atom]]
-    if scope:
-        held: dict[int, list[GroundClause]] = {atom: [] for atom in scope}  # live, numbered
+        held: dict[int, list[int]] = {atom: [] for atom in scope}  # live clauses by head
         for idx in compress(range(len(heads)), alive):
             if heads[idx] in held:
-                _, pos, neg = g.clauses[idx]
-                held[heads[idx]].append(GroundClause(heads[idx], (*map(number.get, pos),),
-                                                     (*map(number.get, neg),)))
-        successors = {atom: [b for c in held[atom] for b in c.positive + c.negative if b in held]
+                held[heads[idx]].append(idx)
+        founded = _founded(g, [idx for atom in scope for idx in held[atom]], scope)
+        settle([(atom, 2) for atom in scope - founded])
+        scope = [atom for atom in scope if not value[atom]]
+    if scope:  # a successor decided by now is a component of its own, skipped
+        successors = {atom: [b for idx in held[atom] if alive[idx]
+                             for b in clauses[idx].positive + clauses[idx].negative if b in held]
                       for atom in scope}
         for component in _tarjan_sccs(scope, successors):
             component = [atom for atom in component if not value[atom]]
             if component:
-                settle(_alternate(component, held, value))
-    return ThreeValuedInterpretation(frozenset(a for a, v in zip(number, value) if v == 1),
-                                     frozenset(a for a, v in zip(number, value) if v == 2),
+                settle(_alternate(g, component, held, value))
+    return ThreeValuedInterpretation(frozenset(a for n, a in atoms.items() if value[n] == 1),
+                                     frozenset(a for n, a in atoms.items() if value[n] == 2),
                                      g.herbrand_base)
 
 

@@ -209,8 +209,7 @@ def test_only_the_residual_is_condensed_once_per_evaluation(monkeypatch):
     real = evaluator._tarjan_sccs
 
     def recording(nodes, successors):
-        atoms = list(g.occurrences[0])  # the atom numbering, in number order
-        condensed.append(sorted(atoms[node][0] for node in nodes))
+        condensed.append(sorted(g.atoms[node][0] for node in nodes))
         return real(nodes, successors)
 
     monkeypatch.setattr(evaluator, "_tarjan_sccs", recording)

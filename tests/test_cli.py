@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import ExitStack, contextmanager, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -477,16 +477,18 @@ def test_one_parser_serves_every_request_of_a_process():
     assert build_parser() is build_parser()
 
 
+@contextmanager
 def capped_cli(cap_bytes, *argv):
     """``python -m defeasidl`` in a child process whose address space alone
-    is capped at ``cap_bytes``."""
+    is capped at ``cap_bytes``; on leaving the block the child is killed, if
+    it still runs, and reaped, so a timed-out test leaves nothing behind."""
     resource = pytest.importorskip("resource")
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
 
     package_root = str(Path(defeasidl.__file__).resolve().parent.parent)
-    return subprocess.Popen(
+    child = subprocess.Popen(
         [sys.executable, "-m", "defeasidl", *argv, "--no-timings"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -494,6 +496,11 @@ def capped_cli(cap_bytes, *argv):
         env={**os.environ, "PYTHONPATH": package_root},
         preexec_fn=cap,
     )
+    try:
+        yield child
+    finally:
+        child.kill()
+        child.communicate()
 
 
 class TestResourceLimits:
@@ -508,8 +515,8 @@ class TestResourceLimits:
             "r3: edge(X,Y) => neg path(Y,X).\n"
             "r1 > r3.\nr2 > r3.\n"
         )
-        child = capped_cli(2_000_000 * 1024, "analyze", str(path))
-        out, err = child.communicate(timeout=120)
+        with capped_cli(2_000_000 * 1024, "analyze", str(path)) as child:
+            out, err = child.communicate(timeout=120)
         assert child.returncode == 0, err
         assert "locally-hierarchical: no" in result_lines(out)
 
@@ -526,10 +533,11 @@ class TestResourceLimits:
             ["solve", str(path), "--backend", "wf"],
             ["check", str(path)],
         ]
-        children = [capped_cli(150 << 20, *argv) for argv in commands]
-        for argv, child in zip(commands, children):
-            out, err = child.communicate(timeout=120)
-            assert (child.returncode, err) == (1, ""), argv
-            assert result_lines(out)[-1] == (
-                "error resource-exhausted: the input needs more memory than is available"
-            ), argv
+        with ExitStack() as stack:
+            children = [stack.enter_context(capped_cli(150 << 20, *argv)) for argv in commands]
+            for argv, child in zip(commands, children):
+                out, err = child.communicate(timeout=120)
+                assert (child.returncode, err) == (1, ""), argv
+                assert result_lines(out)[-1] == (
+                    "error resource-exhausted: the input needs more memory than is available"
+                ), argv

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from defeasidl import generator
+from defeasidl import evaluator, generator
 from defeasidl.compiler import compile_individual, compile_team
 from defeasidl.datalog import is_safe, parse_datalog, stratify
 from defeasidl.evaluator import (
@@ -285,6 +285,27 @@ def test_gated_loops_take_linear_time():
             times.append(time.perf_counter() - started)
         ratios.append(times[1] / times[0])
     assert min(ratios) <= 3
+
+
+def test_evaluation_builds_no_ground_clause(monkeypatch):
+    # The engine reads the grounding's numbered instances and decides the
+    # residual over their indices, so evaluating a prebuilt grounding copies
+    # no clause, however many times it is evaluated.
+    loops = ground_program(gated_loops(30))
+    residual = ground_program(parse_datalog("p :- q.\nq :- p.\nc :- p.\na :- not b.\nb :- not a.\nt."))
+    built = 0
+    real = evaluator.GroundClause
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return real(*args)
+
+    monkeypatch.setattr(evaluator, "GroundClause", counting)
+    for _ in range(2):
+        assert len(eval_wellfounded(None, loops).true_set) == 30
+        assert eval_wellfounded(None, residual).unknown_set == {atom("a"), atom("b")}
+    assert built == 0
 
 
 def succ_chain(length: int):

@@ -16,6 +16,7 @@ from defeasidl.compiler import compile_individual, compile_team
 from defeasidl.datalog import DatalogProgram, dependency_graph, is_safe, parse_datalog, stratify
 from defeasidl.evaluator import (
     GroundClause,
+    GroundProgram,
     NotStratified,
     _evaluate,
     _ground_clauses,
@@ -43,6 +44,14 @@ def atom(text: str):
     return (name, tuple(a.strip() for a in rest[:-1].split(",")))
 
 
+def decode(result):
+    """A ``_ground_clauses`` result, numbered instances and the atoms by
+    number, as the references give it: instances of atoms, and the base."""
+    instances, atoms = result
+    ground = GroundProgram(tuple(instances), atoms)
+    return list(ground.clauses), set(ground.herbrand_base)
+
+
 def assert_seeds_agree(program, constants):
     """The derivable grounding gives the well-founded true and unknown sets
     and the stratified model of the self-supporting one."""
@@ -65,7 +74,8 @@ def assert_same_grounding(program, constants=None):
         ("derivable", set(), naive_derivable_clauses(program)),
         ("self-supporting", None, naive_ground_clauses(program, constants)),
     ):
-        instances, base = results[seed] = _ground_clauses(program, constants, self_supporting=kept)
+        instances, base = results[seed] = decode(
+            _ground_clauses(program, constants, self_supporting=kept))
         assert len(instances) == len(set(instances)), seed
         assert set(instances) == set(reference[0]), seed
         assert base == reference[1], seed
@@ -274,9 +284,9 @@ def test_few_instances_are_built_to_be_dropped(monkeypatch):
         + "path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), path(Z, Y)."
     )
     built = 0
-    instances, _ = _ground_clauses(squared, squared.constants(), self_supporting=set())
-    assert built == len(instances) == 12 + 12 + 12**3
-    assert set(instances) == set(naive_derivable_clauses(squared)[0])
+    result = _ground_clauses(squared, squared.constants(), self_supporting=set())
+    assert built == len(result[0]) == 12 + 12 + 12**3
+    assert set(decode(result)[0]) == set(naive_derivable_clauses(squared)[0])
 
 
 def rot_theory(n: int):
@@ -295,7 +305,7 @@ def test_rot_grounds_only_derivable_triples():
     kept = 0
     for compile_ in (compile_team, compile_individual):
         out = compile_(rot_theory(40))
-        instances, base = _ground_clauses(out.program, out.constants, self_supporting=set())
+        instances, base = decode(_ground_clauses(out.program, out.constants, self_supporting=set()))
         reference, reference_base = naive_derivable_clauses(out.program)
         assert len(instances) == len(set(instances))
         assert set(instances) == set(reference) and base == reference_base
@@ -453,8 +463,8 @@ def test_clause_order_changes_nothing():
                 else:
                     clauses.reverse()
                 reordered = DatalogProgram(tuple(clauses))
-                instances, base = _ground_clauses(program, constants)
-                got, got_base = _ground_clauses(reordered, constants)
+                instances, base = decode(_ground_clauses(program, constants))
+                got, got_base = decode(_ground_clauses(reordered, constants))
                 assert set(got) == set(instances) and got_base == base
                 assert interpretations(reordered, constants) == interpretations(program, constants)
                 checked += 1
