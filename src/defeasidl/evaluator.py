@@ -340,7 +340,8 @@ class _Atoms:
 
     def add(self, numbers: Iterable[int]) -> None:
         number, atoms, lists, indexes = self.number, self.atoms, self.lists, self.indexes
-        atoms += reversed(list(islice(reversed(number), len(number) - len(atoms))))
+        if len(atoms) < len(number):
+            atoms += reversed(list(islice(reversed(number), len(number) - len(atoms))))
         for n in numbers:
             pred, args = atoms[n]
             bucket = lists.get(pred)
@@ -361,9 +362,8 @@ class _Atoms:
         if entry is None:
             key = itemgetter(*step.positions)
             index: dict[tuple, list[int]] = {}
-            atoms = self.atoms
             for n in self.lists.get(step.pred, ()):
-                index.setdefault(key(atoms[n][1]), []).append(n)
+                index.setdefault(key(self.atoms[n][1]), []).append(n)
             entry = by_positions[step.positions] = (key, index)
         return entry[1]
 

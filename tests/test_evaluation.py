@@ -292,7 +292,8 @@ def test_evaluation_builds_no_ground_clause(monkeypatch):
     # residual over their indices, so evaluating a prebuilt grounding copies
     # no clause, however many times it is evaluated.
     loops = ground_program(gated_loops(30))
-    residual = ground_program(parse_datalog("p :- q.\nq :- p.\nc :- p.\na :- not b.\nb :- not a.\nt."))
+    residual = ground_program(
+        parse_datalog("p :- q.\nq :- p.\nc :- p.\na :- not b.\nb :- not a.\nt."))
     built = 0
     real = evaluator.GroundClause
 
