@@ -16,8 +16,8 @@ from defeasidl import cli, evaluator
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
-import tracing  # noqa: E402
-import workloads  # noqa: E402
+import tracing
+import workloads
 
 
 def test_traced_hybrid_solve_counts_its_grounding(tmp_path, monkeypatch):
