@@ -249,10 +249,10 @@ def cmd_solve(args: argparse.Namespace, reporter: Reporter) -> int:
         else:
             out = compile_team(theory) if args.logic == "dpar" else compile_individual(theory)
             # Atoms decided as under the well-founded semantics are grounded
-            # by derivability; Fitting's operator, which hybrid runs above the
-            # floor, and the false atoms --three-valued lists need self-support.
-            keep = None if args.three_valued else frozenset()
-            if args.backend == "hybrid":
+            # by derivability; hybrid's Fitting operator and the false atoms
+            # --three-valued lists need self-support above the floor.
+            keep = frozenset()
+            if args.backend == "hybrid" or args.three_valued:
                 keep = out.program.predicates.keys() - out.floor_names
             ground = ground_program(out.program, out.constants, self_supporting=keep)
             if args.backend == "wf":

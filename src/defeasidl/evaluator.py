@@ -11,16 +11,19 @@ immediate-consequence operator: an atom becomes true when some clause
 body is true, false when every clause body is false (so atoms with no
 clauses are false at once).  The well-founded semantics also falsifies
 atoms supported only through positive loops.  One engine computes both
-in three phases, over an occurrence index built once per grounding: it
-propagates Fitting's operator to its fixpoint by counting each clause's
-pending body literals and each atom's live clauses; for the well-founded
-semantics it falsifies the undecided atoms outside the least model of
-their live clauses (the greatest unfounded set), then condenses those
-left and decides each component, dependencies first, by the alternating
-fixpoint, propagating each decision.  On stratified programs the result
-is the total perfect model.  The hybrid backend decides the stratified
-floor's atoms as under the well-founded semantics and the rest by
-Fitting's operator; its defeasibly truths are exactly the well-founded ones.
+with two routines over an occurrence index built once per grounding:
+propagation runs Fitting's operator to its fixpoint by counting each
+clause's pending body literals and each atom's live clauses, and the
+unfounded-set pass falsifies the atoms of a group that lie outside the
+least model of their live clauses (the group's greatest unfounded set)
+and propagates.  For the well-founded semantics one pass covers every
+undecided atom; the atoms it leaves are condensed, and each component,
+dependencies first, is passed over until a pass decides nothing there,
+so the result is a fixpoint of both routines: the well-founded model.
+On stratified programs it is the total perfect model.  The hybrid
+backend decides the stratified floor's atoms as under the well-founded
+semantics and the rest by Fitting's operator; its defeasibly truths are
+exactly the well-founded ones.
 
 The grounder numbers each ground atom, a ``(predicate, args)`` tuple, once;
 instances, join tables and the occurrence index hold numbers, which a
@@ -131,10 +134,6 @@ class ThreeValuedInterpretation:
 
     def is_total(self) -> bool:
         return not self.unknown_set
-
-    def leq(self, other: "ThreeValuedInterpretation") -> bool:
-        """Information ordering: decided atoms keep their values in ``other``."""
-        return self.true_set <= other.true_set and self.false_set <= other.false_set
 
     def true_of(self, predicate_test) -> frozenset[GAtom]:
         return frozenset(a for a in self.true_set if predicate_test(a[0]))
@@ -520,60 +519,10 @@ def ground_program(program: DatalogProgram, constants=None, *,
     return GroundProgram(tuple(instances), atoms, frozenset(derived))
 
 
-def _founded(g: GroundProgram, usable: Iterable[int], inside) -> set:
-    """The least model of the clauses ``usable`` of ``g``, with positive atoms
-    outside ``inside`` true: each clause counts its pending positive atoms,
-    and a derived atom counts down the clauses of its occurrence list."""
-    clauses = g.instances
-    heads, _, _, positive, _, _ = g.occurrences
-    pending = {idx: sum(p in inside for p in clauses[idx].positive) for idx in usable}
-    queue = [heads[idx] for idx, n in pending.items() if not n]
-    true = set()
-    while queue:
-        atom = queue.pop()
-        if atom not in true:
-            true.add(atom)
-            for idx in positive[atom]:
-                if idx in pending:
-                    pending[idx] -= 1
-                    if not pending[idx]:
-                        queue.append(heads[idx])
-    return true
-
-
-def _alternate(g: GroundProgram, component, held, value: bytearray) -> list[tuple[int, int]]:
-    """The (atom, value) pairs a component's alternating fixpoint decides over
-    ``held`` clauses.  An outside atom is true (``value`` 1), false (2) or
-    else unknown: a false outside literal drops its clause, and an unknown
-    one is satisfied in the overestimate only.
-    Blocking sets lie inside the component, so the first round is final
-    unless an internal negative edge makes it alternate."""
-    clauses = g.instances
-    inside = set(component)
-    maybe, sure = [], []  # the overestimate's clauses, and those with true outside literals
-    for idx in (idx for atom in component for idx in held[atom]):
-        _, pos, neg = clauses[idx]
-        if all(value[p] != 2 for p in pos) and all(value[n] != 1 for n in neg):
-            maybe.append(idx)
-            if all(value[a] or a in inside for a in pos + neg):
-                sure.append(idx)
-    alternates = any(n in inside for idx in maybe for n in clauses[idx].negative)
-    lower, upper = set(), inside
-    while True:
-        new_upper = _founded(g, [i for i in maybe if lower.isdisjoint(clauses[i].negative)], inside)
-        new_lower = _founded(g, [i for i in sure if new_upper.isdisjoint(clauses[i].negative)],
-                             inside)
-        if not (lower <= new_lower and new_upper <= upper):
-            raise RuntimeError("alternating fixpoint is not monotone (internal error)")
-        if new_lower == lower or not alternates:
-            break
-        lower, upper = new_lower, new_upper
-    return [(atom, 1) for atom in new_lower] + [(atom, 2) for atom in inside - new_upper]
-
-
 def _evaluate(g: GroundProgram, fitting: bool, floor=frozenset()) -> ThreeValuedInterpretation:
-    """Fitting's or the well-founded model, in the module docstring's three phases; with
-    ``fitting``, ``floor`` predicates' atoms are still decided as under the well-founded one."""
+    """Fitting's or the well-founded model, by the module docstring's propagation and
+    unfounded-set passes; with ``fitting``, ``floor`` predicates' atoms are still
+    decided as under the well-founded one, the rest by propagation alone."""
     if fitting and not g.derived <= floor:
         raise ValueError("Fitting's operator would decide atoms grounded by derivability")
     clauses, atoms = g.instances, g.atoms
@@ -601,24 +550,46 @@ def _evaluate(g: GroundProgram, fitting: bool, floor=frozenset()) -> ThreeValued
                     if not live[heads[idx]]:
                         queue.append((heads[idx], 2))
 
+    def unfounded(group: list[int]) -> list[int]:
+        """Make false the atoms of ``group`` outside the least model of their
+        live clauses, with positive atoms outside ``group`` true, and
+        propagate; return the atoms of ``group`` still undecided."""
+        inside = set(group)
+        pending = {idx: sum(p in inside for p in clauses[idx].positive)
+                   for atom in group for idx in held[atom] if alive[idx]}
+        queue = [heads[idx] for idx, n in pending.items() if not n]
+        founded = set()
+        while queue:
+            atom = queue.pop()
+            if atom not in founded:
+                founded.add(atom)
+                for idx in positive[atom]:
+                    if idx in pending:
+                        pending[idx] -= 1
+                        if not pending[idx]:
+                            queue.append(heads[idx])
+        settle([(atom, 2) for atom in group if atom not in founded])
+        return [atom for atom in group if not value[atom]]
+
     settle(seeds.copy())
-    scope = {n for n, atom in atoms.items() if not value[n] and (not fitting or atom[0] in floor)}
+    scope = [n for n, atom in atoms.items() if not value[n] and (not fitting or atom[0] in floor)]
     if scope:
         held: dict[int, list[int]] = {atom: [] for atom in scope}  # live clauses by head
         for idx in compress(range(len(heads)), alive):
             if heads[idx] in held:
                 held[heads[idx]].append(idx)
-        founded = _founded(g, [idx for atom in scope for idx in held[atom]], scope)
-        settle([(atom, 2) for atom in scope - founded])
-        scope = [atom for atom in scope if not value[atom]]
+        scope = unfounded(scope)
     if scope:  # a successor decided by now is a component of its own, skipped
         successors = {atom: [b for idx in held[atom] if alive[idx]
                              for b in clauses[idx].positive + clauses[idx].negative if b in held]
                       for atom in scope}
         for component in _tarjan_sccs(scope, successors):
-            component = [atom for atom in component if not value[atom]]
-            if component:
-                settle(_alternate(g, component, held, value))
+            left = [atom for atom in component if not value[atom]]
+            while left:
+                undecided = unfounded(left)
+                if len(undecided) == len(left):
+                    break
+                left = undecided
     return ThreeValuedInterpretation(frozenset(a for n, a in atoms.items() if value[n] == 1),
                                      frozenset(a for n, a in atoms.items() if value[n] == 2),
                                      g.herbrand_base)

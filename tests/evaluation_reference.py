@@ -9,7 +9,9 @@ program on each Kleene pass; the last two are quadratic in chain depth.
 ``reference_hybrid`` grounds the whole compiled program with the naive
 grounder, decides the floor stratum by stratum and runs the naive Kleene
 iteration above it.  All are plainly correct, so the differential tests
-hold the engine to them.
+hold the engine to them; the engine decides what propagation leaves by
+unfounded-set passes, so it shares no method with ``reference_wellfounded``.
+``information_leq`` is the information ordering the tests compare models by.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ from defeasidl.evaluator import (
 )
 from analysis_reference import restrict_to
 from grounding_reference import naive_ground_clauses
+
+
+def information_leq(lower: ThreeValuedInterpretation, upper: ThreeValuedInterpretation) -> bool:
+    """Every atom ``lower`` decides keeps its value in ``upper``."""
+    return lower.true_set <= upper.true_set and lower.false_set <= upper.false_set
 
 
 def least_model(

@@ -249,8 +249,8 @@ class TestSolve:
 
     def test_backend_picks_the_grounding_seed(self, monkeypatch):
         # Records the predicates each grounding keeps self-supporting: none
-        # for wf and stratified, those above the floor for hybrid and check,
-        # and every predicate (None) for --three-valued.
+        # for wf and stratified, and those above the floor for hybrid, check
+        # and --three-valued.
         kept = []
         real = evaluator._ground_clauses
 
@@ -266,8 +266,8 @@ class TestSolve:
             ("wf", (), set()),
             ("stratified", (), set()),
             ("hybrid", (), upper),
-            ("wf", ("--three-valued",), None),
-            ("stratified", ("--three-valued",), None),
+            ("wf", ("--three-valued",), upper),
+            ("stratified", ("--three-valued",), upper),
         ):
             kept.clear()
             code, _ = run("--no-timings", "solve", TWEETY, "--backend", backend, *extra)

@@ -24,6 +24,7 @@ from defeasidl.evaluator import (
 from defeasidl.parser import parse_theory
 from analysis_reference import restrict_to
 from evaluation_reference import (
+    information_leq,
     reference_fitting,
     reference_hybrid,
     reference_stratified,
@@ -115,7 +116,7 @@ def test_hybrid_verdicts_are_wellfounded_verdicts():
                 continue
             g = ground_program(out.program, out.constants)
             hybrid = eval_hybrid(out, g)
-            assert hybrid.leq(eval_wellfounded(out.program, g))
+            assert information_leq(hybrid, eval_wellfounded(out.program, g))
             false_above_floor += sum(a[0] not in out.floor_names for a in hybrid.false_set)
     assert false_above_floor > 0
 
@@ -252,14 +253,20 @@ def test_truth_crosses_a_component_one_atom_at_a_time():
         assert interp.true_set == {atom(name) for name in "abcd"} and not interp.false_set
 
 
-def gated_loops(links: int):
+def gated_loops(links: int, *more: str):
     """``x0 :- x0.`` and, per link i, ``y_i :- not x_i.``, ``x_{i+1} :-
-    x_{i+1}.`` and ``x_{i+1} :- not y_i.``: each loop is unfounded only once
-    the one below it is decided."""
+    x_{i+1}.`` and ``x_{i+1} :- not y_i.``, then the clauses ``more``: each
+    loop is unfounded only once the one below it is decided."""
     text = ["x0 :- x0."]
     for i in range(links):
         text += [f"y{i} :- not x{i}.", f"x{i + 1} :- x{i + 1}.", f"x{i + 1} :- not y{i}."]
-    return parse_datalog("\n".join(text))
+    return parse_datalog("\n".join(text + list(more)))
+
+
+def gated_ring(links: int):
+    """``gated_loops(links)`` closed into a ring through ``u``: ``x1`` reads
+    ``u``, which reads the top gate, and ``u`` and ``v`` block each other."""
+    return gated_loops(links, "x1 :- x1, u.", f"u :- not v, y{links - 1}.", "v :- not u.")
 
 
 def test_gated_loops_are_decided_exactly():
@@ -267,6 +274,30 @@ def test_gated_loops_are_decided_exactly():
     interp = assert_same_evaluation(program)
     assert interp.false_set == {atom(f"x{i}") for i in range(31)}
     assert interp.true_set == {atom(f"y{i}") for i in range(30)}
+
+
+def test_a_ring_of_gated_loops_is_decided_one_loop_per_pass(monkeypatch):
+    # Once x0 is false, the loops x1 .. x29, their gates, u and v form one
+    # component, where each unfounded-set pass decides only the lowest loop
+    # left; x30 is a component above it.
+    program = gated_ring(30)
+    interp = assert_same_evaluation(program)
+    assert interp.false_set == {atom(f"x{i}") for i in range(31)}
+    assert interp.true_set == {atom(f"y{i}") for i in range(30)}
+    assert interp.unknown_set == {atom("u"), atom("v")}
+    g = ground_program(program)
+    components = []
+    real = evaluator._tarjan_sccs
+
+    def recording(nodes, successors):
+        found = real(nodes, successors)
+        components.extend({g.atoms[node] for node in component} for component in found)
+        return found
+
+    monkeypatch.setattr(evaluator, "_tarjan_sccs", recording)
+    eval_wellfounded(None, g)
+    ring = {atom(f"{name}{i}") for name in "xy" for i in range(1, 30)} | {atom("u"), atom("v")}
+    assert len(ring) == 60 and sorted(components, key=len) == [{atom("x30")}, ring]
 
 
 def test_gated_loops_take_linear_time():
