@@ -5,9 +5,10 @@ positive atom sets of the well-founded models of both compiled programs,
 the hybrid (stratified floor + Fitting) backend, the totality the pure
 stratified backend rests on, the structural guarantees of the compilation,
 and the subset chain of the four closures.  Each compiled program is
-condensed and grounded once, and its well-founded and hybrid evaluations
-share the grounding's condensation.  Failures carry a category prefix so
-callers can slice them; a failing theory can be shrunk with :func:`minimize`.
+condensed and grounded once; its well-founded and hybrid evaluations share
+the grounding and its occurrence index, and each condenses only its own
+residual.  Failures carry a category prefix so callers can slice them; a
+failing theory can be shrunk with :func:`minimize`.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Subcommands: validate | analyze | compile | solve | eval | check.
 Exit codes: 0 on success/agreement, 1 on domain failures (parse errors,
 validation errors, disagreements, unusable backends), 2 on environment
-failures (missing files, bad flags).  Output is deterministic for a given
-input; the trailing timings line can be suppressed with --no-timings, and
---format=json-lines switches every record to one JSON object per line.
+failures (missing files, bad flags, standard output closed early).
+Output is deterministic for a given input; the trailing timings line can
+be suppressed with --no-timings, and --format=json-lines switches every
+record to one JSON object per line.
 """
 
 from __future__ import annotations
@@ -209,21 +210,24 @@ def cmd_compile(args: argparse.Namespace, reporter: Reporter) -> int:
 
 
 def _conclusion_lines(args, tag_name, sets, three_valued_extra):
-    lines = []
-    for lit in sorted(sets[TAG_DEFINITELY], key=str):
-        lines.append(f"+Delta {lit}")
+    def texts(lits):  # each literal printed once, so each is turned into text once
+        return sorted(map(str, lits))
+
+    lines = [f"+Delta {text}" for text in texts(sets[TAG_DEFINITELY])]
     if args.show_lambda:
-        for lit in sorted(sets[TAG_LAMBDA], key=str):
-            lines.append(f"+lambda {lit}")
-    for lit in sorted(sets[TAG_DEFEASIBLY], key=str):
-        lines.append(f"+{tag_name} {lit}")
+        lines += [f"+lambda {text}" for text in texts(sets[TAG_LAMBDA])]
+    lines += [f"+{tag_name} {text}" for text in texts(sets[TAG_DEFEASIBLY])]
     if three_valued_extra is not None:
         false_lits, unknown_lits = three_valued_extra
-        for lit in sorted(false_lits, key=str):
-            lines.append(f"-{tag_name} {lit}")
-        for lit in sorted(unknown_lits, key=str):
-            lines.append(f"?{tag_name} {lit}")
+        lines += [f"-{tag_name} {text}" for text in texts(false_lits)]
+        lines += [f"?{tag_name} {text}" for text in texts(unknown_lits)]
     return lines
+
+
+def _tagged(out, atoms, tags) -> list:
+    """The ``atoms`` of the compiled predicates whose tag is one of ``tags``."""
+    names = {name for name, mp in out.predicate_info.items() if mp.base in tags}
+    return [atom for atom in atoms if atom[0] in names]
 
 
 def cmd_solve(args: argparse.Namespace, reporter: Reporter) -> int:
@@ -261,11 +265,13 @@ def cmd_solve(args: argparse.Namespace, reporter: Reporter) -> int:
                 interp = eval_stratified(out.program, ground)
             else:
                 interp = eval_hybrid(out, ground)
-            sets = read_conclusions(out, interp.true_set)
+            # Only the atoms of the tags printed are read back.
+            shown = {TAG_DEFINITELY, TAG_DEFEASIBLY} | ({TAG_LAMBDA} if args.show_lambda else set())
+            sets = read_conclusions(out, _tagged(out, interp.true_set, shown))
             extra = None
             if args.three_valued:
                 extra = tuple(
-                    read_conclusions(out, atoms)[TAG_DEFEASIBLY]
+                    read_conclusions(out, _tagged(out, atoms, {TAG_DEFEASIBLY}))[TAG_DEFEASIBLY]
                     for atoms in (interp.false_set, interp.unknown_set)
                 )
     except NotStratified:
@@ -502,7 +508,15 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed reader fails the last write here, not at exit
+    except BrokenPipeError:
+        # The reader closed standard output early.  Python flushes it again
+        # at exit, so point it at the null device to keep that flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = ENV_FAILURE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

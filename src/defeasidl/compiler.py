@@ -135,15 +135,23 @@ def _consumed_superiority(theory: DefeasibleTheory) -> list[tuple[Rule, Rule]]:
     return pairs
 
 
+def fact_key(fact: Literal) -> tuple:
+    """The order of ``sorted(theory.facts)`` without its dataclass comparisons:
+    a literal compares by its predicate, then its argument names, then its
+    polarity."""
+    return fact.atom.predicate, tuple([t.name for t in fact.atom.args]), fact.negated
+
+
 def _compile(theory: DefeasibleTheory, mode: str) -> CompilationOutput:
     report = validate_theory(theory)
     if not report.ok:
         raise ValidationFailed(report)
     em = _Emitter(mode)
 
-    for fact in sorted(theory.facts):
+    for fact in sorted(theory.facts, key=fact_key):
+        source = str(fact)
         for tag in (TAG_DEFINITELY, TAG_LAMBDA, TAG_DEFEASIBLY):
-            em.emit(DClause(em.lit_atom(tag, fact)), str(fact), SCHEMA_FACT)
+            em.emit(DClause(em.lit_atom(tag, fact)), source, SCHEMA_FACT)
 
     strict = [r for r in theory.rules if r.kind is RuleKind.STRICT]
     sd = [r for r in theory.rules if r.is_strict_or_defeasible]

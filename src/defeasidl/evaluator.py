@@ -28,6 +28,8 @@ exactly the well-founded ones.
 The grounder numbers each ground atom, a ``(predicate, args)`` tuple, once;
 instances, join tables and the occurrence index hold numbers, which a
 ``GroundProgram`` decodes only for its clauses, its base and its models.
+A clause without variables (the compiler's three unit clauses per fact)
+has one instance, built directly, with no join plan.
 """
 
 from __future__ import annotations
@@ -231,15 +233,9 @@ def _join(plan: _Plan, tables: list, number: dict, atoms: list, found: dict) -> 
     indexed positions hold the probe key, so matching an atom just copies
     the values it binds into their slots, where they stay until the step's
     next atom overwrites them, and checks its repeated variables."""
-    values = list(plan.values)
-    steps = plan.steps
-    head_pred, head_args = plan.head
-    negative = plan.negative
+    values, (head_pred, head_args), steps, negative = plan
+    values = list(values)
     numbered = number.setdefault  # an atom's number, or else the next one
-    if not steps:  # a safe clause without positive atoms has no variables
-        neg = tuple(numbered((pred, get(values)), len(number)) for pred, get in negative)
-        found[GroundClause(numbered((head_pred, head_args(values)), len(number)), (), neg)] = None
-        return
     last = len(steps) - 1
     chosen: list[int] = [None] * len(steps)
     iters = [None] * len(steps)
@@ -327,20 +323,18 @@ class _Atoms:
     """Atom numbers by predicate, with a hash index per (predicate, probed
     positions) that is built on first use and then grows with every atom
     added.  ``table`` gives a join step its index, or the predicate's atom
-    list when the step probes no position.  ``add`` first extends ``atoms``,
-    the atoms by number, with the last ones ``number`` has numbered since."""
+    list when the step probes no position.  ``atoms``, the atoms by number,
+    must hold every atom added (see ``_sync``)."""
 
-    __slots__ = ("number", "atoms", "lists", "indexes")
+    __slots__ = ("atoms", "lists", "indexes")
 
-    def __init__(self, number: dict[GAtom, int], atoms: list[GAtom]):
-        self.number, self.atoms = number, atoms
+    def __init__(self, atoms: list[GAtom]):
+        self.atoms = atoms
         self.lists: dict[str, list[int]] = {}
         self.indexes: dict[str, dict[tuple[int, ...], tuple[Callable, dict]]] = {}
 
     def add(self, numbers: Iterable[int]) -> None:
-        number, atoms, lists, indexes = self.number, self.atoms, self.lists, self.indexes
-        if len(atoms) < len(number):
-            atoms += reversed(list(islice(reversed(number), len(number) - len(atoms))))
+        atoms, lists, indexes = self.atoms, self.lists, self.indexes
         for n in numbers:
             pred, args = atoms[n]
             bucket = lists.get(pred)
@@ -352,6 +346,14 @@ class _Atoms:
             if by_positions:
                 for key, index in by_positions.values():
                     index.setdefault(key(args), []).append(n)
+
+    def clear(self) -> None:
+        """Empty every list and index in place, so the tables handed out stay valid."""
+        for bucket in self.lists.values():
+            bucket.clear()
+        for by_positions in self.indexes.values():
+            for _, index in by_positions.values():
+                index.clear()
 
     def table(self, step: _Step):
         if not step.positions:
@@ -367,45 +369,61 @@ class _Atoms:
         return entry[1]
 
 
-def _derive(plans: list[_Plan], members: set[str], new: list[int],
-            final: _Atoms) -> list[GroundClause]:
+def _sync(number: dict[GAtom, int], atoms: list[GAtom]) -> None:
+    """Extend ``atoms``, the atoms by number, with those ``number`` numbered since."""
+    if len(atoms) < len(number):
+        atoms += reversed(list(islice(reversed(number), len(number) - len(atoms))))
+
+
+def _fixed(clause: DClause) -> Optional[tuple[GAtom, list[GAtom], list[GAtom]]]:
+    """The one instance of a clause without variables, as its head, positive
+    and negative atoms; None when the clause has a variable."""
+    atoms = []
+    for atom in (clause.head, *clause.positive, *clause.negative):
+        args = tuple([t.name for t in atom.args])
+        for name in args:
+            if name[0].isupper():
+                return None
+        atoms.append((atom.predicate, args))
+    k = len(clause.positive) + 1
+    return atoms[0], atoms[1:k], atoms[k:]
+
+
+def _derive(plans: list[_Plan], members: set[str], new: list[int], final: _Atoms,
+            derived: set[int], number: dict[GAtom, int]) -> list[GroundClause]:
     """The instances of a positively recursive component after its round 0,
     by semi-naive rounds; ``new`` holds round 0's heads, and every derived
-    atom goes into ``final``.
+    atom goes into ``final`` and ``derived``.
 
     Each round joins only the instances that read at least one atom new in
     the last round (the delta): for each member step of a body in turn,
     the earlier member steps read the older atoms, that step the delta, and
     the later ones every atom derived so far.  So each instance is built in
     exactly one round and one of its body's variants, and none is dropped:
-    the positive atoms of every instance are derivable.  The member indexes
-    of ``final`` and of the older atoms grow in place, so a variant's other
-    tables stay valid from round to round; the delta's are built once per
-    round."""
-    older = _Atoms(final.number, final.atoms)
+    the positive atoms of every instance are derivable.  Every table grows in
+    place and the delta's are emptied in place, so a variant finds its tables once."""
+    older, delta = _Atoms(final.atoms), _Atoms(final.atoms)
     keep_older = False  # only a body with two member atoms reads the older ones
-    variants = []  # (plan, its delta step's position, the tables of its steps)
+    variants = []  # (plan, the delta's atoms of its delta step, the tables of its steps)
     for plan in plans:
         inner = [i for i, step in enumerate(plan.steps) if step.pred in members]
         keep_older = keep_older or len(inner) > 1
         for j in inner:
-            tables = [(older if i < j and i in inner else final).table(step)
+            tables = [(delta if i == j else older if i < j and i in inner else final).table(step)
                       for i, step in enumerate(plan.steps)]
-            variants.append((plan, j, tables))
-    derived = set(new)
+            variants.append((plan, delta.lists.setdefault(plan.steps[j].pred, []), tables))
     instances: list[GroundClause] = []
     while new:
         final.add(new)
-        delta = _Atoms(final.number, final.atoms)
+        delta.clear()
         delta.add(new)
         found: dict[GroundClause, None] = {}
-        for plan, j, tables in variants:
-            step = plan.steps[j]
-            if step.pred in delta.lists:
-                tables[j] = delta.table(step)
-                _join(plan, tables, final.number, final.atoms, found)
+        for plan, pending, tables in variants:
+            if pending:
+                _join(plan, tables, number, final.atoms, found)
         if keep_older:
             older.add(new)
+        _sync(number, final.atoms)
         new = [head for head in dict.fromkeys(inst.head for inst in found) if head not in derived]
         derived.update(new)
         instances += found
@@ -420,11 +438,12 @@ def _ground_clauses(program: DatalogProgram, constants, *,
 
     It works one component of the positive predicate dependency graph at a
     time, dependencies first, so the atoms of lower components are final
-    when a component is joined.  Each clause is joined through its plan
-    (``_plan``, walked by ``_join``), probing a hash index per (predicate,
-    bound positions) that is built on first use and grows in place
-    (``_Atoms``); bound
-    positions are the constant positions and those whose variable an
+    when a component is joined.  A clause without variables that reads no
+    atom of its own component (``_fixed``) is kept when its positive atoms
+    are final.  Every other clause is joined through its plan (``_plan``,
+    walked by ``_join``), probing a hash index per (predicate, bound
+    positions) that is built on first use and grows in place (``_Atoms``);
+    bound positions are the constant positions and those whose variable an
     earlier body atom bound.  A component that is one predicate without a
     positive self-edge reads final atoms only, so every instance it joins
     is kept and its heads are its final atoms.  Each atom is numbered when
@@ -466,35 +485,46 @@ def _ground_clauses(program: DatalogProgram, constants, *,
     constants = sorted(constants)
     number: dict[GAtom, int] = {}
     atoms: list[GAtom] = []  # by number
-    final = _Atoms(number, atoms)  # the atoms of finished components, and those derived so far
+    final = _Atoms(atoms)  # the atoms of finished components, and those derived so far
+    done: set[int] = set()  # the numbers of the atoms in ``final``
     final_table = final.table
     instances: list[GroundClause] = []
     for component in _tarjan_sccs(clauses_of, uses):
         rules = [clause for pred in component for clause in clauses_of.get(pred, ())]
-        plans = list(map(_plan, rules))
         recursive = len(component) > 1 or component[0] in uses.get(component[0], ())
         members = set(component) if recursive else ()  # the predicates a body reads recursively
         derivable = (recursive and self_supporting is not None
                      and members.isdisjoint(self_supporting))
         start = final  # what the member steps of round 0 read
         if recursive:
-            start = _Atoms(number, atoms)
+            start = _Atoms(atoms)
             if not derivable:
                 seeds = [number.setdefault((pred, args), len(number))
                          for pred, argsets in _head_instances(rules, constants).items()
                          for args in argsets]
+                _sync(number, atoms)
                 start.add(seeds)
         found: dict[GroundClause, None] = {}
-        for plan in plans:
-            tables = [start.table(step) if step.pred in members else final_table(step)
-                      for step in plan.steps]
-            _join(plan, tables, number, atoms, found)
+        plans = []
+        for clause in rules:
+            fixed = _fixed(clause)
+            if fixed is not None and not (members and any(p in members for p, _ in fixed[1])):
+                pos = tuple(map(number.get, fixed[1]))  # kept when its positive atoms are final
+                if done.issuperset(pos):
+                    neg = tuple([number.setdefault(atom, len(number)) for atom in fixed[2]])
+                    found[GroundClause(number.setdefault(fixed[0], len(number)), pos, neg)] = None
+                continue
+            plans.append(plan := _plan(clause))
+            _join(plan, [start.table(step) if step.pred in members else final_table(step)
+                         for step in plan.steps], number, atoms, found)
+        _sync(number, atoms)
         kept = list(found)
         if recursive and not derivable:
             kept = _drop_unsupported(kept, seeds)
         heads = dict.fromkeys(inst.head for inst in kept)
+        done.update(heads)
         if derivable:
-            kept += _derive(plans, members, heads, final)
+            kept += _derive(plans, members, heads, final, done, number)
         else:
             final.add(heads)
         instances += kept

@@ -266,9 +266,8 @@ def _validate(theory: DefeasibleTheory) -> ValidationReport:
             report.error("duplicate-label", f"duplicate rule label {rule.label!r}", rule.label)
         seen_labels.add(rule.label)
 
-    for fact in sorted(theory.facts):
-        if not fact.is_ground():
-            report.error("non-ground-fact", f"fact {fact} contains variables", str(fact))
+    for fact in sorted(fact for fact in theory.facts if not fact.is_ground()):
+        report.error("non-ground-fact", f"fact {fact} contains variables", str(fact))
 
     arities: dict[str, tuple[int, str]] = {}
     for lit in theory.literals():

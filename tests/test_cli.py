@@ -477,6 +477,30 @@ def test_one_parser_serves_every_request_of_a_process():
     assert build_parser() is build_parser()
 
 
+def test_stdout_closed_early_exits_2_quietly(tmp_path):
+    # Like ``defeasidl solve big.dfl --show-lambda | head -1``: the reader
+    # takes one line and closes the pipe while hundreds of kilobytes, far
+    # more than a pipe holds, are still to come.
+    path = tmp_path / "big.dfl"
+    path.write_text("".join(f"p(c{i}).\n" for i in range(10_000)))
+    package_root = str(Path(defeasidl.__file__).resolve().parent.parent)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "defeasidl", "solve", str(path), "--show-lambda"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    try:
+        assert child.stdout.readline().startswith(b"# defeasidl solve")
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 2
+    finally:
+        child.kill()
+        child.wait()
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+
 @contextmanager
 def capped_cli(cap_bytes, *argv):
     """``python -m defeasidl`` in a child process whose address space alone

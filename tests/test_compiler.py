@@ -214,6 +214,35 @@ class TestCompileGuards:
         assert a == b
 
 
+def random_facts(rng, consistent):
+    """Ground literals over a few predicates, negated or not, with constants
+    that start with a digit or share prefixes; ``consistent`` gives each
+    predicate one arity, else a predicate mixes arities 0 to 3."""
+    constants = ["a", "b", "ab", "0", "1", "10", "1a", "2b", "a0"]
+    facts = set()
+    for _ in range(rng.randint(1, 25)):
+        pred = rng.choice(["p", "q", "p0", "pq"])
+        arity = len(pred) if consistent else rng.randint(0, 3)
+        args = ", ".join(rng.choice(constants) for _ in range(arity))
+        facts.add(lit(("neg " if rng.random() < 0.4 else "") + (f"{pred}({args})" if args else pred)))
+    return facts
+
+
+class TestFactOrder:
+    def test_fact_key_sorts_like_the_literal_order(self, rng):
+        for consistent in (True, False):
+            for _ in range(200):
+                facts = random_facts(rng, consistent)
+                assert sorted(facts, key=compiler.fact_key) == sorted(facts)
+
+    def test_facts_compile_in_literal_order(self, rng):
+        for _ in range(50):
+            t = DefeasibleTheory.of(facts=random_facts(rng, consistent=True))
+            for out in (compile_team(t), compile_individual(t)):
+                sources = [info.source for info in out.provenance if info.schema == "fact"]
+                assert sources == [str(fact) for fact in sorted(t.facts) for _ in range(3)]
+
+
 class TestEmission:
     def test_round_trip_corpus(self):
         for name in corpus.names():

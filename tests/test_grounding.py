@@ -149,6 +149,17 @@ def test_random_programs_match_reference(rng):
         "e(a).\ne(b).\ng(a, b).\ng(a, c).\nh(c).\np(X, Y) :- e(X), g(X, Y), not h(Y).",
         # Zero-arity atoms in one recursive component.
         "p :- q, r.\nq :- p.\nq :- not s.\nr.\ns :- p, not r.\nu :- u.",
+        # Variable-free clauses: a positive atom never derived although its
+        # predicate has other atoms (and s has numbered it), and a negative
+        # atom that is never a head although its predicate has one.
+        "e(a).\ne(b) :- z.\ns :- e(a), not e(b), not w(a).\np :- s, e(b).\nw(b) :- e(a).",
+        # Variable-free clauses reading members of a recursive component that
+        # is derivable, from inside it and from above it.
+        "e(a, b).\ne(b, c).\nt(X, Y) :- e(X, Y).\nt(X, Z) :- t(X, Y), e(Y, Z).\n"
+        "t(c, a) :- t(a, c).\nt(c, c) :- t(b, a).\nu :- t(c, a), not t(a, a).\nv :- t(b, a).",
+        # ... and of a self-supporting one: q(b) and r(b) support only each other.
+        "e(a).\nq(X) :- r(X).\nr(X) :- q(X).\nq(a) :- e(a).\nq(b) :- r(b).\n"
+        "r(b) :- q(b).\nu :- q(b).\nw :- r(a), not q(c).",
     ],
 )
 def test_hand_cases_match_reference(text):
@@ -287,6 +298,34 @@ def test_few_instances_are_built_to_be_dropped(monkeypatch):
     result = _ground_clauses(squared, squared.constants(), self_supporting=set())
     assert built == len(result[0]) == 12 + 12 + 12**3
     assert set(decode(result)[0]) == set(naive_derivable_clauses(squared)[0])
+
+
+def test_variable_free_clauses_are_not_planned(monkeypatch):
+    # A succ chain's team compilation is mostly unit clauses of facts: each
+    # gives one instance without a join plan, so only the clauses with
+    # variables are planned, once per grounding.
+    calls = 0
+    real = evaluator._plan
+
+    def counting(clause):
+        nonlocal calls
+        calls += 1
+        return real(clause)
+
+    monkeypatch.setattr(evaluator, "_plan", counting)
+    names = [f"k{i}" for i in range(61)]
+    text = f"p({names[0]}).\n" + "".join(f"succ({a}, {b}).\n" for a, b in zip(names, names[1:]))
+    out = compile_team(parse_theory(text + "r1: p(X), succ(X,Y) => p(Y).\n"
+                                    "r2: succ(X,Y) => neg p(Y).\nr1 > r2.\n"))
+    with_variables = sum(any(t.is_variable for a in c.atoms() for t in a.args)
+                         for c in out.program.clauses)
+    assert with_variables == 11 and len(out.program.clauses) == 11 + 3 * 61
+    for kept in (set(), None, upper_names(out)):
+        calls = 0
+        ground = ground_program(out.program, out.constants, self_supporting=kept)
+        assert calls <= with_variables
+        assert {c.head for c in ground.clauses if c.head[0] == "defeasibly__p"} == {
+            ("defeasibly__p", (name,)) for name in names}
 
 
 def rot_theory(n: int):

@@ -84,6 +84,15 @@ class TestValidation:
         t = DefeasibleTheory.of(facts=[lit("fly(X)")])
         assert "non-ground-fact" in codes(validate_theory(t).errors)
 
+    def test_non_ground_facts_are_listed_in_literal_order(self):
+        texts = ["q(X, b)", "neg p(Y)", "p(X)", "p(1, Z)", "q(a, X)", "neg q(0, X)", "p(a)", "q(a, b)"]
+        t = DefeasibleTheory.of(facts=[lit(text) for text in texts])
+        errors = [issue for issue in validate_theory(t).errors if issue.code == "non-ground-fact"]
+        want = [f for f in sorted(t.facts) if not f.is_ground()]
+        assert [issue.location for issue in errors] == [str(f) for f in want]
+        assert [issue.location for issue in errors] == [
+            "p(1, Z)", "p(X)", "neg p(Y)", "neg q(0, X)", "q(X, b)", "q(a, X)"]
+
     def test_duplicate_labels(self):
         r = Rule("r", (), lit("p"), RuleKind.DEFEASIBLE)
         t = DefeasibleTheory.of(rules=[r, Rule("r", (), lit("q"), RuleKind.STRICT)])

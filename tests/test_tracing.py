@@ -1,7 +1,8 @@
 """The benchmark tracer's contract with the package: ``perfbench/tracing.py``
-wraps ``evaluator._ground_clauses`` and counts the two items of its result
-as ground clauses and Herbrand base, so those counts must be the sizes of
-the grounding that the traced request evaluates."""
+wraps functions by module and name, private ones included, so every one
+must exist; it wraps ``evaluator._ground_clauses`` and counts the two items
+of its result as ground clauses and Herbrand base, so those counts must be
+the sizes of the grounding that the traced request evaluates."""
 
 import importlib
 import io
@@ -18,6 +19,30 @@ sys.path.insert(0, str(PERFBENCH))
 
 import tracing
 import workloads
+
+
+def test_every_traced_function_resolves():
+    # The tracer wraps functions by name, private ones included.
+    for module, attr, _, _ in tracing.TARGETS:
+        found = getattr(importlib.import_module(f"defeasidl.{module}"), attr, None)
+        assert callable(found), (module, attr)
+
+
+def test_traced_succ_chain_solve_reports_its_layers(tmp_path):
+    path = tmp_path / "succ.dfl"
+    path.write_text(workloads.succ_theory(workloads.chain_names(random.Random(1), 40)))
+    names = ("cli", "parser", "theory", "compiler", "datalog", "evaluator", "oracle", "check")
+    pkg = types.SimpleNamespace(**{n: importlib.import_module(f"defeasidl.{n}") for n in names})
+    pkg.modules = tracing.module_list()
+    tracer = tracing.Tracer(pkg)
+    with tracer.operation("succ wf"), redirect_stdout(io.StringIO()):
+        code = cli.main(["--no-timings", "solve", str(path)])
+    assert code == 0
+    (row,) = tracer.per_operation()
+    for metric in ("compiler.read_conclusions_s", "evaluator.ground_s"):
+        assert row[metric] > 0, metric
+    for metric in ("evaluator.ground_clauses", "evaluator.herbrand_base"):
+        assert row[metric] > 3 * 41, metric  # more than the facts' unit clauses
 
 
 def test_traced_hybrid_solve_counts_its_grounding(tmp_path, monkeypatch):
