@@ -53,7 +53,6 @@ from .parser import format_theory, parse_theory
 from .theory import (
     DefeasibleTheory,
     EmptyUniverse,
-    ValidationFailed,
     is_hierarchical,
     is_locally_hierarchical,
     is_range_restricted,
@@ -160,10 +159,6 @@ def cmd_analyze(args: argparse.Namespace, reporter: Reporter) -> int:
     team = compile_team(theory)
     indiv = compile_individual(theory)
 
-    def signing_found(out) -> bool:
-        scope = [p for p in out.program.predicates if p not in out.floor_names]
-        return compute_signing(out.program, scope) is not None
-
     try:
         locally = is_locally_hierarchical(theory)
         locally_text = _yesno(locally)
@@ -179,8 +174,8 @@ def cmd_analyze(args: argparse.Namespace, reporter: Reporter) -> int:
         ("team-stratified", _yesno(stratify(team.program) is not None)),
         ("individual-stratified", _yesno(stratify(indiv.program) is not None)),
         ("team-call-consistent", _yesno(is_call_consistent(team.program))),
-        ("team-signing", _yesno(signing_found(team))),
-        ("individual-signing", _yesno(signing_found(indiv))),
+        ("team-signing", _yesno(compute_signing(team.program, team.upper_names) is not None)),
+        ("individual-signing", _yesno(compute_signing(indiv.program, indiv.upper_names) is not None)),
         ("theory-size", str(size)),
         ("team-size", str(team_size)),
         ("individual-size", str(indiv_size)),
@@ -255,9 +250,7 @@ def cmd_solve(args: argparse.Namespace, reporter: Reporter) -> int:
             # Atoms decided as under the well-founded semantics are grounded
             # by derivability; hybrid's Fitting operator and the false atoms
             # --three-valued lists need self-support above the floor.
-            keep = frozenset()
-            if args.backend == "hybrid" or args.three_valued:
-                keep = out.program.predicates.keys() - out.floor_names
+            keep = out.upper_names if args.backend == "hybrid" or args.three_valued else frozenset()
             ground = ground_program(out.program, out.constants, self_supporting=keep)
             if args.backend == "wf":
                 interp = eval_wellfounded(out.program, ground)
@@ -495,9 +488,6 @@ def main(argv=None) -> int:
     reporter = Reporter(args, args.command(args))
     try:
         code = args.func(args, reporter)
-    except ValidationFailed as exc:
-        _fail(str(exc))
-        return DOMAIN_FAILURE
     except MemoryError:
         code = None  # reported below, once the handler has freed the frames of the partial work
     if code is None:

@@ -49,6 +49,7 @@ from .theory import (
     RuleKind,
     Term,
     ValidationFailed,
+    inert_superiority,
     validate_theory,
 )
 
@@ -76,6 +77,11 @@ class CompilationOutput:
     # The theory's constants, the pool the program is grounded over; the
     # program's own constants also include the rule labels.
     constants: frozenset[str]
+
+    @property
+    def upper_names(self) -> frozenset[str]:
+        """The predicates above the floor; derived, so ``replace`` keeps it right."""
+        return frozenset(self.program.predicates.keys() - self.floor_names)
 
 
 class _Emitter:
@@ -121,18 +127,10 @@ class _Emitter:
 
 
 def _consumed_superiority(theory: DefeasibleTheory) -> list[tuple[Rule, Rule]]:
-    """(superior, inferior) rule pairs that actually produce defeat clauses:
-    the superior rule is strict or defeasible and the heads are complementary."""
+    """The (superior, inferior) rule pairs that ``inert_superiority`` lets compile."""
     rule_map = theory.rule_map()
-    pairs = []
-    for t, s in sorted(theory.superiority):
-        sup, inf = rule_map[t], rule_map[s]
-        if not sup.is_strict_or_defeasible:
-            continue
-        if sup.head.predicate != inf.head.predicate or sup.head.negated == inf.head.negated:
-            continue
-        pairs.append((sup, inf))
-    return pairs
+    pairs = [(rule_map[t], rule_map[s]) for t, s in sorted(theory.superiority)]
+    return [(sup, inf) for sup, inf in pairs if inert_superiority(sup, inf) is None]
 
 
 def fact_key(fact: Literal) -> tuple:

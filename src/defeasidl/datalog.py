@@ -117,6 +117,12 @@ class DependencyGraph:
         return _tarjan_sccs(self.nodes, successors)
 
     @cached_property
+    def inside(self) -> list[tuple[str, str, int]]:
+        """The edges between two predicates of one component, found once."""
+        comp_of = {n: i for i, comp in enumerate(self.components) for n in comp}
+        return [(p, q, sign) for p, q, sign in self.edges if comp_of[p] == comp_of[q]]
+
+    @cached_property
     def strata(self) -> Optional[dict[str, int]]:
         """``stratify``'s result, computed once per graph."""
         steps = {p: [(q, int(sign < 0)) for q, sign in out] for p, out in self.successors.items()}
@@ -144,9 +150,7 @@ def is_call_consistent(program: DatalogProgram) -> bool:
     by one path back, make closed walks, and those split into cycles.
     """
     graph = dependency_graph(program)
-    comp_of = {n: i for i, comp in enumerate(graph.components) for n in comp}
-    inside = [(p, q, sign) for p, q, sign in graph.edges if comp_of[p] == comp_of[q]]
-    return two_colouring(graph.nodes, inside) is not None
+    return two_colouring(graph.nodes, graph.inside) is not None
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ unfounded-set pass falsifies the atoms of a group that lie outside the
 least model of their live clauses (the group's greatest unfounded set)
 and propagates.  For the well-founded semantics one pass covers every
 undecided atom; the atoms it leaves are condensed, and each component,
-dependencies first, is passed over until a pass decides nothing there,
-so the result is a fixpoint of both routines: the well-founded model.
+dependencies first, is passed over, then over just the atoms that lost a
+clause and their positive readers until none is left: the well-founded model.
 On stratified programs it is the total perfect model.  The hybrid
 backend decides the stratified floor's atoms as under the well-founded
 semantics and the rest by Fitting's operator; its defeasibly truths are
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice, product
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
 from .compiler import CompilationOutput
 from .datalog import DClause, DatalogProgram, is_safe, stratify
@@ -560,6 +560,7 @@ def _evaluate(g: GroundProgram, fitting: bool, floor=frozenset()) -> ThreeValued
     need, live = need.copy(), live.copy()  # pending literals per clause, live clauses per atom
     alive = bytearray(b"\1") * len(heads)
     value = bytearray(len(live))  # by atom number: 0 undecided, 1 true, 2 false
+    lost: list[int] = []  # the heads of the clauses settle kills
 
     def settle(queue: list[tuple[int, int]]) -> None:
         """Decide the (atom, value) pairs of ``queue``, and propagate."""
@@ -576,11 +577,12 @@ def _evaluate(g: GroundProgram, fitting: bool, floor=frozenset()) -> ThreeValued
             for idx in broken[atom]:
                 if alive[idx]:
                     alive[idx] = 0
+                    lost.append(heads[idx])
                     live[heads[idx]] -= 1
                     if not live[heads[idx]]:
                         queue.append((heads[idx], 2))
 
-    def unfounded(group: list[int]) -> list[int]:
+    def unfounded(group: Collection[int]) -> list[int]:
         """Make false the atoms of ``group`` outside the least model of their
         live clauses, with positive atoms outside ``group`` true, and
         propagate; return the atoms of ``group`` still undecided."""
@@ -614,12 +616,18 @@ def _evaluate(g: GroundProgram, fitting: bool, floor=frozenset()) -> ThreeValued
                              for b in clauses[idx].positive + clauses[idx].negative if b in held]
                       for atom in scope}
         for component in _tarjan_sccs(scope, successors):
-            left = [atom for atom in component if not value[atom]]
-            while left:
-                undecided = unfounded(left)
-                if len(undecided) == len(left):
-                    break
-                left = undecided
+            members = group = {atom for atom in component if not value[atom]}
+            while group:
+                lost.clear()
+                unfounded(group)
+                # Only a member that lost a clause, or reads one positively, can turn unfounded.
+                group = {atom for atom in lost if atom in members and not value[atom]}
+                for atom in (order := list(group)):  # grows as readers join
+                    for idx in positive[atom]:
+                        head = heads[idx]
+                        if alive[idx] and head in members and not value[head] and head not in group:
+                            group.add(head)
+                            order.append(head)
     return ThreeValuedInterpretation(frozenset(a for n, a in atoms.items() if value[n] == 1),
                                      frozenset(a for n, a in atoms.items() if value[n] == 2),
                                      g.herbrand_base)

@@ -257,6 +257,16 @@ def validate_theory(theory: DefeasibleTheory) -> ValidationReport:
     return theory._validation
 
 
+def inert_superiority(sup: Rule, inf: Rule) -> Optional[tuple[str, str]]:
+    """Why ``sup > inf`` compiles to nothing, as a warning code and its
+    reason, or None when the pair compiles to a defeat clause."""
+    if sup.head.predicate != inf.head.predicate or sup.head.negated == inf.head.negated:
+        return "inert-superiority", "rule heads are not complementary"
+    if sup.kind is RuleKind.DEFEATER:
+        return "defeater-superior", f"superior rule {sup.label} is a defeater"
+    return None
+
+
 def _validate(theory: DefeasibleTheory) -> ValidationReport:
     report = ValidationReport()
 
@@ -299,23 +309,10 @@ def _validate(theory: DefeasibleTheory) -> ValidationReport:
                 cycle[0],
             )
         for t, s in sorted(theory.superiority):
-            sup, inf = rule_map[t], rule_map[s]
-            heads_complementary = (
-                sup.head.predicate == inf.head.predicate
-                and sup.head.negated != inf.head.negated
-            )
-            if not heads_complementary:
-                report.warn(
-                    "inert-superiority",
-                    f"superiority {t} > {s} is inert: rule heads are not complementary",
-                    f"{t} > {s}",
-                )
-            elif sup.kind is RuleKind.DEFEATER:
-                report.warn(
-                    "defeater-superior",
-                    f"superiority {t} > {s} is inert: superior rule {t} is a defeater",
-                    f"{t} > {s}",
-                )
+            inert = inert_superiority(rule_map[t], rule_map[s])
+            if inert is not None:
+                code, reason = inert
+                report.warn(code, f"superiority {t} > {s} is inert: {reason}", f"{t} > {s}")
 
     # Deferred import: the mangling scheme lives next to the compiler.
     from .mangling import mangling_collisions

@@ -2,13 +2,16 @@ import sys
 from dataclasses import replace
 from functools import cached_property
 
+import pytest
+
 from conftest import theory
-from defeasidl import corpus, datalog, evaluator, generator, oracle
+from defeasidl import check, corpus, datalog, evaluator, generator, oracle
 from defeasidl import theory as theory_module
 from defeasidl.check import CheckResult, _structural, check_theory, minimize, minimize_failure
 from defeasidl.cli import main
 from defeasidl.compiler import compile_individual, compile_team
-from defeasidl.datalog import DatalogProgram, parse_datalog, stratify
+from defeasidl.datalog import DatalogProgram, DependencyGraph, Signing, parse_datalog, stratify
+from defeasidl.evaluator import ThreeValuedInterpretation
 from defeasidl.theory import DefeasibleTheory
 from analysis_reference import restrict_to
 from test_evaluation import corpus_slice
@@ -249,3 +252,97 @@ def test_chain_violation_is_a_chain_failure(tweety, monkeypatch):
     result = check_theory(tweety)
     assert len(result.failures_in("chain")) == 1
     assert result.failures == result.failures_in("chain")
+
+
+# Each fault below is planted on tweety through a name that ``check``
+# imports, and must give exactly these failure lines, all in one category.
+BIRD_FREDDIE = ("defeasibly__bird", ("freddie",))
+DPAR = "{bird(freddie), bird(tweety), injured(freddie), neg fly(tweety), penguin(tweety)}"
+WITHOUT_FREDDIE = "{bird(tweety), injured(freddie), neg fly(tweety), penguin(tweety)}"
+
+
+def without_bird_freddie(interp):
+    return ThreeValuedInterpretation(interp.true_set - {BIRD_FREDDIE}, interp.false_set,
+                                     interp.domain)
+
+
+def one_false_atom_unknown(interp):
+    return ThreeValuedInterpretation(interp.true_set, interp.false_set - {min(interp.false_set)},
+                                     interp.domain)
+
+
+def floor_reads_fly(graph):
+    return DependencyGraph(graph.nodes, graph.edges | {("definitely__bird", "defeasibly__fly", 1)})
+
+
+def fly_signs_flipped(signing):
+    flipped = {"defeasibly__fly", "overruled__fly"}
+    return Signing({p: -s if p in flipped else s for p, s in signing.mapping.items()},
+                   signing.scope)
+
+
+def dropping_bird_freddie(read_conclusions):
+    return lambda out, atoms: read_conclusions(out, [a for a in atoms if a != BIRD_FREDDIE])
+
+
+# name -> (its fake, given the real one; the (category, line) pairs expected)
+PLANTED = {
+    "read_conclusions": (dropping_bird_freddie, [
+        ("oracle-team", f"oracle-team: defeasibly vs dpar: got {WITHOUT_FREDDIE}, want {DPAR}"),
+        ("oracle-individual",
+         f"oracle-individual: defeasibly vs dpar_star: got {WITHOUT_FREDDIE}, want {DPAR}"),
+    ]),
+    "eval_hybrid": (lambda real: lambda out, g: without_bird_freddie(real(out, g)), [
+        ("hybrid", f"hybrid: team defeasibly: got {WITHOUT_FREDDIE}, want {DPAR}"),
+        ("hybrid", f"hybrid: individual defeasibly: got {WITHOUT_FREDDIE}, want {DPAR}"),
+    ]),
+    "eval_wellfounded": (lambda real: lambda program, g: one_false_atom_unknown(real(program, g)), [
+        ("stratified-backend", "stratified-backend: team well-founded model is not total"),
+        ("stratified-backend", "stratified-backend: individual well-founded model is not total"),
+    ]),
+    "stratify": (lambda real: lambda program: None, [
+        ("structural", "structural: individual-defeat program is not stratified"),
+        ("structural", "structural: hierarchical theory compiled to a non-stratified program"),
+    ]),
+    "is_call_consistent": (lambda real: lambda program: False, [
+        ("structural", "structural: team program is not call-consistent"),
+    ]),
+    "is_safe": (lambda real: lambda program: False, [
+        ("structural", "structural: team safety False != range-restriction True"),
+        ("structural", "structural: individual safety False != range-restriction True"),
+    ]),
+    "dependency_graph": (lambda real: lambda program: floor_reads_fly(real(program)), [
+        ("structural", "structural: team floor is not downward closed"),
+        ("structural", "structural: individual floor is not downward closed"),
+    ]),
+    "compute_signing": (lambda real: lambda program, scope: None, [
+        ("structural", "structural: team above-floor signing not found"),
+        ("structural", "structural: individual above-floor signing not found"),
+    ]),
+    "compute_signing-flipped": (
+        lambda real: lambda program, scope: fly_signs_flipped(real(program, scope)), [
+            ("structural", "structural: team signing gives defeasibly__fly sign -1"),
+            ("structural", "structural: team signing gives overruled__fly sign +1"),
+            ("structural", "structural: individual signing gives defeasibly__fly sign -1"),
+            ("structural", "structural: individual signing gives overruled__fly sign +1"),
+        ]),
+}
+
+
+@pytest.mark.parametrize("planted", PLANTED)
+def test_each_planted_fault_gives_its_failure_lines(tweety, monkeypatch, planted):
+    fake, expected = PLANTED[planted]
+    name = planted.split("-")[0]
+    monkeypatch.setattr(check, name, fake(getattr(check, name)))
+    result = check_theory(tweety)
+    assert result.failures == [line for _, line in expected]
+    for category, _ in expected:
+        assert result.failures_in(category) == [l for c, l in expected if c == category]
+    assert result.skipped_eval == (name == "is_safe")
+
+
+def test_check_verbose_reports_each_agreeing_theory(capsys):
+    path = str(corpus.path("tweety"))
+    assert main(["--no-timings", "check", "--verbose", path]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"{path}: agree", "checked 1 theories: all agree"]

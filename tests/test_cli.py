@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from contextlib import ExitStack, contextmanager, redirect_stdout
@@ -505,15 +506,21 @@ def test_stdout_closed_early_exits_2_quietly(tmp_path):
 def capped_cli(cap_bytes, *argv):
     """``python -m defeasidl`` in a child process whose address space alone
     is capped at ``cap_bytes``; on leaving the block the child is killed, if
-    it still runs, and reaped, so a timed-out test leaves nothing behind."""
+    it still runs, and reaped, so a timed-out test leaves nothing behind.
+
+    The child runs with faulthandler on.  When waiting for it times out, it
+    is sent SIGABRT first, on which faulthandler writes the Python stack of
+    each of its threads to standard error without allocating, and the test
+    fails with that stack."""
     resource = pytest.importorskip("resource")
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
+        resource.setrlimit(resource.RLIMIT_CORE, (0, 0))  # the abort leaves no core file
 
     package_root = str(Path(defeasidl.__file__).resolve().parent.parent)
     child = subprocess.Popen(
-        [sys.executable, "-m", "defeasidl", *argv, "--no-timings"],
+        [sys.executable, "-X", "faulthandler", "-m", "defeasidl", *argv, "--no-timings"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -522,9 +529,30 @@ def capped_cli(cap_bytes, *argv):
     )
     try:
         yield child
+    except subprocess.TimeoutExpired as exc:
+        if exc.cmd != child.args:  # another child's wait timed out
+            raise
+        child.send_signal(signal.SIGABRT)
+        try:
+            err = child.communicate(timeout=30)[1]
+        except subprocess.TimeoutExpired:
+            err = "(none: the child did not stop on SIGABRT)"
+        pytest.fail(f"{list(argv)} timed out; its Python stacks:\n{err}", pytrace=False)
     finally:
         child.kill()
         child.communicate()
+
+
+def test_a_capped_child_that_times_out_fails_with_its_stack(tmp_path):
+    # The child blocks opening a FIFO that nothing ever writes to.
+    fifo = tmp_path / "never-written.dfl"
+    os.mkfifo(fifo)
+    with pytest.raises(pytest.fail.Exception) as failed:
+        with capped_cli(150 << 20, "check", str(fifo)) as child:
+            child.communicate(timeout=3)
+    message = str(failed.value)
+    assert message.startswith(f"['check', '{fifo}'] timed out; its Python stacks:")
+    assert "(most recent call first)" in message
 
 
 class TestResourceLimits:

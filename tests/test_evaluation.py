@@ -300,6 +300,17 @@ def test_a_ring_of_gated_loops_is_decided_one_loop_per_pass(monkeypatch):
     assert len(ring) == 60 and sorted(components, key=len) == [{atom("x30")}, ring]
 
 
+def test_a_pass_covers_the_positive_readers_of_what_lost_a_clause():
+    # m and r hold each other up inside the ring, and m loses its gate only
+    # once the passes up the ring decide y3; r lost no clause, but the next
+    # pass must cover it, as it reads m, or neither is found unfounded.
+    program = gated_loops(6, "x1 :- x1, u.", "u :- not v, y5.", "v :- not u.",
+                          "m :- r.", "r :- m.", "m :- not y3.", "x1 :- x1, m.")
+    interp = assert_same_evaluation(program)
+    assert {atom("m"), atom("r")} <= interp.false_set
+    assert interp.unknown_set == {atom("u"), atom("v")}
+
+
 def test_gated_loops_take_linear_time():
     # Host-independent: twice the links may take at most three times as
     # long.  Each of three rounds times both sizes back to back, so a burst
@@ -316,6 +327,49 @@ def test_gated_loops_take_linear_time():
             times.append(time.perf_counter() - started)
         ratios.append(times[1] / times[0])
     assert min(ratios) <= 3
+
+
+def gated_loops_under_a_ring(links: int):
+    """``gated_loops(links)`` under a positive ring ``c0 :- c(links - 1).``,
+    ``c_j :- c_(j - 1).``, where ``c_j :- not y_j.`` also holds each ``c_j``:
+    every gate decided kills a clause of the ring, which is unfounded only
+    once all of them are decided."""
+    ring = [f"c{j} :- c{(j - 1) % links}." for j in range(links)]
+    return gated_loops(links, *ring, *(f"c{j} :- not y{j}." for j in range(links)))
+
+
+def best_time_ratio(make, sizes) -> float:
+    """The best of three rounds' ratio of evaluation times of the groundings
+    of ``make(n)`` for the two ``sizes``, timed back to back in each round."""
+    groundings = [ground_program(make(n)) for n in sizes]
+    for g in groundings:  # builds each grounding's index
+        eval_wellfounded(None, g)
+    ratios = []
+    for _ in range(3):
+        times = []
+        for g in groundings:
+            started = time.perf_counter()
+            eval_wellfounded(None, g)
+            times.append(time.perf_counter() - started)
+        ratios.append(times[1] / times[0])
+    return min(ratios)
+
+
+def test_a_ring_of_gated_loops_takes_linear_time():
+    # The ring is one component decided one loop per pass; each pass after
+    # the first covers only the loop whose gate the last one decided, so
+    # twice the links may take at most three times as long.
+    assert best_time_ratio(gated_ring, (800, 1600)) <= 3
+
+
+def test_gated_loops_under_a_ring_take_linear_time():
+    # Each gate decided kills a clause of the ring, whose members all read
+    # each other positively; condensed apart, the ring is passed over once,
+    # after the last gate, not once per gate.
+    program = gated_loops_under_a_ring(30)
+    interp = assert_same_evaluation(program)
+    assert {atom(f"c{j}") for j in range(30)} <= interp.false_set
+    assert best_time_ratio(gated_loops_under_a_ring, (800, 1600)) <= 3
 
 
 def test_evaluation_builds_no_ground_clause(monkeypatch):
