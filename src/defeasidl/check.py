@@ -133,7 +133,7 @@ def check_theory(theory: DefeasibleTheory, name: str = "theory") -> CheckResult:
         _compare(result, category, "lambda", got[TAG_LAMBDA], oracle.lam)
         _compare(result, category, f"defeasibly vs {closure}", got[TAG_DEFEASIBLY],
                  oracle.tagged()[closure])
-        hybrid = read_conclusions(out, eval_hybrid(out, ground).true_set)
+        hybrid = read_conclusions(out, eval_hybrid(out, ground).true_set, (TAG_DEFEASIBLY,))
         _compare(result, "hybrid", f"{out.mode} defeasibly", hybrid[TAG_DEFEASIBLY],
                  got[TAG_DEFEASIBLY])
         # The stratified backend returns this model, which must then be total.

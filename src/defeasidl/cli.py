@@ -47,7 +47,7 @@ from .evaluator import (
     format_atom,
     ground_program,
 )
-from .mangling import TAG_DEFEASIBLY, TAG_DEFINITELY, TAG_LAMBDA
+from .mangling import CONCLUSION_TAGS, TAG_DEFEASIBLY, TAG_DEFINITELY, TAG_LAMBDA
 from .oracle import conclusions
 from .parser import format_theory, parse_theory
 from .theory import (
@@ -204,25 +204,17 @@ def cmd_compile(args: argparse.Namespace, reporter: Reporter) -> int:
     return OK
 
 
-def _conclusion_lines(args, tag_name, sets, three_valued_extra):
+def _conclusion_lines(tag_name, sets, three_valued_extra):
     def texts(lits):  # each literal printed once, so each is turned into text once
         return sorted(map(str, lits))
 
-    lines = [f"+Delta {text}" for text in texts(sets[TAG_DEFINITELY])]
-    if args.show_lambda:
-        lines += [f"+lambda {text}" for text in texts(sets[TAG_LAMBDA])]
-    lines += [f"+{tag_name} {text}" for text in texts(sets[TAG_DEFEASIBLY])]
+    labels = {TAG_DEFINITELY: "Delta", TAG_LAMBDA: "lambda", TAG_DEFEASIBLY: tag_name}
+    lines = [f"+{labels[tag]} {text}" for tag, lits in sets.items() for text in texts(lits)]
     if three_valued_extra is not None:
         false_lits, unknown_lits = three_valued_extra
         lines += [f"-{tag_name} {text}" for text in texts(false_lits)]
         lines += [f"?{tag_name} {text}" for text in texts(unknown_lits)]
     return lines
-
-
-def _tagged(out, atoms, tags) -> list:
-    """The ``atoms`` of the compiled predicates whose tag is one of ``tags``."""
-    names = {name for name, mp in out.predicate_info.items() if mp.base in tags}
-    return [atom for atom in atoms if atom[0] in names]
 
 
 def cmd_solve(args: argparse.Namespace, reporter: Reporter) -> int:
@@ -236,14 +228,17 @@ def cmd_solve(args: argparse.Namespace, reporter: Reporter) -> int:
     if theory.has_variables() and not theory.constants():
         reporter.result("error empty-universe: theory has variables but no constants")
         return DOMAIN_FAILURE
+    # Only the tags printed are read back: +lambda only under --show-lambda.
+    tags = CONCLUSION_TAGS if args.show_lambda else (TAG_DEFINITELY, TAG_DEFEASIBLY)
     try:
         if args.backend == "oracle":
             oracle = conclusions(theory)
-            sets = {
+            closures = {
                 TAG_DEFINITELY: oracle.delta,
                 TAG_LAMBDA: oracle.lam,
                 TAG_DEFEASIBLY: oracle.dpar if args.logic == "dpar" else oracle.dpar_star,
             }
+            sets = {tag: closures[tag] for tag in tags}
             extra = None
         else:
             out = compile_team(theory) if args.logic == "dpar" else compile_individual(theory)
@@ -258,24 +253,22 @@ def cmd_solve(args: argparse.Namespace, reporter: Reporter) -> int:
                 interp = eval_stratified(out.program, ground)
             else:
                 interp = eval_hybrid(out, ground)
-            # Only the atoms of the tags printed are read back.
-            shown = {TAG_DEFINITELY, TAG_DEFEASIBLY} | ({TAG_LAMBDA} if args.show_lambda else set())
-            sets = read_conclusions(out, _tagged(out, interp.true_set, shown))
+            sets = read_conclusions(out, interp.true_set, tags)
             extra = None
             if args.three_valued:
-                extra = tuple(
-                    read_conclusions(out, _tagged(out, atoms, {TAG_DEFEASIBLY}))[TAG_DEFEASIBLY]
-                    for atoms in (interp.false_set, interp.unknown_set)
-                )
+                extra = tuple(read_conclusions(out, atoms, (TAG_DEFEASIBLY,))[TAG_DEFEASIBLY]
+                              for atoms in (interp.false_set, interp.unknown_set))
     except NotStratified:
-        reporter.result(
-            "error not-stratified: compiled program is not stratified; use --backend wf or hybrid"
-        )
+        backends = "wf" if args.three_valued else "wf or hybrid"  # --three-valued refuses hybrid
+        reporter.result("error not-stratified: compiled program is not stratified; "
+                        f"use --backend {backends}")
         return DOMAIN_FAILURE
     except UnsafeProgram as exc:
         reporter.result(f"error unsafe-program: {exc}")
         return DOMAIN_FAILURE
-    for line in _conclusion_lines(args, tag_name, sets, extra):
+    except MemoryError:  # matched here, not re-raised: see main
+        return None
+    for line in _conclusion_lines(tag_name, sets, extra):
         reporter.result(line)
     return OK
 
@@ -485,6 +478,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return ENV_FAILURE if exc.code not in (0, None) else OK
     # Each subcommand returns its exit code; the timings record closes its report.
+    # cmd_solve returns None for a MemoryError rather than re-raise it from past
+    # its 256th instruction: CPython re-raises with that index as a new int, and
+    # at the memory cap it retries that allocation forever.
     reporter = Reporter(args, args.command(args))
     try:
         code = args.func(args, reporter)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from .datalog import DatalogProgram, DClause
 from .mangling import (
+    CONCLUSION_TAGS,
     FLAVOR_D,
     FLAVOR_DELTA,
     FLAVOR_LAM,
@@ -148,7 +149,7 @@ def _compile(theory: DefeasibleTheory, mode: str) -> CompilationOutput:
 
     for fact in sorted(theory.facts, key=fact_key):
         source = str(fact)
-        for tag in (TAG_DEFINITELY, TAG_LAMBDA, TAG_DEFEASIBLY):
+        for tag in CONCLUSION_TAGS:
             em.emit(DClause(em.lit_atom(tag, fact)), source, SCHEMA_FACT)
 
     strict = [r for r in theory.rules if r.kind is RuleKind.STRICT]
@@ -299,15 +300,16 @@ def compiled_size(out: CompilationOutput) -> int:
     return total
 
 
-def read_conclusions(out: CompilationOutput, true_atoms) -> dict[str, frozenset[Literal]]:
+def read_conclusions(out: CompilationOutput, true_atoms,
+                     tags=CONCLUSION_TAGS) -> dict[str, frozenset[Literal]]:
     """Map true compiled atoms back to tagged source literals.
 
-    ``true_atoms`` iterates (predicate, args) pairs; the result has the
-    keys "definitely", "lambda" and "defeasibly".  The source predicate
-    names come from a validated theory, so atoms are built unchecked; each
-    constant becomes one name-checked term.
+    ``true_atoms`` iterates (predicate, args) pairs; the result has exactly
+    the keys ``tags``, in that order, and an atom of any other predicate is
+    skipped.  The source predicate names come from a validated theory, so
+    atoms are built unchecked; each constant becomes one name-checked term.
     """
-    sets: dict[str, set[Literal]] = {TAG_DEFINITELY: set(), TAG_LAMBDA: set(), TAG_DEFEASIBLY: set()}
+    sets: dict[str, set[Literal]] = {tag: set() for tag in tags}
     terms: dict[str, Term] = {}  # one name-checked term per distinct constant
     for pred, args in true_atoms:
         mp = out.predicate_info.get(pred)

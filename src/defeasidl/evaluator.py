@@ -549,11 +549,11 @@ def ground_program(program: DatalogProgram, constants=None, *,
     return GroundProgram(tuple(instances), atoms, frozenset(derived))
 
 
-def _evaluate(g: GroundProgram, fitting: bool, floor=frozenset()) -> ThreeValuedInterpretation:
-    """Fitting's or the well-founded model, by the module docstring's propagation and
-    unfounded-set passes; with ``fitting``, ``floor`` predicates' atoms are still
-    decided as under the well-founded one, the rest by propagation alone."""
-    if fitting and not g.derived <= floor:
+def _evaluate(g: GroundProgram, wf=None) -> ThreeValuedInterpretation:
+    """The atoms of the predicates in ``wf`` (``None``: every predicate) decided as
+    under the well-founded model, by the module docstring's propagation and
+    unfounded-set passes, and the rest by propagation alone, as under Fitting's."""
+    if wf is not None and not g.derived <= wf:
         raise ValueError("Fitting's operator would decide atoms grounded by derivability")
     clauses, atoms = g.instances, g.atoms
     heads, need, live, positive, negative, seeds = g.occurrences
@@ -604,7 +604,7 @@ def _evaluate(g: GroundProgram, fitting: bool, floor=frozenset()) -> ThreeValued
         return [atom for atom in group if not value[atom]]
 
     settle(seeds.copy())
-    scope = [n for n, atom in atoms.items() if not value[n] and (not fitting or atom[0] in floor)]
+    scope = [n for n, atom in atoms.items() if not value[n] and (wf is None or atom[0] in wf)]
     if scope:
         held: dict[int, list[int]] = {atom: [] for atom in scope}  # live clauses by head
         for idx in compress(range(len(heads)), alive):
@@ -639,7 +639,7 @@ def eval_stratified(program: DatalogProgram,
     model, over ``ground`` if given, else over ``ground_program(program)``."""
     if stratify(program) is None:
         raise NotStratified("program has a negative edge inside a recursive component")
-    interp = _evaluate(ground or ground_program(program), fitting=False)
+    interp = _evaluate(ground or ground_program(program))
     if not interp.is_total():
         raise RuntimeError("stratified program left atoms unknown (internal error)")
     return interp
@@ -649,14 +649,14 @@ def eval_fitting(program: DatalogProgram,
                  ground: Optional[GroundProgram] = None) -> ThreeValuedInterpretation:
     """Fitting's model, the least fixpoint of the three-valued immediate-consequence
     operator, over ``ground`` if given, else over ``ground_program(program)``."""
-    return _evaluate(ground or ground_program(program), fitting=True)
+    return _evaluate(ground or ground_program(program), frozenset())
 
 
 def eval_wellfounded(program: DatalogProgram,
                      ground: Optional[GroundProgram] = None) -> ThreeValuedInterpretation:
     """The well-founded model, over ``ground`` if given, else over
     ``ground_program(program)``."""
-    return _evaluate(ground or ground_program(program), fitting=False)
+    return _evaluate(ground or ground_program(program))
 
 
 def eval_hybrid(compiled: CompilationOutput,
@@ -671,8 +671,7 @@ def eval_hybrid(compiled: CompilationOutput,
     ):
         raise TypeError("hybrid evaluation needs a compiler-produced program with provenance")
     floor = compiled.floor_names
-    interp = _evaluate(ground or ground_program(compiled.program, compiled.constants),
-                       fitting=True, floor=floor)
+    interp = _evaluate(ground or ground_program(compiled.program, compiled.constants), floor)
     if any(a[0] in floor for a in interp.unknown_set):
         raise RuntimeError("hybrid floor left atoms unknown (internal error)")
     return interp

@@ -35,6 +35,7 @@ FLAVOR_D = "d"
 BODY_FLAVORS = (FLAVOR_DELTA, FLAVOR_LAM, FLAVOR_D)
 
 FLOOR_TAGS = (TAG_DEFINITELY, TAG_LAMBDA)
+CONCLUSION_TAGS = (TAG_DEFINITELY, TAG_LAMBDA, TAG_DEFEASIBLY)  # each fact's three unit clauses
 FLOOR_FLAVORS = (FLAVOR_DELTA, FLAVOR_LAM)
 
 

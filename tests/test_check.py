@@ -282,7 +282,8 @@ def fly_signs_flipped(signing):
 
 
 def dropping_bird_freddie(read_conclusions):
-    return lambda out, atoms: read_conclusions(out, [a for a in atoms if a != BIRD_FREDDIE])
+    return lambda out, atoms, *tags: read_conclusions(
+        out, [a for a in atoms if a != BIRD_FREDDIE], *tags)
 
 
 # name -> (its fake, given the real one; the (category, line) pairs expected)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import defeasidl
-from defeasidl import corpus, evaluator, oracle
+from defeasidl import cli, corpus, evaluator, oracle
 from defeasidl.cli import build_parser, main
 from defeasidl.compiler import compile_individual, compile_team
 from defeasidl.parser import format_theory, parse_theory
@@ -147,6 +147,16 @@ class TestSolve:
         assert code == 1
         assert "not-stratified" in out and "hybrid" in out
 
+    def test_three_valued_refusal_hints_a_backend_that_lists(self):
+        argv = ("--no-timings", "solve", NONSTRAT, "--three-valued", "--backend")
+        code, out = run(*argv, "stratified")
+        assert code == 1
+        hint = result_lines(out)[-1]
+        assert hint.endswith("not stratified; use --backend wf"), hint
+        code, out = run(*argv, hint.rsplit(" ", 1)[1])
+        assert code == 0
+        assert result_lines(out) == ["+dpar neg q", "-dpar q"]
+
     def test_hybrid_backend_on_nonstratified(self):
         code, out = run("--no-timings", "solve", NONSTRAT, "--backend", "hybrid")
         assert code == 0
@@ -175,7 +185,8 @@ class TestSolve:
     @pytest.mark.parametrize("name", corpus.names())
     def test_three_valued_keeps_the_true_conclusions(self, name):
         # Plain solve grounds wf and stratified by derivability and
-        # --three-valued by self-support; both give the same + lines.
+        # --three-valued by self-support; both give the same + lines.  A
+        # not-stratified refusal's hint names wf alone under --three-valued.
         path = str(corpus.path(name))
         for logic in ("dpar", "dpar_star"):
             for backend in ("wf", "stratified"):
@@ -183,9 +194,10 @@ class TestSolve:
                 code, plain = run(*argv)
                 code_3v, three_valued = run(*argv, "--three-valued")
                 assert code == code_3v, (logic, backend)
-                assert [line for line in result_lines(three_valued) if line[0] not in "-?"] == (
-                    result_lines(plain)
-                ), (logic, backend)
+                assert [line for line in result_lines(three_valued) if line[0] not in "-?"] == [
+                    line.replace("use --backend wf or hybrid", "use --backend wf")
+                    for line in result_lines(plain)
+                ], (logic, backend)
 
     def test_rot_solves_by_derivability(self, tmp_path):
         # The self-supporting grounding of t holds 30**3 triples; the
@@ -556,6 +568,18 @@ def test_a_capped_child_that_times_out_fails_with_its_stack(tmp_path):
 
 
 class TestResourceLimits:
+    @pytest.mark.parametrize("backend, stage", [("oracle", "conclusions"), ("wf", "ground_program")])
+    def test_solve_matches_a_memory_error_itself(self, monkeypatch, backend, stage):
+        # Re-raised from cmd_solve's try statement, a MemoryError could spin
+        # CPython at the memory cap (see cli.main); main reports the None.
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, stage, exhausted)
+        args = build_parser().parse_args(["solve", TWEETY, "--backend", backend])
+        with redirect_stdout(io.StringIO()):
+            assert cli.cmd_solve(args, cli.Reporter(args, [])) is None
+
     def test_analyze_reach_path_40_under_2_gb(self, tmp_path):
         # 40 edges make 41 constants, so r2 has 41**3 instances; lifting its
         # superiority pair to every instance pair took 118,681,962 pairs.

@@ -126,7 +126,7 @@ EXPECTED = {
         "solve dpar wf --three-valued":
             "b7e473a5e5fea6c74b943a367a2e4a6056ff6f685221bcae9c5e7a15762e0bf9",
         "solve dpar stratified --three-valued":
-            "9d0b3615796033eccc71217022561b4b307f4a80472d886bc5fba6a8de6a854d",
+            "341c32594c90e34fc8d2116832620317b9358f4cf24d67f54907e972e8201798",
         "solve dpar_star wf":
             "71c6069ed58b7ba43452845779e5f62087f5b6ce5032ca1591ccf8a966458288",
         "solve dpar_star stratified":
@@ -218,7 +218,7 @@ EXPECTED = {
         "solve dpar wf --three-valued":
             "6a1cedbbcb7b6db03bcb64849308af749570786993d2c3394772b806b9cdd67f",
         "solve dpar stratified --three-valued":
-            "9d0b3615796033eccc71217022561b4b307f4a80472d886bc5fba6a8de6a854d",
+            "341c32594c90e34fc8d2116832620317b9358f4cf24d67f54907e972e8201798",
         "solve dpar_star wf":
             "326cc9a008fe6a22d091db9d9d1dc5f04682172162eb61e89bb3281ed4be7ade",
         "solve dpar_star stratified":
@@ -356,7 +356,7 @@ EXPECTED = {
         "solve dpar wf --three-valued":
             "418ee7ec413b5e33ffadb358294e7e99a57f28f6f54623c03893b7e15c8a703f",
         "solve dpar stratified --three-valued":
-            "9d0b3615796033eccc71217022561b4b307f4a80472d886bc5fba6a8de6a854d",
+            "341c32594c90e34fc8d2116832620317b9358f4cf24d67f54907e972e8201798",
         "solve dpar_star wf":
             "11d119ca1304eab6687e11d9640797a210d8fed93352ccd34a8824817c185dd4",
         "solve dpar_star stratified":

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from conftest import lit, theory
@@ -9,7 +11,7 @@ from defeasidl.compiler import (
     emit_datalog_text,
     read_conclusions,
 )
-from defeasidl.datalog import DatalogProgram, DClause, dependency_graph, parse_datalog
+from defeasidl.datalog import DatalogProgram, DClause, dependency_graph, is_safe, parse_datalog
 from defeasidl.evaluator import eval_wellfounded
 from defeasidl.mangling import MangledPredicate
 from defeasidl.theory import (
@@ -175,6 +177,23 @@ class TestCompileGuards:
                 graph = dependency_graph(out.program)
                 assert not any(p in floor and q not in floor for p, q, _ in graph.edges)
 
+    def test_one_floor_for_both_compilations(self):
+        # Team and individual defeat differ only above the floor: the floor's
+        # predicates, their descriptors, and its clauses in program order with
+        # their provenance are the same in both compilations.
+        def floor_part(out):
+            floor = out.floor_names
+            return (floor, {p: out.predicate_info[p] for p in floor},
+                    [(clause, info) for clause, info in zip(out.program.clauses, out.provenance)
+                     if clause.head.predicate in floor])
+
+        with_floor = 0
+        for t in corpus_slice():
+            team = floor_part(compile_team(t))
+            assert team == floor_part(compile_individual(t))
+            with_floor += bool(team[2])
+        assert with_floor >= len(corpus_slice()) - 1  # one generated theory is empty
+
     def test_one_descriptor_per_compiled_predicate(self, monkeypatch, tweety):
         built = [0]
         init = MangledPredicate.__init__
@@ -302,6 +321,27 @@ class TestSizes:
 
 
 class TestReadback:
+    def test_tags_pick_the_keys_read_back(self):
+        # For each set of WF atoms, reading back any non-empty subset of the
+        # three tags gives exactly those keys, in order, with the full sets.
+        tags = ("definitely", "lambda", "defeasibly")
+        subsets = [subset for n in (1, 2, 3) for subset in combinations(tags, n)]
+        read = 0
+        for t in corpus_slice():
+            for out in (compile_team(t), compile_individual(t)):
+                if not is_safe(out.program):
+                    continue
+                wf = eval_wellfounded(out.program)
+                for atoms in (wf.true_set, wf.false_set, wf.unknown_set):
+                    whole = read_conclusions(out, atoms)
+                    assert list(whole) == list(tags)
+                    for subset in subsets:
+                        got = read_conclusions(out, atoms, subset)
+                        assert list(got) == list(subset)
+                        assert got == {tag: whole[tag] for tag in subset}
+                    read += any(whole.values())
+        assert read > 0
+
     def test_round_trip_literals(self, tweety):
         out = compile_team(tweety)
         atoms = [

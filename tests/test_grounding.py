@@ -391,11 +391,11 @@ def assert_floor_by_derivability_agrees(program, constants, floor):
     full = ground_program(program, constants)
     mixed = ground_program(program, constants,
                            self_supporting=program.predicates.keys() - floor)
-    for fitting in (False, True):
-        want = _evaluate(full, fitting, floor)
-        got = _evaluate(mixed, fitting, floor)
-        assert true_and_unknown(got) == true_and_unknown(want), fitting
-        assert got.false_set == want.false_set & mixed.herbrand_base, fitting
+    for wf in (None, floor):
+        want = _evaluate(full, wf)
+        got = _evaluate(mixed, wf)
+        assert true_and_unknown(got) == true_and_unknown(want), wf
+        assert got.false_set == want.false_set & mixed.herbrand_base, wf
     return full, mixed
 
 
