@@ -296,6 +296,8 @@ def cmd_eval(args: argparse.Namespace, reporter: Reporter) -> int:
     except UnsafeProgram as exc:
         reporter.result(f"error unsafe-program: {exc}")
         return DOMAIN_FAILURE
+    except MemoryError:  # matched here, not re-raised: see main
+        return None
     for value, atoms in (
         ("true", interp.true_set),
         ("false", interp.false_set),
@@ -478,9 +480,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return ENV_FAILURE if exc.code not in (0, None) else OK
     # Each subcommand returns its exit code; the timings record closes its report.
-    # cmd_solve returns None for a MemoryError rather than re-raise it from past
-    # its 256th instruction: CPython re-raises with that index as a new int, and
-    # at the memory cap it retries that allocation forever.
+    # cmd_solve and cmd_eval return None for a MemoryError rather than re-raise
+    # it from past their 256th instruction: CPython re-raises with that index as
+    # a new int, and at the memory cap it retries that allocation forever.
     reporter = Reporter(args, args.command(args))
     try:
         code = args.func(args, reporter)

@@ -28,11 +28,18 @@ class DatalogSyntaxError(Exception):
 
 @dataclass(frozen=True, order=True)
 class DClause:
-    """``head :- positive..., not negative...`` (a unit clause if both empty)."""
+    """``head :- positive..., not negative...`` (a unit clause if both empty);
+    ``ground`` and ``safe`` are read from its variables once, on construction."""
 
     head: Atom
     positive: tuple[Atom, ...] = ()
     negative: tuple[Atom, ...] = ()
+
+    def __post_init__(self):  # ground: no variable; safe: the positive atoms bind all of them
+        bound = {t.name for a in self.positive for t in a.args if t.is_variable}
+        free = {t.name for a in (self.head, *self.negative) for t in a.args if t.is_variable}
+        object.__setattr__(self, "ground", not bound and not free)
+        object.__setattr__(self, "safe", free <= bound)
 
     def atoms(self) -> Iterable[Atom]:
         yield self.head
@@ -88,9 +95,7 @@ class DatalogProgram:
 
     @cached_property
     def _safe(self) -> bool:
-        return all(
-            _clause_vars([c.head, *c.negative]) <= _clause_vars(c.positive) for c in self.clauses
-        )
+        return all(c.safe for c in self.clauses)
 
     def __str__(self) -> str:
         return print_datalog(self)
@@ -176,13 +181,9 @@ def compute_signing(program: DatalogProgram, scope: Iterable[str]) -> Optional[S
     return None if mapping is None else Signing(mapping, scope_set)
 
 
-def _clause_vars(atoms: Iterable[Atom]) -> set[str]:
-    return {t.name for a in atoms for t in a.args if t.is_variable}
-
-
 def is_safe(program: DatalogProgram) -> bool:
-    """Every clause variable is bound by a positive body literal: head
-    variables (range restriction) and negated ones (negation safety).
+    """Every clause is ``safe``: a positive body literal binds each head
+    variable (range restriction) and each negated one (negation safety).
     Decided once per program."""
     return program._safe
 

@@ -378,13 +378,10 @@ def _sync(number: dict[GAtom, int], atoms: list[GAtom]) -> None:
 def _fixed(clause: DClause) -> Optional[tuple[GAtom, list[GAtom], list[GAtom]]]:
     """The one instance of a clause without variables, as its head, positive
     and negative atoms; None when the clause has a variable."""
-    atoms = []
-    for atom in (clause.head, *clause.positive, *clause.negative):
-        args = tuple([t.name for t in atom.args])
-        for name in args:
-            if name[0].isupper():
-                return None
-        atoms.append((atom.predicate, args))
+    if not clause.ground:
+        return None
+    atoms = [(atom.predicate, tuple([t.name for t in atom.args]))
+             for atom in (clause.head, *clause.positive, *clause.negative)]
     k = len(clause.positive) + 1
     return atoms[0], atoms[1:k], atoms[k:]
 
@@ -495,15 +492,14 @@ def _ground_clauses(program: DatalogProgram, constants, *,
         members = set(component) if recursive else ()  # the predicates a body reads recursively
         derivable = (recursive and self_supporting is not None
                      and members.isdisjoint(self_supporting))
-        start = final  # what the member steps of round 0 read
-        if recursive:
+        start = final  # what the member steps of round 0 read: no member atom is final yet
+        if recursive and not derivable:
             start = _Atoms(atoms)
-            if not derivable:
-                seeds = [number.setdefault((pred, args), len(number))
-                         for pred, argsets in _head_instances(rules, constants).items()
-                         for args in argsets]
-                _sync(number, atoms)
-                start.add(seeds)
+            seeds = [number.setdefault((pred, args), len(number))
+                     for pred, argsets in _head_instances(rules, constants).items()
+                     for args in argsets]
+            _sync(number, atoms)
+            start.add(seeds)
         found: dict[GroundClause, None] = {}
         plans = []
         for clause in rules:

@@ -580,6 +580,21 @@ class TestResourceLimits:
         with redirect_stdout(io.StringIO()):
             assert cli.cmd_solve(args, cli.Reporter(args, [])) is None
 
+    @pytest.mark.parametrize("semantics, stage", [
+        ("wf", "eval_wellfounded"), ("fitting", "eval_fitting"), ("stratified", "eval_stratified"),
+    ])
+    def test_eval_matches_a_memory_error_itself(self, monkeypatch, tmp_path, semantics, stage):
+        # cmd_eval's try statement ends past the 256th instruction too.
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, stage, exhausted)
+        path = tmp_path / "p.dl"
+        path.write_text("p(a).\nq(X) :- p(X), not r(X).\n")
+        args = build_parser().parse_args(["eval", str(path), "--semantics", semantics])
+        with redirect_stdout(io.StringIO()):
+            assert cli.cmd_eval(args, cli.Reporter(args, [])) is None
+
     def test_analyze_reach_path_40_under_2_gb(self, tmp_path):
         # 40 edges make 41 constants, so r2 has 41**3 instances; lifting its
         # superiority pair to every instance pair took 118,681,962 pairs.

@@ -15,7 +15,7 @@ from defeasidl.datalog import (
     print_datalog,
     stratify,
 )
-from defeasidl.theory import is_hierarchical
+from defeasidl.theory import Atom, is_hierarchical
 from analysis_reference import has_negative_edge_in_scc, reference_call_consistent, reference_strata
 from test_evaluation import corpus_slice
 from program_generator import random_program
@@ -276,6 +276,36 @@ class TestSafety:
 
     def test_unbound_negative_variable(self):
         assert not is_safe(parse_datalog("p :- q, not r(X)."))
+
+    def test_clause_flags_match_a_naive_reading(self, rng):
+        # Each clause reads its variables once, on construction; this
+        # re-reads them per atom, and ``is_safe`` by the set formula it
+        # replaced.  Two variants of each random program unbind its head
+        # variables (no positive body) or its negated ones (the body negated
+        # under a variable-free head), so unsafe clauses of both kinds occur.
+        def variables(atoms):
+            return {t.name for a in atoms for t in a.args if t.is_variable}
+
+        programs = [compile_(t).program for t in corpus_slice()
+                    for compile_ in (compile_team, compile_individual)]
+        for _ in range(300):
+            p = random_program(rng)
+            programs.append(p)
+            programs.append(DatalogProgram(tuple(DClause(c.head, (), c.negative) for c in p.clauses)))
+            programs.append(DatalogProgram(tuple(
+                DClause(Atom("u"), (), c.positive + c.negative) for c in p.clauses)))
+        seen = set()
+        for p in programs:
+            for c in p.clauses:
+                ground = not variables(c.atoms())
+                safe = all(t.name in variables(c.positive) for a in (c.head, *c.negative)
+                           for t in a.args if t.is_variable)
+                assert (c.ground, c.safe) == (ground, safe), str(c)
+                seen.add((ground, safe))
+            assert is_safe(p) == all(
+                variables([c.head, *c.negative]) <= variables(c.positive) for c in p.clauses
+            )
+        assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_arity_check_in_constructor():

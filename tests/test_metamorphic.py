@@ -1,12 +1,13 @@
-"""Metamorphic relations over theories: renaming the rule labels or the
-constants of a theory, shuffling the order of its rules, or adding
-superiority pairs that cannot matter must not change its conclusions, on
-any backend or on the oracle.
+"""Metamorphic relations over theories: renaming the rule labels, the
+constants or the predicates of a theory, shuffling the order of its rules,
+or adding superiority pairs that cannot matter must not change its
+conclusions, on any backend or on the oracle; and the disjoint union of two
+theories concludes what the two conclude.
 
 Labels never occur in source literals, so the conclusions map back to the
-original theory unchanged; renamed constants are mapped back by the inverse
-renaming.  Renaming constants reorders them, and with them the grounder's
-pool and its atom numbering.  Each backend is compared on its whole
+original theory unchanged; renamed constants and predicates are mapped back
+by the inverse renaming.  Renaming constants reorders them, and with them
+the grounder's pool and its atom numbering.  Each backend is compared on its whole
 interpretation, read back as true, false and unknown source literals, so a
 label that leaks into the grounding as an individual shows as a changed
 false or unknown literal (``-dpar q(r0)`` becoming ``-dpar q(x1)``)."""
@@ -82,17 +83,46 @@ def rename_constants(t: DefeasibleTheory, rng: random.Random):
     return renamed, {name: Term(constant) for constant, name in new.items()}
 
 
+def rename_predicates(t: DefeasibleTheory, rng: random.Random, avoid=frozenset()):
+    """The theory with its predicates mapped by a shuffled bijection onto
+    fresh names, in an order other than theirs, and the map back.  The fresh
+    names avoid the theory's names, those in ``avoid`` and the reserved
+    ``neg``, and the renamed theory mangles without a collision."""
+    predicates = sorted(t.predicates())
+    reserved = {*predicates, *(r.label for r in t.rules), *t.constants(), *avoid, "neg"}
+    fresh = [f"f{i}" for i in range(len(predicates) + len(reserved))]
+    fresh = [name for name in fresh if name not in reserved][: len(predicates)]
+    order = rng.sample(fresh, len(fresh))
+    while len(order) > 1 and sorted(order) == order:  # never the same order
+        rng.shuffle(order)
+    new = dict(zip(predicates, order))
+
+    def rename(lit: Literal) -> Literal:
+        return Literal(Atom(new[lit.predicate], lit.args), lit.negated)
+
+    renamed = DefeasibleTheory.of(
+        map(rename, t.facts),
+        [Rule(r.label, tuple(map(rename, r.body)), rename(r.head), r.kind) for r in t.rules],
+        t.superiority,
+    )
+    assert mangling_collisions(renamed) == []
+    return renamed, {name: predicate for predicate, name in new.items()}
+
+
+def map_literals(views, change):
+    """``conclusions_by_backend`` output with ``change`` applied to every literal."""
+    if isinstance(views, dict):
+        return {key: map_literals(value, change) for key, value in views.items()}
+    if isinstance(views, frozenset):
+        return frozenset(map(change, views))
+    return type(views)(map_literals(value, change) for value in views)
+
+
 def map_back(views, back: dict):
     """``conclusions_by_backend`` output with every literal's constants
     mapped through ``back``."""
-    if isinstance(views, dict):
-        return {key: map_back(value, back) for key, value in views.items()}
-    if isinstance(views, frozenset):
-        return frozenset(
-            Literal(Atom(lit.predicate, tuple(back[term.name] for term in lit.args)), lit.negated)
-            for lit in views
-        )
-    return type(views)(map_back(value, back) for value in views)
+    return map_literals(views, lambda lit: Literal(
+        Atom(lit.predicate, tuple(back[term.name] for term in lit.args)), lit.negated))
 
 
 def conclusions_by_backend(t: DefeasibleTheory) -> dict:
@@ -227,3 +257,72 @@ def test_inert_superiority_pairs_change_no_conclusion(name, t, more):
     assert {f"{a} > {b}" for a, b in more.superiority - t.superiority} <= warned
     assert conclusions_by_backend(more) == conclusions_by_backend(t)
 
+
+# has__wings holds the mangling separator: a read-back that took a compiled
+# name's last ``__`` component for the source predicate would conclude
+# ``wings(tweety)`` from it.
+SEPARATOR_EXAMPLE = (
+    "has__wings(tweety).\nbird(tweety).\npenguin(tweety).\n"
+    "r1: bird(X), has__wings(X) => flies(X).\nr2: penguin(X) => neg flies(X).\nr2 > r1.\n"
+)
+
+PREDICATE_CASES = [("separator-example", theory(SEPARATOR_EXAMPLE)), *BUNDLED]
+
+
+@pytest.mark.parametrize("name, t", PREDICATE_CASES, ids=[name for name, _ in PREDICATE_CASES])
+def test_renaming_predicates_changes_no_conclusion(name, t):
+    renamed, back = rename_predicates(t, random.Random(name))
+    views = map_literals(conclusions_by_backend(renamed),
+                         lambda lit: Literal(Atom(back[lit.predicate], lit.args), lit.negated))
+    assert views == conclusions_by_backend(t)
+
+
+def disjoint_union(a: DefeasibleTheory, b: DefeasibleTheory) -> DefeasibleTheory:
+    assert not a.predicates() & b.predicates()
+    assert not {r.label for r in a.rules} & {r.label for r in b.rules}
+    return DefeasibleTheory.of(a.facts | b.facts, [*a.rules, *b.rules], a.superiority | b.superiority)
+
+
+def united(a, b):
+    """Two theories' ``conclusions_by_backend`` outputs joined set by set, on
+    the backends both have (the union is stratified when both parts are)."""
+    if isinstance(a, dict):
+        return {key: united(a[key], b[key]) for key in a.keys() & b.keys()}
+    if isinstance(a, frozenset):
+        return a | b
+    return type(a)(united(x, y) for x, y in zip(a, b))
+
+
+def true_only(views):
+    """``conclusions_by_backend`` output cut to the true literals and the oracle."""
+    return {key: value if key == "oracle" else value[0] for key, value in views.items()}
+
+
+# Both parts conclude about k, through predicates of their own.  An oracle
+# that looked up a literal's attackers by their polarity and arguments, not
+# their predicate, would let each part's rule attack the other's conclusion
+# in the union, which would then conclude neither.
+UNION_EXAMPLE = ("e(k).\nr1: e(X) => p(X).\n", "f(k).\ns1: f(X) => neg q(X).\n")
+
+
+def union_cases():
+    yield "union-example", theory(UNION_EXAMPLE[0]), theory(UNION_EXAMPLE[1])
+    pairs = list(zip(CASES[0::2], CASES[1::2]))
+    for (first, a), (second, b) in pairs[:4] + pairs[-4:]:
+        rng = random.Random(first + second)
+        b = rename_labels(rename_predicates(b, rng, avoid=a.predicates())[0], rng)
+        yield f"{first}+{second}", a, b
+
+
+UNIONS = list(union_cases())
+
+
+@pytest.mark.parametrize("name, a, b", UNIONS, ids=[case[0] for case in UNIONS])
+def test_a_disjoint_union_concludes_what_its_parts_conclude(name, a, b):
+    got = conclusions_by_backend(disjoint_union(a, b))
+    want = united(conclusions_by_backend(a), conclusions_by_backend(b))
+    if a.has_variables() or b.has_variables():
+        # Variable rules range over the union's constants, so a part's
+        # false and unknown literals can gain the other part's constants.
+        got, want = true_only(got), true_only(want)
+    assert got == want

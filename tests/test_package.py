@@ -1,6 +1,7 @@
-"""Package-wide rules: the exported API, no bare ``assert`` in the code, no
-import outside the standard library, an oracle that imports only the data
-model, a README row for every module and README examples that parse."""
+"""Package-wide rules: the exported API, no bare ``assert`` in the code, one
+home for the variable rule, no import outside the standard library, an
+oracle that imports only the data model, a README row for every module and
+README examples that parse."""
 
 import ast
 import re
@@ -28,6 +29,20 @@ def test_no_bare_assert_in_the_package():
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_only_the_data_model_and_the_lexer_read_a_variable_from_its_case():
+    # ``Term.is_variable`` and the parser's token kinds hold the variable
+    # rule; everything else asks a term or reads a clause's ``ground``.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name in ("theory.py", "parser.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "isupper"]
     assert found == []
 
 
