@@ -4,11 +4,11 @@ For each theory this checks, against the proof-theoretic oracle, the
 positive atom sets of the well-founded models of both compiled programs,
 the hybrid (stratified floor + Fitting) backend, the totality the pure
 stratified backend rests on, the structural guarantees of the compilation,
-and the subset chain of the four closures.  Each compiled program is
-condensed and grounded once; its well-founded and hybrid evaluations share
-the grounding and its occurrence index, and each condenses only its own
-residual.  Failures carry a category prefix so callers can slice them; a
-failing theory can be shrunk with :func:`minimize`.
+and the subset chain of the four closures.  The individual program reuses
+the team's shared clauses, whose floor is grounded once, each upper part on
+top; each program is condensed once, and its evaluations share its grounding
+and occurrence index, each condensing only its own residual.  Failures carry
+a category prefix to slice them by; a failing theory shrinks with :func:`minimize`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .compiler import (
     read_conclusions,
 )
 from .datalog import (
+    DatalogProgram,
     compute_signing,
     dependency_graph,
     is_call_consistent,
@@ -82,8 +83,9 @@ def _structural(result: CheckResult, theory: DefeasibleTheory, team: Compilation
         graph = dependency_graph(out.program)
         if any(p in floor and q in upper for p, q, _ in graph.edges):
             result.failures.append(f"structural: {label} floor is not downward closed")
-        # A closed floor holds whole components, so it stratifies iff none has a negative edge.
-        elif any(s < 0 and p in floor for p, _, s in graph.inside):
+        # A closed floor holds whole components, so it stratifies iff none has a negative
+        # edge; check_theory's individual floor is the team's, so only the team's is read.
+        elif out is team and any(s < 0 and p in floor for p, _, s in graph.inside):
             result.failures.append(f"structural: {label} floor subprogram is not stratified")
         signing = compute_signing(out.program, upper)
         if signing is None:
@@ -107,7 +109,7 @@ def check_theory(theory: DefeasibleTheory, name: str = "theory") -> CheckResult:
         return result
 
     team = compile_team(theory)
-    indiv = compile_individual(theory)
+    indiv = compile_individual(theory, team)
     _structural(result, theory, team, indiv)
 
     try:
@@ -123,9 +125,16 @@ def check_theory(theory: DefeasibleTheory, name: str = "theory") -> CheckResult:
         result.skipped_eval = True
         return result
 
+    # Both programs hold the team's floor clauses: it is grounded once, by derivability,
+    # and each upper part on top, where only Fitting's operator needs self-support.
+    floor_names = team.floor_names
+    floor = ground_program(
+        DatalogProgram(tuple(c for c in team.program.clauses if c.head.predicate in floor_names),
+                       {p: n for p, n in team.program.predicates.items() if p in floor_names}),
+        team.constants, self_supporting=frozenset())
     for out, closure in ((team, "dpar"), (indiv, "dpar_star")):
-        # Only Fitting's part above the floor needs the self-supporting seed.
-        ground = ground_program(out.program, out.constants, self_supporting=out.upper_names)
+        ground = ground_program(out.program, out.constants, self_supporting=out.upper_names,
+                                floor=floor)
         wf = eval_wellfounded(out.program, ground)
         got = read_conclusions(out, wf.true_set)
         category = f"oracle-{out.mode}"
@@ -177,6 +186,8 @@ def minimize_failure(theory: DefeasibleTheory) -> Optional[DefeasibleTheory]:
     def still_failing(candidate: DefeasibleTheory) -> bool:
         try:
             return not check_theory(candidate).agree
+        except MemoryError:  # no verdict; cli.main reports it (see there on re-raising)
+            raise
         except Exception:
             return False
 

@@ -26,6 +26,7 @@ superior rule is a defeater, compile to nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from .datalog import DatalogProgram, DClause
 from .mangling import (
@@ -58,10 +59,12 @@ TEAM = "team"
 INDIVIDUAL = "individual"
 
 SCHEMA_FACT = "fact"
+# The schemas whose clauses both modes emit alike; C25's block is as long as
+# C20's, so each such clause has one position in both programs.
+SHARED_SCHEMAS = frozenset({SCHEMA_FACT, "C15", "C16", "C17", "C18", "C19", "C21", "C22"})
 
 
-@dataclass(frozen=True)
-class ClauseInfo:
+class ClauseInfo(NamedTuple):
     source: str  # rule label, superiority pair, or fact text
     schema: str  # "fact" or "C15".."C26"
 
@@ -86,8 +89,9 @@ class CompilationOutput:
 
 
 class _Emitter:
-    def __init__(self, mode: str):
+    def __init__(self, mode: str, shared: Optional[CompilationOutput] = None):
         self.mode = mode
+        self.shared = shared  # the output whose clauses of SHARED_SCHEMAS are taken
         self.clauses: list[DClause] = []
         self.provenance: list[ClauseInfo] = []
         self.predicate_info: dict[str, MangledPredicate] = {}
@@ -112,9 +116,17 @@ class _Emitter:
     def body_atom(self, rule: Rule, flavor: str) -> Atom:
         return self.atom((TAG_BODY, None, False, rule.label, flavor), rule.head.args)
 
-    def emit(self, clause: DClause, source: str, schema: str) -> None:
-        self.clauses.append(clause)
-        self.provenance.append(ClauseInfo(source, schema))
+    def emit(self, build: Callable[[], DClause], source: str, schema: str) -> None:
+        """Append ``build()``, or the shared output's clause here if both modes share it."""
+        at = len(self.clauses)
+        if self.shared is None or schema not in SHARED_SCHEMAS:
+            self.clauses.append(build())
+            self.provenance.append(ClauseInfo(source, schema))
+        elif self.shared.provenance[at:at + 1] == ((source, schema),):
+            self.clauses.append(self.shared.program.clauses[at])
+            self.provenance.append(self.shared.provenance[at])
+        else:
+            raise RuntimeError(f"clause {at} is not {schema} {source} in the shared compilation")
 
     def finish(self, constants: frozenset[str]) -> CompilationOutput:
         return CompilationOutput(
@@ -141,27 +153,34 @@ def fact_key(fact: Literal) -> tuple:
     return fact.atom.predicate, tuple([t.name for t in fact.atom.args]), fact.negated
 
 
-def _compile(theory: DefeasibleTheory, mode: str) -> CompilationOutput:
+def _compile(theory: DefeasibleTheory, mode: str, shared=None) -> CompilationOutput:
     report = validate_theory(theory)
     if not report.ok:
         raise ValidationFailed(report)
-    em = _Emitter(mode)
+    em = _Emitter(mode, shared)
+    strict = [r for r in theory.rules if r.kind is RuleKind.STRICT]
+    sd = [r for r in theory.rules if r.is_strict_or_defeasible]
+    if shared is not None:  # the shared clauses' predicates, in the order they were met
+        heads = {(r.head.predicate, r.head.negated) for r in sd}  # C20 and C25 overrule these
+        em.predicate_info = {
+            name: mp for name, mp in shared.predicate_info.items()
+            if mp.base not in (TAG_DEFEATED, TAG_DEFEATS)
+            and (mp.base != TAG_OVERRULED or (mp.source_predicate, mp.negated) in heads)}
+        # C25's first atom of each overruled predicate sets its arity again.
+        em.arities = {name: shared.program.predicates[name] for name in em.predicate_info}
 
     for fact in sorted(theory.facts, key=fact_key):
         source = str(fact)
         for tag in CONCLUSION_TAGS:
-            em.emit(DClause(em.lit_atom(tag, fact)), source, SCHEMA_FACT)
-
-    strict = [r for r in theory.rules if r.kind is RuleKind.STRICT]
-    sd = [r for r in theory.rules if r.is_strict_or_defeasible]
+            em.emit(lambda: DClause(em.lit_atom(tag, fact)), source, SCHEMA_FACT)
 
     for r in strict:
         delta_body = (em.body_atom(r, FLAVOR_DELTA),)
-        em.emit(DClause(em.lit_atom(TAG_DEFINITELY, r.head), delta_body), r.label, "C15")
-        em.emit(DClause(em.lit_atom(TAG_LAMBDA, r.head), delta_body), r.label, "C16")
-        em.emit(DClause(em.lit_atom(TAG_DEFEASIBLY, r.head), delta_body), r.label, "C17")
+        em.emit(lambda: DClause(em.lit_atom(TAG_DEFINITELY, r.head), delta_body), r.label, "C15")
+        em.emit(lambda: DClause(em.lit_atom(TAG_LAMBDA, r.head), delta_body), r.label, "C16")
+        em.emit(lambda: DClause(em.lit_atom(TAG_DEFEASIBLY, r.head), delta_body), r.label, "C17")
         em.emit(
-            DClause(
+            lambda: DClause(
                 em.body_atom(r, FLAVOR_DELTA),
                 tuple(em.lit_atom(TAG_DEFINITELY, b) for b in r.body),
             ),
@@ -171,7 +190,7 @@ def _compile(theory: DefeasibleTheory, mode: str) -> CompilationOutput:
 
     for r in sd:
         em.emit(
-            DClause(
+            lambda: DClause(
                 em.lit_atom(TAG_LAMBDA, r.head),
                 (em.body_atom(r, FLAVOR_LAM),),
                 (em.lit_atom(TAG_DEFINITELY, r.head.complement()),),
@@ -184,7 +203,7 @@ def _compile(theory: DefeasibleTheory, mode: str) -> CompilationOutput:
         # Individual defeat overrules a conclusion per defending rule (C25).
         label_arg = () if mode == TEAM else (Term(r.label),)
         em.emit(
-            DClause(
+            lambda: DClause(
                 em.lit_atom(TAG_DEFEASIBLY, r.head),
                 (em.body_atom(r, FLAVOR_D),),
                 (
@@ -198,7 +217,7 @@ def _compile(theory: DefeasibleTheory, mode: str) -> CompilationOutput:
 
     for r in theory.rules:  # lambda-bodies exist for defeaters too: overruled needs them
         em.emit(
-            DClause(
+            lambda: DClause(
                 em.body_atom(r, FLAVOR_LAM),
                 tuple(em.lit_atom(TAG_LAMBDA, b) for b in r.body),
             ),
@@ -207,7 +226,7 @@ def _compile(theory: DefeasibleTheory, mode: str) -> CompilationOutput:
         )
     for r in sd:  # d-bodies of defeaters are never referenced
         em.emit(
-            DClause(
+            lambda: DClause(
                 em.body_atom(r, FLAVOR_D),
                 tuple(em.lit_atom(TAG_DEFEASIBLY, b) for b in r.body),
             ),
@@ -218,7 +237,7 @@ def _compile(theory: DefeasibleTheory, mode: str) -> CompilationOutput:
     if mode == TEAM:
         for s in theory.rules:
             em.emit(
-                DClause(
+                lambda: DClause(
                     em.lit_atom(TAG_OVERRULED, s.head.complement()),
                     (em.body_atom(s, FLAVOR_LAM),),
                     (em.lit_atom(TAG_DEFEATED, s.head, extra=(Term(s.label),)),),
@@ -228,7 +247,7 @@ def _compile(theory: DefeasibleTheory, mode: str) -> CompilationOutput:
             )
         for sup, inf in _consumed_superiority(theory):
             em.emit(
-                DClause(
+                lambda: DClause(
                     em.lit_atom(TAG_DEFEATED, sup.head.complement(), extra=(Term(inf.label),)),
                     (em.body_atom(sup, FLAVOR_D),),
                 ),
@@ -242,7 +261,7 @@ def _compile(theory: DefeasibleTheory, mode: str) -> CompilationOutput:
                 if r.head.predicate != defended.predicate or r.head.negated != defended.negated:
                     continue
                 em.emit(
-                    DClause(
+                    lambda: DClause(
                         em.lit_atom(TAG_OVERRULED, defended, extra=(Term(r.label),)),
                         (em.body_atom(s, FLAVOR_LAM),),
                         (
@@ -257,7 +276,7 @@ def _compile(theory: DefeasibleTheory, mode: str) -> CompilationOutput:
                 )
         for sup, inf in _consumed_superiority(theory):
             em.emit(
-                DClause(
+                lambda: DClause(
                     em.atom(
                         (TAG_DEFEATS, inf.head.predicate, inf.head.negated),
                         (Term(sup.label), Term(inf.label)),
@@ -274,10 +293,11 @@ def compile_team(theory: DefeasibleTheory) -> CompilationOutput:
     return _compile(theory, TEAM)
 
 
-def compile_individual(theory: DefeasibleTheory) -> CompilationOutput:
+def compile_individual(theory: DefeasibleTheory, team=None) -> CompilationOutput:
     """Compile for the individual-defeat consequence relation; the result
-    is stratified for every theory."""
-    return _compile(theory, INDIVIDUAL)
+    is stratified for every theory.  The clauses both modes share are taken
+    from ``team``, the theory's ``compile_team`` output, if given."""
+    return _compile(theory, INDIVIDUAL, team)
 
 
 def emit_datalog_text(out: CompilationOutput) -> str:

@@ -427,8 +427,8 @@ def _derive(plans: list[_Plan], members: set[str], new: list[int], final: _Atoms
     return instances
 
 
-def _ground_clauses(program: DatalogProgram, constants, *,
-                    self_supporting=None) -> tuple[list[GroundClause], dict[int, GAtom]]:
+def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
+                    floor=None) -> tuple[list[GroundClause], dict[int, GAtom]]:
     """Clause instances over ``constants`` whose positive body atoms can all
     appear as heads, and the atoms they mention; an instance holds atom
     numbers, and the atoms come by number, in number order.
@@ -445,6 +445,9 @@ def _ground_clauses(program: DatalogProgram, constants, *,
     positive self-edge reads final atoms only, so every instance it joins
     is kept and its heads are its final atoms.  Each atom is numbered when
     first met; one that the pruning drops is left out of the result's atoms.
+    A ``floor``, the grounding by derivability of a downward-closed part of
+    the program, numbered without gaps, is finished: the clauses whose head
+    it ``derived`` are skipped, and the rest are grounded on top, numbering on.
 
     A positively recursive component is seeded self-supporting if
     ``self_supporting`` is None or names one of its predicates, else derivable:
@@ -473,19 +476,24 @@ def _ground_clauses(program: DatalogProgram, constants, *,
     semantics has to leave them unknown, and only the well-founded and
     stratified semantics make them false.
     """
+    floor = floor or GroundProgram((), {})
     clauses_of: dict[str, list[DClause]] = {}
     uses: dict[str, list[str]] = {}  # positive predicate dependencies
     for clause in program.clauses:
         pred = clause.head.predicate
-        clauses_of.setdefault(pred, []).append(clause)
-        uses.setdefault(pred, []).extend(a.predicate for a in clause.positive)
+        if pred not in floor.derived:
+            clauses_of.setdefault(pred, []).append(clause)
+            uses.setdefault(pred, []).extend(
+                a.predicate for a in clause.positive if a.predicate not in floor.derived)
     constants = sorted(constants)
-    number: dict[GAtom, int] = {}
-    atoms: list[GAtom] = []  # by number
+    number: dict[GAtom, int] = {atom: n for n, atom in floor.atoms.items()}
+    atoms: list[GAtom] = list(floor.atoms.values())  # by number
+    instances: list[GroundClause] = list(floor.instances)
+    heads = dict.fromkeys(inst.head for inst in instances)
     final = _Atoms(atoms)  # the atoms of finished components, and those derived so far
-    done: set[int] = set()  # the numbers of the atoms in ``final``
+    final.add(heads)
+    done: set[int] = set(heads)  # the numbers of the atoms in ``final``
     final_table = final.table
-    instances: list[GroundClause] = []
     for component in _tarjan_sccs(clauses_of, uses):
         rules = [clause for pred in component for clause in clauses_of.get(pred, ())]
         recursive = len(component) > 1 or component[0] in uses.get(component[0], ())
@@ -528,19 +536,20 @@ def _ground_clauses(program: DatalogProgram, constants, *,
     return instances, {n: atom for atom, n in number.items() if n in base}
 
 
-def ground_program(program: DatalogProgram, constants=None, *,
-                   self_supporting=None) -> GroundProgram:
+def ground_program(program: DatalogProgram, constants=None, *, self_supporting=None,
+                   floor: Optional[GroundProgram] = None) -> GroundProgram:
     """Ground a safe program over the constant pool ``constants``, by default
     its own constants, keeping the clause instances whose positive atoms
     ``_ground_clauses`` can support.  The default ``self_supporting=None``
     suits every semantics; predicates left out of it are recorded as
     ``derived``, and Fitting's operator must not decide them.  A compiled
     program's own constants include its rule labels, so it is grounded over
-    ``CompilationOutput.constants``."""
+    ``CompilationOutput.constants``.  A ``floor`` is built on as in
+    ``_ground_clauses``, and ``self_supporting`` leaves its predicates out."""
     if not is_safe(program):
         raise UnsafeProgram("program is not safe; grounding would not terminate on ground atoms")
     pool = program.constants() if constants is None else constants
-    instances, atoms = _ground_clauses(program, pool, self_supporting=self_supporting)
+    instances, atoms = _ground_clauses(program, pool, self_supporting=self_supporting, floor=floor)
     derived = frozenset() if self_supporting is None else program.predicates.keys() - self_supporting
     return GroundProgram(tuple(instances), atoms, frozenset(derived))
 

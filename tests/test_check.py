@@ -1,7 +1,9 @@
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -10,14 +12,21 @@ from defeasidl import check, corpus, datalog, evaluator, generator, oracle
 from defeasidl import theory as theory_module
 from defeasidl.check import CheckResult, _structural, check_theory, minimize, minimize_failure
 from defeasidl.cli import main
-from defeasidl.compiler import compile_individual, compile_team
-from defeasidl.datalog import DatalogProgram, DependencyGraph, Signing, parse_datalog, stratify
+from defeasidl.compiler import SHARED_SCHEMAS, compile_individual, compile_team
+from defeasidl.datalog import (
+    DClause, DatalogProgram, DependencyGraph, Signing, parse_datalog, stratify)
 from defeasidl.evaluator import ThreeValuedInterpretation
+from defeasidl.parser import parse_theory
 from defeasidl.theory import DefeasibleTheory
 from analysis_reference import restrict_to
 from evaluation_reference import reference_wellfounded
 from residual_generator import residual_theory
 from test_evaluation import corpus_slice
+from test_grounding import rot_theory
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import chain_names, random_digraph, reach_theory, succ_theory
 
 
 def test_corpus_theories_agree(tweety, platypus, nonstrat):
@@ -82,6 +91,26 @@ def test_minimize_failure_returns_none_when_agreeing(tweety):
     assert minimize_failure(tweety) is None
 
 
+def test_exhausted_memory_while_minimizing_is_not_a_passing_candidate(tweety, monkeypatch,
+                                                                     capsys):
+    # A candidate whose check runs out of memory has no verdict, so the
+    # shrink must stop with the error rather than print a theory it
+    # minimized on verdicts it never got.
+    def planted(t, name="theory"):
+        if t == tweety:
+            return CheckResult(name, ["planted: the original fails"])
+        raise MemoryError
+
+    monkeypatch.setattr(check, "check_theory", planted)
+    with pytest.raises(MemoryError):
+        minimize_failure(tweety)
+    code = main(["--no-timings", "check", str(corpus.path("tweety"))])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[-1].startswith("error resource-exhausted")
+    assert "  minimized:" not in lines
+
+
 def test_mismatched_head_patterns_agree_with_oracle():
     # The defeat clause is keyed on the defender's head vector even when the
     # attacker's pattern differs (diagonal vs general); the ground-level
@@ -122,13 +151,15 @@ def counting(monkeypatch, module, name):
 
 
 def test_each_compiled_program_is_grounded_at_most_once(monkeypatch):
+    # The floor both programs share is grounded once, and each program's
+    # part above it once, on top of it.
     calls = counting(monkeypatch, evaluator, "_ground_clauses")
     evaluated = 0
     for t in corpus_slice():
         before = calls[0]
         result = check_theory(t)
         assert result.agree, result.failures
-        assert calls[0] - before <= (0 if result.skipped_eval else 2)
+        assert calls[0] - before == (0 if result.skipped_eval else 3)
         evaluated += not result.skipped_eval
     assert evaluated > 0
 
@@ -195,10 +226,12 @@ def tarjan_passes(monkeypatch, *modules):
 
 def test_each_theory_condenses_at_most_seven_graphs(monkeypatch):
     # One pass per compiled program's graph (2) and per grounding's positive
-    # predicate graph (2), plus the superiority cycle search and, for a team
-    # program that does not stratify, the hierarchy test.  Ground atoms are
-    # condensed only where propagation and the unfounded-set pass leave some
-    # undecided, which on the corpus happens in at most one evaluation.
+    # predicate graph (3: the shared floor's, then each program's part above
+    # it), plus the superiority cycle search.  A team program that does not
+    # stratify adds the hierarchy test, and ground atoms are condensed only
+    # where propagation and the unfounded-set pass leave some undecided, in
+    # at most one evaluation.  No theory of the slice needs both; of the
+    # acceptance corpus only ground-0958 does, with 8 passes.
     passes = tarjan_passes(monkeypatch)
     evaluated = 0
     for t in corpus_slice():
@@ -262,10 +295,98 @@ def test_one_grounding_builds_its_occurrence_index_once(tweety, monkeypatch):
     evaluator.eval_wellfounded(out.program, g)
     evaluator.eval_hybrid(out, g)
     assert builds == [1]
-    # check_theory evaluates each of its two groundings twice.
+    # check_theory grounds the shared floor, then each program on top of it,
+    # and evaluates each program's grounding twice; the floor's own is never
+    # evaluated, so it builds no index.
     groundings = counting(monkeypatch, evaluator, "_ground_clauses")
     assert check_theory(tweety).agree
-    assert builds == [1 + groundings[0]] and groundings == [2]
+    assert groundings == [3] and builds == [1 + 2]
+
+
+def test_one_check_builds_each_clause_once_and_grounds_the_floor_once(tweety, monkeypatch):
+    # DClause.__post_init__ runs once per clause built: every team clause and
+    # the individual program's own C24, C25 and C26 clauses.  A grounding
+    # hands each clause of its components to _fixed once, so a floor clause
+    # is grounded once and each program's upper clauses once per program.
+    built = [0]
+    init = DClause.__post_init__
+
+    def counted_init(clause):
+        built[0] += 1
+        init(clause)
+
+    monkeypatch.setattr(DClause, "__post_init__", counted_init)
+    outputs = []
+    for name in ("compile_team", "compile_individual"):
+        real = getattr(check, name)
+        monkeypatch.setattr(check, name, lambda *args, real=real: outputs.append(real(*args))
+                            or outputs[-1])
+    grounded = Counter()
+    fixed = evaluator._fixed
+    monkeypatch.setattr(evaluator, "_fixed", lambda clause: grounded.update([id(clause)])
+                        or fixed(clause))
+    evaluated = 0
+    for t in [tweety, *corpus_slice()]:
+        outputs.clear()
+        grounded.clear()
+        built[0] = 0
+        result = check_theory(t)
+        team, indiv = outputs
+        own = [c for c, info in zip(indiv.program.clauses, indiv.provenance)
+               if info.schema not in SHARED_SCHEMAS]
+        assert built[0] == len(team.program.clauses) + len(own)
+        if result.skipped_eval:
+            assert not grounded
+            continue
+        evaluated += 1
+        floor = [c for c in team.program.clauses if c.head.predicate in team.floor_names]
+        assert all(grounded[id(c)] == 1 for c in floor)
+        uppers = sum(c.head.predicate not in out.floor_names
+                     for out in (team, indiv) for c in out.program.clauses)
+        assert sum(grounded.values()) == len(floor) + uppers
+    assert evaluated > 0
+
+
+def evaluated_groundings(monkeypatch):
+    """The groundings check_theory evaluates, by mode, as it hands them to eval_hybrid."""
+    seen = {}
+    real = check.eval_hybrid
+
+    def recording(out, g):
+        seen[out.mode] = g
+        return real(out, g)
+
+    monkeypatch.setattr(check, "eval_hybrid", recording)
+    return seen
+
+
+def test_groundings_on_the_shared_floor_are_the_per_mode_ones(monkeypatch):
+    # Each program's part above the floor is grounded on top of the one floor
+    # grounding; the result must be the program's own grounding, with the
+    # same well-founded and hybrid models.
+    def whole(interp):
+        return interp.true_set, interp.false_set, interp.domain
+
+    seen = evaluated_groundings(monkeypatch)
+    texts = [reach_theory(random_digraph(random.Random(1), n)) for n in (12, 16, 20)]
+    texts += [succ_theory(chain_names(random.Random(1), n)) for n in (10, 40)]
+    theories = [*corpus_slice(), rot_theory(8), *(parse_theory(text) for text in texts)]
+    compared = 0
+    for t in theories:
+        seen.clear()
+        result = check_theory(t)
+        assert result.agree, result.failures
+        for out in (compile_team(t), compile_individual(t)):
+            got = seen[out.mode]
+            want = evaluator.ground_program(out.program, out.constants,
+                                            self_supporting=out.upper_names)
+            assert sorted(got.clauses) == sorted(want.clauses)
+            assert (got.herbrand_base, got.derived) == (want.herbrand_base, want.derived)
+            assert whole(evaluator.eval_wellfounded(out.program, got)) == whole(
+                evaluator.eval_wellfounded(out.program, want))
+            assert whole(evaluator.eval_hybrid(out, got)) == whole(evaluator.eval_hybrid(out, want))
+            compared += 1
+    assert compared == 2 * len(theories)
 
 
 def test_chain_violation_is_a_chain_failure(tweety, monkeypatch):

@@ -263,13 +263,13 @@ class TestSolve:
     def test_backend_picks_the_grounding_seed(self, monkeypatch):
         # Records the predicates each grounding keeps self-supporting: none
         # for wf and stratified, and those above the floor for hybrid, check
-        # and --three-valued.
+        # and --three-valued; check grounds its shared floor first, with none.
         kept = []
         real = evaluator._ground_clauses
 
-        def recording(program, constants, *, self_supporting):
+        def recording(program, constants, *, self_supporting, floor=None):
             kept.append(self_supporting)
-            return real(program, constants, self_supporting=self_supporting)
+            return real(program, constants, self_supporting=self_supporting, floor=floor)
 
         monkeypatch.setattr(evaluator, "_ground_clauses", recording)
         out = compile_team(parse_theory(Path(TWEETY).read_text(encoding="utf-8")))
@@ -288,7 +288,7 @@ class TestSolve:
         kept.clear()
         assert run("--no-timings", "check", TWEETY)[0] == 0
         indiv = compile_individual(parse_theory(Path(TWEETY).read_text(encoding="utf-8")))
-        assert kept == [upper, indiv.program.predicates.keys() - indiv.floor_names]
+        assert kept == [set(), upper, indiv.program.predicates.keys() - indiv.floor_names]
 
     def test_unsafe_theory_exits_1_on_every_compiled_backend(self, tmp_path):
         src = tmp_path / "unsafe.dfl"

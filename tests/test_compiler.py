@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from conftest import lit, theory
 from defeasidl import compiler, corpus, generator
 from defeasidl.compiler import (
+    SHARED_SCHEMAS,
     compile_individual,
     compile_team,
     compiled_size,
@@ -23,6 +25,7 @@ from defeasidl.theory import (
     theory_size,
     validate_theory,
 )
+from residual_generator import residual_theory
 from test_evaluation import corpus_slice
 
 
@@ -193,6 +196,36 @@ class TestCompileGuards:
             assert team == floor_part(compile_individual(t))
             with_floor += bool(team[2])
         assert with_floor >= len(corpus_slice()) - 1  # one generated theory is empty
+
+    def test_individual_output_built_on_the_team_output_is_the_same(self, tweety, platypus):
+        # compile_individual(t, team) takes every clause both modes share, and
+        # its record, from the team output; only C25, C26 and the defeats
+        # units are built.  The result must be compile_individual(t)'s.
+        def whole(out):
+            return (out.mode, out.program.clauses, out.provenance, out.predicate_info,
+                    out.floor_names, out.constants, list(out.program.predicates.items()))
+
+        rng = random.Random(20261019)
+        theories = [*(corpus.load(name) for name in corpus.names()), *corpus_slice(),
+                    *(residual_theory(rng) for _ in range(200))]
+        built = 0
+        for t in theories:
+            team = compile_team(t)
+            reused = compile_individual(t, team)
+            assert whole(reused) == whole(compile_individual(t))
+            for at, info in enumerate(reused.provenance):
+                if info.schema in SHARED_SCHEMAS:
+                    assert reused.program.clauses[at] is team.program.clauses[at]
+                    assert info is team.provenance[at]
+                else:
+                    built += 1
+                    assert info.schema in ("C24", "C25", "C26")
+        assert built > 0
+        # An individual output shares the same clauses; another theory's does not fit.
+        fresh = compile_individual(tweety)
+        assert whole(compile_individual(tweety, fresh)) == whole(fresh)
+        with pytest.raises(RuntimeError, match="shared compilation"):
+            compile_individual(platypus, compile_team(tweety))
 
     def test_one_descriptor_per_compiled_predicate(self, monkeypatch, tweety):
         built = [0]
