@@ -81,7 +81,7 @@ def _structural(result: CheckResult, theory: DefeasibleTheory, team: Compilation
         if is_safe(out.program) != rr:
             result.failures.append(f"structural: {label} safety {not rr} != range-restriction {rr}")
         graph = dependency_graph(out.program)
-        if any(p in floor and q in upper for p, q, _ in graph.edges):
+        if any(p in floor and not upper.isdisjoint(qs) for p, qs in graph.adjacency.items()):
             result.failures.append(f"structural: {label} floor is not downward closed")
         # A closed floor holds whole components, so it stratifies iff none has a negative
         # edge; check_theory's individual floor is the team's, so only the team's is read.
@@ -121,7 +121,7 @@ def check_theory(theory: DefeasibleTheory, name: str = "theory") -> CheckResult:
         result.failures.append(f"chain: {exc}")
         return result
 
-    if not is_safe(team.program):
+    if not (is_safe(team.program) and is_safe(indiv.program)):  # _structural reported which
         result.skipped_eval = True
         return result
 

@@ -4,8 +4,9 @@ Clauses are ``head :- pos..., not neg...`` over constants and variables
 only.  The analyses here are the predicate-level ones the backend
 selection depends on: the signed dependency graph, stratification,
 call-consistency (no odd negative self-dependence) and signings of a
-predicate set, each a routine of ``defeasidl.graph``, and safety.  The
-graph is condensed once, for every analysis (``DependencyGraph.components``).
+predicate set, each a routine of ``defeasidl.graph``, and safety.  Per
+program, one adjacency is built from the clauses, condensed once and swept
+once, and every analysis reads that pass (``DependencyGraph``).
 """
 
 from __future__ import annotations
@@ -86,12 +87,9 @@ class DatalogProgram:
 
     @cached_property
     def _graph(self) -> "DependencyGraph":
-        edges = set()
-        for clause in self.clauses:
-            head = clause.head.predicate
-            edges.update((head, a.predicate, +1) for a in clause.positive)
-            edges.update((head, a.predicate, -1) for a in clause.negative)
-        return DependencyGraph(frozenset(self.predicates), frozenset(edges))
+        return DependencyGraph(self.predicates, (
+            (c.head.predicate, a.predicate, sign) for c in self.clauses
+            for atoms, sign in ((c.positive, +1), (c.negative, -1)) for a in atoms))
 
     @cached_property
     def _safe(self) -> bool:
@@ -101,37 +99,46 @@ class DatalogProgram:
         return print_datalog(self)
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    """Signed head-to-body dependencies: (p, q, +1) / (p, q, -1)."""
+# An edge's sign bits; NEGATIVE, the low bit, is the step ``levels`` reads.
+NEGATIVE, POSITIVE = 1, 2
+_SIGNS = ((), (-1,), (+1,), (+1, -1))  # the signs of each bit combination
 
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str, int]]
+
+class DependencyGraph:
+    """Signed head-to-body dependencies: (p, q, +1) / (p, q, -1), held as one
+    adjacency, predicate -> successor -> sign bits, built without sorting."""
+
+    def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str, int]]):
+        self.adjacency: dict[str, dict[str, int]] = {p: {} for p in nodes}
+        self.nodes = self.adjacency.keys()
+        for p, q, sign in edges:
+            out = self.adjacency[p]
+            out[q] = out.get(q, 0) | (POSITIVE if sign > 0 else NEGATIVE)
+
+    @property
+    def edges(self) -> frozenset[tuple[str, str, int]]:
+        return frozenset((p, q, sign) for p, out in self.successors.items() for q, sign in out)
 
     @cached_property
     def successors(self) -> dict[str, list[tuple[str, int]]]:
-        adj: dict[str, list[tuple[str, int]]] = {n: [] for n in self.nodes}
-        for p, q, sign in sorted(self.edges):
-            adj[p].append((q, sign))
-        return adj
+        return {p: [(q, sign) for q, bits in out.items() for sign in _SIGNS[bits]]
+                for p, out in self.adjacency.items()}
 
     @cached_property
     def components(self) -> list[list[str]]:
         """The strongly connected components, dependencies first, found once."""
-        successors = {p: [q for q, _ in out] for p, out in self.successors.items()}
-        return _tarjan_sccs(self.nodes, successors)
+        return _tarjan_sccs(self.adjacency, self.adjacency)
+
+    @cached_property
+    def _sweep(self) -> tuple[Optional[dict[str, int]], list[tuple[str, str, int]]]:
+        """The least strata (None on a negative edge inside a component) and
+        the edges inside one, with their sign bits, in one pass."""
+        return levels(self.components, self.adjacency)
 
     @cached_property
     def inside(self) -> list[tuple[str, str, int]]:
-        """The edges between two predicates of one component, found once."""
-        comp_of = {n: i for i, comp in enumerate(self.components) for n in comp}
-        return [(p, q, sign) for p, q, sign in self.edges if comp_of[p] == comp_of[q]]
-
-    @cached_property
-    def strata(self) -> Optional[dict[str, int]]:
-        """``stratify``'s result, computed once per graph."""
-        steps = {p: [(q, int(sign < 0)) for q, sign in out] for p, out in self.successors.items()}
-        return levels(self.components, steps)
+        """The edges between two predicates of one component."""
+        return [(p, q, sign) for p, q, bits in self._sweep[1] for sign in _SIGNS[bits]]
 
 
 def dependency_graph(program: DatalogProgram) -> DependencyGraph:
@@ -144,7 +151,7 @@ def stratify(program: DatalogProgram) -> Optional[dict[str, int]]:
     """A stratum mapping (heads >= positive bodies, > negative bodies),
     or None iff some strongly connected component contains a negative edge.
     Cached with the program's graph, so callers must not change it."""
-    return dependency_graph(program).strata
+    return dependency_graph(program)._sweep[0]
 
 
 def is_call_consistent(program: DatalogProgram) -> bool:
@@ -154,8 +161,9 @@ def is_call_consistent(program: DatalogProgram) -> bool:
     a signing: in a component, two paths from a root to a node, each closed
     by one path back, make closed walks, and those split into cycles.
     """
-    graph = dependency_graph(program)
-    return two_colouring(graph.nodes, graph.inside) is not None
+    inside = dependency_graph(program).inside
+    ends = dict.fromkeys(n for p, q, _ in inside for n in (p, q))
+    return two_colouring(ends, inside) is not None
 
 
 @dataclass(frozen=True)
@@ -175,8 +183,9 @@ def compute_signing(program: DatalogProgram, scope: Iterable[str]) -> Optional[S
     parity conflict.  Each connected component is canonicalised by giving
     its lexicographically least predicate the sign +1."""
     scope_set = frozenset(scope)
-    graph = dependency_graph(program)
-    inside = [(p, q, sign) for p, q, sign in graph.edges if p in scope_set and q in scope_set]
+    adjacency = dependency_graph(program).adjacency
+    inside = [(p, q, sign) for p in scope_set for q, bits in adjacency.get(p, {}).items()
+              if q in scope_set for sign in _SIGNS[bits]]
     mapping = two_colouring(sorted(scope_set), inside)
     return None if mapping is None else Signing(mapping, scope_set)
 

@@ -2,9 +2,10 @@
 
 A graph is a mapping from a node to its successors.  ``_tarjan_sccs``
 finds the strongly connected components; ``levels`` places them on the
-least levels an edge list allows (stratification, hierarchy); and
-``two_colouring`` signs nodes so that every signed edge holds (signings,
-call-consistency).  Nothing here knows about theories or programs.
+least levels their edges allow (stratification, hierarchy) and lists the
+edges inside them; and ``two_colouring`` signs nodes so that every signed
+edge holds (signings, call-consistency).  Nothing here knows about
+theories or programs.
 """
 
 from __future__ import annotations
@@ -19,63 +20,63 @@ def _tarjan_sccs(nodes: Iterable[Hashable], successors: Mapping) -> list[list]:
     a node to the nodes it depends on, and a node missing from it has none.
     """
     index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
+    low: dict = {}  # a node of a finished component is never lower than another
     stack: list = []
     sccs: list[list] = []
-
-    def visit(node) -> tuple:
-        index[node] = low[node] = len(index)
-        stack.append(node)
-        on_stack.add(node)
-        return node, iter(successors.get(node, ()))
+    finished = float("inf")
 
     for root in nodes:
         if root in index:
             continue
-        work = [visit(root)]
+        low[root] = index[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(successors.get(root, ())), 0)]  # the stack is empty between roots
         while work:
-            node, succs = work[-1]
+            node, succs, at = work[-1]
             for nxt in succs:  # resumes where the node's last visit stopped
                 if nxt not in index:
-                    work.append(visit(nxt))
+                    low[nxt] = index[nxt] = len(index)
+                    work.append((nxt, iter(successors.get(nxt, ())), len(stack)))
+                    stack.append(nxt)
                     break
-                if nxt in on_stack and index[nxt] < low[node]:
-                    low[node] = index[nxt]
+                if low[nxt] < low[node]:
+                    low[node] = low[nxt]
             else:
                 work.pop()
-                if work and low[node] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[node]
                 if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        top = stack.pop()
-                        on_stack.discard(top)
-                        comp.append(top)
-                        if top == node:
-                            break
+                    comp = stack[at:][::-1]
+                    del stack[at:]
+                    low.update(dict.fromkeys(comp, finished))
                     sccs.append(comp)
+                elif low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
     return sccs
 
 
-def levels(components: Iterable[list], steps: Mapping) -> Optional[dict]:
+def levels(components: Iterable[list], steps: Mapping) -> tuple[Optional[dict], list]:
     """The least levels with ``level(p) >= level(q) + step`` for every edge,
-    or None when an edge of step 1 lies inside a strongly connected component.
+    or None when an edge of step 1 lies inside a strongly connected component,
+    and the ``(p, q, value)`` edges inside a component, found in one sweep.
 
-    ``steps`` maps a node ``p`` to its ``(q, step)`` pairs, each step 0 or 1;
-    ``components`` are their strongly connected components as ``_tarjan_sccs``
-    lists them, and the result covers those nodes, one level per component.
+    ``steps`` maps a node ``p`` to a mapping from each ``q`` it depends on to
+    a value whose low bit is the step; ``components`` are their strongly
+    connected components as ``_tarjan_sccs`` lists them, and the levels cover
+    those nodes, one level per component.
     """
     level: dict = {}
+    inside: list = []
     # Components come dependencies first, so a successor without a level
     # yet lies in the component at hand.
     for comp in components:
-        out = [(q, step) for p in comp for q, step in steps.get(p, ())]
-        if any(step and q not in level for q, step in out):
-            return None
-        best = max((level[q] + step for q, step in out if q in level), default=0)
+        best = 0
+        for p in comp:
+            for q, value in steps.get(p, {}).items():
+                if q not in level:
+                    inside.append((p, q, value))
+                elif level[q] + (value & 1) > best:
+                    best = level[q] + (value & 1)
         level.update(dict.fromkeys(comp, best))
-    return level
+    return (None if any(value & 1 for _, _, value in inside) else level), inside
 
 
 def two_colouring(nodes: Iterable[Hashable], edges: Iterable[tuple]) -> Optional[dict]:

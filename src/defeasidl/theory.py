@@ -400,21 +400,19 @@ def is_hierarchical(theory: DefeasibleTheory) -> Optional[dict[str, int]]:
     The mapping places every rule head strictly above every body predicate,
     ignoring polarity.
     """
-    uses: dict[str, list[str]] = {}
+    steps: dict[str, dict[str, int]] = {}  # head -> body predicate -> step 1
     for rule in theory.rules:
-        uses.setdefault(rule.head.predicate, []).extend(b.predicate for b in rule.body)
-    steps = {p: [(q, 1) for q in qs] for p, qs in uses.items()}
-    return levels(_tarjan_sccs(theory.predicates(), uses), steps)
+        steps.setdefault(rule.head.predicate, {}).update((b.predicate, 1) for b in rule.body)
+    return levels(_tarjan_sccs(theory.predicates(), steps), steps)[0]
 
 
 def is_locally_hierarchical(theory: DefeasibleTheory) -> bool:
     """True iff the ground-atom dependency graph of ground(theory) is acyclic."""
     g = ground_theory(theory)
-    uses: dict[str, list[str]] = {}
+    steps: dict[str, dict[str, int]] = {}
     for rule in g.rules:
-        uses.setdefault(str(rule.head.atom), []).extend(str(b.atom) for b in rule.body)
-    steps = {p: [(q, 1) for q in qs] for p, qs in uses.items()}
-    return levels(_tarjan_sccs(uses, uses), steps) is not None
+        steps.setdefault(str(rule.head.atom), {}).update((str(b.atom), 1) for b in rule.body)
+    return levels(_tarjan_sccs(steps, steps), steps)[0] is not None
 
 
 def theory_size(theory) -> int:

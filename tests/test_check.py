@@ -47,6 +47,24 @@ def test_empty_universe_skips_evaluation():
     assert result.skipped_eval
 
 
+def test_an_unsafe_individual_program_skips_evaluation(tweety, monkeypatch, capsys):
+    # A safe team program with an unsafe individual one: the structural
+    # battery reports it, and neither program is grounded.
+    real = check.compile_individual
+    unsafe = parse_datalog("defeasibly__fly(X) :- not definitely__bird(X).").clauses
+
+    def planted(theory, team=None):
+        out = real(theory, team)
+        return replace(out, program=DatalogProgram(out.program.clauses + unsafe))
+
+    monkeypatch.setattr(check, "compile_individual", planted)
+    result = check_theory(tweety)
+    assert result.failures == ["structural: individual safety False != range-restriction True"]
+    assert result.skipped_eval
+    assert main(["--no-timings", "check", str(corpus.path("tweety"))]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_residual_slice_agrees_and_mostly_leaves_atoms_unknown():
     # The acceptance corpus almost never reaches the well-founded residual;
     # this slice does, and the count keeps a drifting generator from making

@@ -16,7 +16,13 @@ from defeasidl.datalog import (
     stratify,
 )
 from defeasidl.theory import Atom, is_hierarchical
-from analysis_reference import has_negative_edge_in_scc, reference_call_consistent, reference_strata
+from analysis_reference import (
+    has_negative_edge_in_scc,
+    reference_call_consistent,
+    reference_components,
+    reference_signing,
+    reference_strata,
+)
 from test_evaluation import corpus_slice
 from program_generator import random_program
 
@@ -127,6 +133,23 @@ class TestDependencyGraph:
             ("body__t__d", "defeasibly__q", +1),
         ]:
             assert edge in g.edges
+
+    def test_components_and_inside_match_mutual_reachability(self, rng):
+        programs = [parse_datalog(text) for text in (
+            "p :- q, not q.", "p :- p.", "p :- not p.", "p :- q, not p. q :- p.", "p.")]
+        programs += [random_program(rng) for _ in range(150)]
+        programs += [compile_(t).program for t in corpus_slice()
+                     for compile_ in (compile_team, compile_individual)]
+        nontrivial = 0
+        for p in programs:
+            graph = dependency_graph(p)
+            components, inside = reference_components(p)
+            assert sorted(len(c) for c in graph.components) == sorted(len(c) for c in components)
+            assert {frozenset(c) for c in graph.components} == components
+            assert len(graph.inside) == len(set(graph.inside))
+            assert set(graph.inside) == inside
+            nontrivial += bool(inside)
+        assert nontrivial > 50
 
 
 class TestStratification:
@@ -257,6 +280,25 @@ class TestSigning:
                 found += 1
                 assert signing_satisfies_edges(p, signing)
         assert found > 5
+
+    def test_signings_match_a_reference_on_every_scope(self, rng):
+        # Complete as well as sound: ``None`` exactly when the parity
+        # equations have no solution, else the same canonical mapping.
+        cases = []
+        for _ in range(150):
+            p = random_program(rng)
+            cases.append((p, p.predicates))
+            cases.append((p, rng.sample(sorted(p.predicates), rng.randint(0, len(p.predicates)))))
+        for t in corpus_slice():
+            for out in (compile_team(t), compile_individual(t)):
+                cases.append((out.program, out.upper_names))
+        outcomes = []
+        for p, scope in cases:
+            signing = compute_signing(p, scope)
+            got = None if signing is None else signing.mapping
+            assert got == reference_signing(p, scope), (str(p), sorted(scope))
+            outcomes.append(got is None)
+        assert outcomes.count(True) > 20 and outcomes.count(False) > 20
 
     def test_canonical_least_predicate_positive(self):
         signing = compute_signing(parse_datalog("b :- not z. z :- c."), {"b", "z", "c"})

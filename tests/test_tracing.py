@@ -12,7 +12,7 @@ import types
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from defeasidl import cli, evaluator
+from defeasidl import check, cli, corpus, evaluator
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -67,3 +67,21 @@ def test_traced_hybrid_solve_counts_its_grounding(tmp_path, monkeypatch):
     (g,) = groundings
     counted = (row["evaluator.ground_clauses"], row["evaluator.herbrand_base"])
     assert counted == (len(g.clauses), len(g.herbrand_base)) == (495, 629)
+
+
+def test_traced_check_reports_its_structural_layers():
+    # The tracer finds the structural battery and the strata by the names of
+    # check._structural and datalog.stratify, and the team's strata in
+    # stratify's mapping; a refactor must not leave these figures at zero.
+    names = ("cli", "parser", "theory", "compiler", "datalog", "evaluator", "oracle", "check")
+    pkg = types.SimpleNamespace(**{n: importlib.import_module(f"defeasidl.{n}") for n in names})
+    pkg.modules = tracing.module_list()
+    tracer = tracing.Tracer(pkg)
+    with tracer.operation("check tweety"):
+        result = check.check_theory(corpus.load("tweety"), "tweety")
+    assert result.agree, result.failures
+    (row,) = tracer.per_operation()
+    for metric in ("datalog.structural_s", "datalog.stratify_s", "check.check_theory_s"):
+        assert row.get(metric, 0) > 0, metric
+    assert row.get("datalog.team_strata", 0) > 0
+
