@@ -21,7 +21,6 @@ from .datalog import (
     DatalogProgram,
     DClause,
     DependencyGraph,
-    Signing,
     compute_signing,
     dependency_graph,
     is_call_consistent,

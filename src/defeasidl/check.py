@@ -23,6 +23,7 @@ from .compiler import (
     read_conclusions,
 )
 from .datalog import (
+    NEGATIVE,
     DatalogProgram,
     compute_signing,
     dependency_graph,
@@ -51,9 +52,6 @@ class CheckResult:
     @property
     def agree(self) -> bool:
         return not self.failures
-
-    def failures_in(self, category: str) -> list[str]:
-        return [f for f in self.failures if f.startswith(category + ":")]
 
 
 def _literals(lits) -> str:
@@ -85,17 +83,17 @@ def _structural(result: CheckResult, theory: DefeasibleTheory, team: Compilation
             result.failures.append(f"structural: {label} floor is not downward closed")
         # A closed floor holds whole components, so it stratifies iff none has a negative
         # edge; check_theory's individual floor is the team's, so only the team's is read.
-        elif out is team and any(s < 0 and p in floor for p, _, s in graph.inside):
+        elif out is team and any(bits & NEGATIVE and p in floor for p, _, bits in graph.inside):
             result.failures.append(f"structural: {label} floor subprogram is not stratified")
         signing = compute_signing(out.program, upper)
         if signing is None:
             result.failures.append(f"structural: {label} above-floor signing not found")
             continue
-        for pred in (p for p in out.program.predicates if p in signing.scope):  # in program order
+        for pred in (p for p in out.program.predicates if p in upper):  # in program order
             base = out.predicate_info[pred].base
-            if base == TAG_DEFEASIBLY and signing.sign(pred) != +1:
+            if base == TAG_DEFEASIBLY and signing[pred] != +1:
                 result.failures.append(f"structural: {label} signing gives {pred} sign -1")
-            if base == TAG_OVERRULED and signing.sign(pred) != -1:
+            if base == TAG_OVERRULED and signing[pred] != -1:
                 result.failures.append(f"structural: {label} signing gives {pred} sign +1")
 
 
@@ -165,7 +163,7 @@ def minimize(
                 tuple(r for r in t.rules if r is not rule),
                 frozenset(p for p in t.superiority if rule.label not in p),
             )
-        for fact in sorted(t.facts):
+        for fact in t.sorted_facts:
             yield DefeasibleTheory.of(t.facts - {fact}, t.rules, t.superiority)
         for pair in sorted(t.superiority):
             yield DefeasibleTheory.of(t.facts, t.rules, t.superiority - {pair})

@@ -157,7 +157,7 @@ def cmd_analyze(args: argparse.Namespace, reporter: Reporter) -> int:
     if theory is None:
         return code
     team = compile_team(theory)
-    indiv = compile_individual(theory)
+    indiv = compile_individual(theory, team)
 
     try:
         locally = is_locally_hierarchical(theory)

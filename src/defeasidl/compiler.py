@@ -146,13 +146,6 @@ def _consumed_superiority(theory: DefeasibleTheory) -> list[tuple[Rule, Rule]]:
     return [(sup, inf) for sup, inf in pairs if inert_superiority(sup, inf) is None]
 
 
-def fact_key(fact: Literal) -> tuple:
-    """The order of ``sorted(theory.facts)`` without its dataclass comparisons:
-    a literal compares by its predicate, then its argument names, then its
-    polarity."""
-    return fact.atom.predicate, tuple([t.name for t in fact.atom.args]), fact.negated
-
-
 def _compile(theory: DefeasibleTheory, mode: str, shared=None) -> CompilationOutput:
     report = validate_theory(theory)
     if not report.ok:
@@ -169,7 +162,7 @@ def _compile(theory: DefeasibleTheory, mode: str, shared=None) -> CompilationOut
         # C25's first atom of each overruled predicate sets its arity again.
         em.arities = {name: shared.program.predicates[name] for name in em.predicate_info}
 
-    for fact in sorted(theory.facts, key=fact_key):
+    for fact in theory.sorted_facts:
         source = str(fact)
         for tag in CONCLUSION_TAGS:
             em.emit(lambda: DClause(em.lit_atom(tag, fact)), source, SCHEMA_FACT)

@@ -88,8 +88,8 @@ class DatalogProgram:
     @cached_property
     def _graph(self) -> "DependencyGraph":
         return DependencyGraph(self.predicates, (
-            (c.head.predicate, a.predicate, sign) for c in self.clauses
-            for atoms, sign in ((c.positive, +1), (c.negative, -1)) for a in atoms))
+            (c.head.predicate, a.predicate, bit) for c in self.clauses
+            for atoms, bit in ((c.positive, POSITIVE), (c.negative, NEGATIVE)) for a in atoms))
 
     @cached_property
     def _safe(self) -> bool:
@@ -101,28 +101,17 @@ class DatalogProgram:
 
 # An edge's sign bits; NEGATIVE, the low bit, is the step ``levels`` reads.
 NEGATIVE, POSITIVE = 1, 2
-_SIGNS = ((), (-1,), (+1,), (+1, -1))  # the signs of each bit combination
 
 
 class DependencyGraph:
-    """Signed head-to-body dependencies: (p, q, +1) / (p, q, -1), held as one
-    adjacency, predicate -> successor -> sign bits, built without sorting."""
+    """Head-to-body dependencies ``(p, q, NEGATIVE | POSITIVE)``, held as one
+    adjacency, predicate -> successor -> the sign bits of its edges."""
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str, int]]):
         self.adjacency: dict[str, dict[str, int]] = {p: {} for p in nodes}
-        self.nodes = self.adjacency.keys()
-        for p, q, sign in edges:
+        for p, q, bits in edges:
             out = self.adjacency[p]
-            out[q] = out.get(q, 0) | (POSITIVE if sign > 0 else NEGATIVE)
-
-    @property
-    def edges(self) -> frozenset[tuple[str, str, int]]:
-        return frozenset((p, q, sign) for p, out in self.successors.items() for q, sign in out)
-
-    @cached_property
-    def successors(self) -> dict[str, list[tuple[str, int]]]:
-        return {p: [(q, sign) for q, bits in out.items() for sign in _SIGNS[bits]]
-                for p, out in self.adjacency.items()}
+            out[q] = out.get(q, 0) | bits
 
     @cached_property
     def components(self) -> list[list[str]]:
@@ -135,10 +124,10 @@ class DependencyGraph:
         the edges inside one, with their sign bits, in one pass."""
         return levels(self.components, self.adjacency)
 
-    @cached_property
+    @property
     def inside(self) -> list[tuple[str, str, int]]:
-        """The edges between two predicates of one component."""
-        return [(p, q, sign) for p, q, bits in self._sweep[1] for sign in _SIGNS[bits]]
+        """The edges between two predicates of one component, with their sign bits."""
+        return self._sweep[1]
 
 
 def dependency_graph(program: DatalogProgram) -> DependencyGraph:
@@ -166,28 +155,16 @@ def is_call_consistent(program: DatalogProgram) -> bool:
     return two_colouring(ends, inside) is not None
 
 
-@dataclass(frozen=True)
-class Signing:
-    """A parity-consistent {-1, +1} labelling of a predicate set."""
-
-    mapping: dict[str, int]
-    scope: frozenset[str]
-
-    def sign(self, predicate: str) -> int:
-        return self.mapping[predicate]
-
-
-def compute_signing(program: DatalogProgram, scope: Iterable[str]) -> Optional[Signing]:
-    """2-colour the dependency subgraph restricted to ``scope`` so that every
-    edge (p, q, i) inside the scope satisfies s(p) = s(q) * i, or None on a
-    parity conflict.  Each connected component is canonicalised by giving
-    its lexicographically least predicate the sign +1."""
-    scope_set = frozenset(scope)
+def compute_signing(program: DatalogProgram, scope: Iterable[str]) -> Optional[dict[str, int]]:
+    """The {-1, +1} mapping of ``scope`` under which every edge inside it has
+    s(p) = -s(q) if negative and s(p) = s(q) if positive, or None on a parity
+    conflict.  The lexicographically least predicate of each connected
+    component gets +1, so the mapping is canonical."""
+    scope_set = set(scope)
     adjacency = dependency_graph(program).adjacency
-    inside = [(p, q, sign) for p in scope_set for q, bits in adjacency.get(p, {}).items()
-              if q in scope_set for sign in _SIGNS[bits]]
-    mapping = two_colouring(sorted(scope_set), inside)
-    return None if mapping is None else Signing(mapping, scope_set)
+    return two_colouring(sorted(scope_set), [(p, q, bits) for p in scope_set
+                                              for q, bits in adjacency.get(p, {}).items()
+                                              if q in scope_set])
 
 
 def is_safe(program: DatalogProgram) -> bool:

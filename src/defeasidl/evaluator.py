@@ -27,7 +27,7 @@ exactly the well-founded ones.
 
 The grounder numbers each ground atom, a ``(predicate, args)`` tuple, once;
 instances, join tables and the occurrence index hold numbers, which a
-``GroundProgram`` decodes only for its clauses, its base and its models.
+``GroundProgram`` decodes only for its base and its models.
 A clause without variables (the compiler's three unit clauses per fact)
 has one instance, built directly, with no join plan.
 """
@@ -55,7 +55,7 @@ class NotStratified(Exception):
     """The stratified semantics was requested for a non-stratified program."""
 
 
-class GroundClause(NamedTuple):  # of atom numbers, or of atoms once decoded
+class GroundClause(NamedTuple):  # of atom numbers
     head: GAtom
     positive: tuple[GAtom, ...]
     negative: tuple[GAtom, ...]
@@ -66,17 +66,11 @@ class GroundProgram:
     """Relevance-pruned ground instances over numbered atoms: ``atoms`` maps
     the number of each atom of the Herbrand base to the atom, in number
     order, and ``derived`` names the predicates grounded by derivability.
-    ``clauses`` and ``herbrand_base`` are decoded on first read."""
+    ``herbrand_base`` is decoded on first read."""
 
     instances: tuple[GroundClause, ...]
     atoms: dict[int, GAtom]
     derived: frozenset[str] = frozenset()
-
-    @cached_property
-    def clauses(self) -> tuple[GroundClause, ...]:
-        atom = self.atoms.__getitem__
-        return tuple(GroundClause(atom(head), tuple(map(atom, pos)), tuple(map(atom, neg)))
-                     for head, pos, neg in self.instances)
 
     @cached_property
     def herbrand_base(self) -> frozenset[GAtom]:
@@ -123,22 +117,12 @@ class ThreeValuedInterpretation:
             raise ValueError("true and false sets overlap")
         object.__setattr__(self, "domain", self.domain | self.true_set | self.false_set)
 
-    def value(self, atom: GAtom) -> str:
-        if atom in self.true_set:
-            return "true"
-        if atom in self.false_set:
-            return "false"
-        return "unknown"
-
     @property
     def unknown_set(self) -> frozenset[GAtom]:
         return self.domain - self.true_set - self.false_set
 
     def is_total(self) -> bool:
         return not self.unknown_set
-
-    def true_of(self, predicate_test) -> frozenset[GAtom]:
-        return frozenset(a for a in self.true_set if predicate_test(a[0]))
 
 
 class _Step(NamedTuple):

@@ -3,8 +3,8 @@
 A graph is a mapping from a node to its successors.  ``_tarjan_sccs``
 finds the strongly connected components; ``levels`` places them on the
 least levels their edges allow (stratification, hierarchy) and lists the
-edges inside them; and ``two_colouring`` signs nodes so that every signed
-edge holds (signings, call-consistency).  Nothing here knows about
+edges inside them; and ``two_colouring`` signs nodes so that every edge's
+sign bits hold (signings, call-consistency).  Nothing here knows about
 theories or programs.
 """
 
@@ -80,14 +80,18 @@ def levels(components: Iterable[list], steps: Mapping) -> tuple[Optional[dict], 
 
 
 def two_colouring(nodes: Iterable[Hashable], edges: Iterable[tuple]) -> Optional[dict]:
-    """A {-1, +1} labelling with ``s(p) == s(q) * sign`` for every edge
-    ``(p, q, sign)`` between ``nodes``, or None on a parity conflict.
+    """A {-1, +1} labelling with ``s(p) == -s(q)`` for every edge ``(p, q, bits)``
+    between ``nodes`` whose low bit is set and ``s(p) == s(q)`` for the others,
+    or None on a parity conflict, such as an edge with both of its two bits set.
 
     Edges are followed in both directions.  The first node of each connected
     component, in the order of ``nodes``, gets +1, so the labelling is unique.
     """
     undirected: dict = {node: [] for node in nodes}
-    for p, q, sign in edges:
+    for p, q, bits in edges:
+        if bits == 3:
+            return None
+        sign = -1 if bits & 1 else +1
         undirected[p].append((q, sign))
         undirected[q].append((p, sign))
     mapping: dict = {}

@@ -295,7 +295,7 @@ def parse_clauses(text: str) -> list[tuple[Atom, tuple[Atom, ...], tuple[Atom, .
 
 def format_theory(theory: DefeasibleTheory) -> str:
     """One statement per line: facts, then rules in order, then superiority."""
-    lines = [f"{fact}." for fact in sorted(theory.facts)]
+    lines = [f"{fact}." for fact in theory.sorted_facts]
     lines += [f"{rule}." for rule in theory.rules]
     lines += [f"{t} > {s}." for t, s in sorted(theory.superiority)]
     return "\n".join(lines) + ("\n" if lines else "")

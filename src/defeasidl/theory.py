@@ -116,6 +116,12 @@ class Literal:
         return f"neg {self.atom}" if self.negated else str(self.atom)
 
 
+def fact_key(fact: Literal) -> tuple:
+    """The order of ``sorted(theory.facts)`` without its dataclass comparisons:
+    by predicate, then argument names, then polarity."""
+    return fact.atom.predicate, tuple([t.name for t in fact.atom.args]), fact.negated
+
+
 class RuleKind(Enum):
     STRICT = "->"
     DEFEASIBLE = "=>"
@@ -179,11 +185,17 @@ class DefeasibleTheory:
     def _validation(self) -> "ValidationReport":
         return _validate(self)
 
+    @cached_property
+    def sorted_facts(self) -> tuple[Literal, ...]:
+        """The facts in ``fact_key`` order, sorted once per theory."""
+        return tuple(sorted(self.facts, key=fact_key))
+
     def rule_map(self) -> dict[str, Rule]:
         return {r.label: r for r in self.rules}
 
     def literals(self) -> Iterable[Literal]:
-        yield from self.facts
+        """The facts in order, then each rule's body and head."""
+        yield from self.sorted_facts
         for r in self.rules:
             yield from r.body
             yield r.head
@@ -276,8 +288,9 @@ def _validate(theory: DefeasibleTheory) -> ValidationReport:
             report.error("duplicate-label", f"duplicate rule label {rule.label!r}", rule.label)
         seen_labels.add(rule.label)
 
-    for fact in sorted(fact for fact in theory.facts if not fact.is_ground()):
-        report.error("non-ground-fact", f"fact {fact} contains variables", str(fact))
+    for fact in theory.sorted_facts:
+        if not fact.is_ground():
+            report.error("non-ground-fact", f"fact {fact} contains variables", str(fact))
 
     arities: dict[str, tuple[int, str]] = {}
     for lit in theory.literals():

@@ -10,15 +10,17 @@ reads it as the other characterisation of non-stratifiability;
 for an odd closed walk, ``reference_signing`` solves the signing's parity
 equations by elimination over GF(2), and ``reference_levels`` is a
 depth-first longest-path labelling that fails on any cycle (the hierarchy
-checks).  ``restrict_to`` builds the subprogram
-a predicate set heads, such as a compiled program's stratified floor.
+checks).  All but the last read the program's edges from its clauses
+(``signed_edges``), never from the ``DependencyGraph`` they check.
+``restrict_to`` builds the subprogram a predicate set heads, such as a
+compiled program's stratified floor.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from defeasidl.datalog import DatalogProgram, dependency_graph
+from defeasidl.datalog import DatalogProgram
 
 
 def restrict_to(program: DatalogProgram, predicates: Iterable[str]) -> DatalogProgram:
@@ -62,15 +64,15 @@ def reference_strata(program: DatalogProgram) -> Optional[dict[str, int]]:
     """The least stratification, by raising heads over their bodies until
     nothing moves.  Least levels stay below the number of predicates, so a
     level reaching it means a negative edge on a cycle: None."""
-    graph = dependency_graph(program)
-    level = dict.fromkeys(graph.nodes, 0)
+    edges = signed_edges(program)
+    level = dict.fromkeys(program.predicates, 0)
     changed = True
     while changed:
         changed = False
-        for p, q, sign in graph.edges:
+        for p, q, sign in edges:
             want = level[q] + (1 if sign < 0 else 0)
             if want > level[p]:
-                if want >= len(graph.nodes):
+                if want >= len(level):
                     return None
                 level[p] = want
                 changed = True
@@ -80,13 +82,15 @@ def reference_strata(program: DatalogProgram) -> Optional[dict[str, int]]:
 def reference_call_consistent(program: DatalogProgram) -> bool:
     """No predicate reaches itself with odd parity in the product of the
     dependency graph with {even, odd}."""
-    graph = dependency_graph(program)
-    for start in graph.nodes:
+    succs: dict[str, list[tuple[str, int]]] = {p: [] for p in program.predicates}
+    for p, q, sign in signed_edges(program):
+        succs[p].append((q, sign))
+    for start in succs:
         seen = {(start, +1)}
         frontier = [(start, +1)]
         while frontier:
             node, parity = frontier.pop()
-            for succ, sign in graph.successors[node]:
+            for succ, sign in succs[node]:
                 state = (succ, parity * sign)
                 if state not in seen:
                     if state == (start, -1):

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from defeasidl import corpus
+from defeasidl.check import CheckResult
 from defeasidl.parser import parse_theory
 from defeasidl.theory import DefeasibleTheory, Literal
+import corpus
 
 
 def lit(text: str) -> Literal:
@@ -18,6 +19,11 @@ def theory(text: str) -> DefeasibleTheory:
     parsed = parse_theory(text)
     assert isinstance(parsed, DefeasibleTheory), parsed
     return parsed
+
+
+def failures_in(result: CheckResult, category: str) -> list[str]:
+    """The failure lines of one category (the text before the first colon)."""
+    return [f for f in result.failures if f.startswith(category + ":")]
 
 
 @pytest.fixture(scope="session")

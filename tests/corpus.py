@@ -1,14 +1,14 @@
-"""Access to the bundled example theories."""
+"""The example theories bundled with the package (``defeasidl/corpus/*.dfl``)."""
 
 from __future__ import annotations
 
 from importlib import resources
 from pathlib import Path
 
-from .parser import parse_theory
-from .theory import DefeasibleTheory
+from defeasidl.parser import parse_theory
+from defeasidl.theory import DefeasibleTheory
 
-_DIR = resources.files(__package__) / "corpus"
+_DIR = resources.files("defeasidl") / "corpus"
 
 
 def names() -> list[str]:

@@ -11,7 +11,8 @@ grounder, decides the floor stratum by stratum and runs the naive Kleene
 iteration above it.  All are plainly correct, so the differential tests
 hold the engine to them; the engine decides what propagation leaves by
 unfounded-set passes, so it shares no method with ``reference_wellfounded``.
-``information_leq`` is the information ordering the tests compare models by.
+``information_leq`` is the information ordering the tests compare models by,
+and ``value`` and ``true_of`` read one model.
 """
 
 from __future__ import annotations
@@ -28,12 +29,26 @@ from defeasidl.evaluator import (
     ground_program,
 )
 from analysis_reference import restrict_to
-from grounding_reference import naive_ground_clauses
+from grounding_reference import decoded, naive_ground_clauses
 
 
 def information_leq(lower: ThreeValuedInterpretation, upper: ThreeValuedInterpretation) -> bool:
     """Every atom ``lower`` decides keeps its value in ``upper``."""
     return lower.true_set <= upper.true_set and lower.false_set <= upper.false_set
+
+
+def value(interp: ThreeValuedInterpretation, atom: GAtom) -> str:
+    """The atom's truth value: "true", "false" or "unknown"."""
+    if atom in interp.true_set:
+        return "true"
+    if atom in interp.false_set:
+        return "false"
+    return "unknown"
+
+
+def true_of(interp: ThreeValuedInterpretation, predicate_test) -> frozenset[GAtom]:
+    """The true atoms whose predicate passes ``predicate_test``."""
+    return frozenset(a for a in interp.true_set if predicate_test(a[0]))
 
 
 def least_model(
@@ -97,7 +112,7 @@ def reference_stratified(program: DatalogProgram) -> ThreeValuedInterpretation:
     if strata is None:
         raise NotStratified("program has a negative edge inside a recursive component")
     g = ground_program(program)
-    true = stratum_by_stratum(g.clauses, strata)
+    true = stratum_by_stratum(decoded(g), strata)
     return ThreeValuedInterpretation(
         true_set=frozenset(true),
         false_set=frozenset(g.herbrand_base - true),
@@ -110,12 +125,12 @@ def reference_wellfounded(program: DatalogProgram) -> ThreeValuedInterpretation:
     ground program: underestimates of truth and overestimates alternate
     until both stabilise."""
     g = ground_program(program)
-    base = set(g.herbrand_base)
+    clauses, base = decoded(g), set(g.herbrand_base)
     lower: set[GAtom] = set()
     previous_upper = base
     while True:
-        upper = least_model(g.clauses, assumed_false=base - lower)
-        new_lower = least_model(g.clauses, assumed_false=base - upper)
+        upper = least_model(clauses, assumed_false=base - lower)
+        new_lower = least_model(clauses, assumed_false=base - upper)
         if not lower <= new_lower:
             raise RuntimeError("true underestimate decreased (internal error)")
         if not upper <= previous_upper:
@@ -172,7 +187,7 @@ def reference_fitting(program: DatalogProgram) -> ThreeValuedInterpretation:
     g = ground_program(program)
     true: set[GAtom] = set()
     false: set[GAtom] = set()
-    naive_kleene(g.clauses, set(g.herbrand_base), true, false)
+    naive_kleene(decoded(g), set(g.herbrand_base), true, false)
     return ThreeValuedInterpretation(frozenset(true), frozenset(false), g.herbrand_base)
 
 

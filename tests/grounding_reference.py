@@ -8,7 +8,8 @@ the same join run from no atoms until no head is new.  They are slow and
 plainly correct, so the differential tests hold ``evaluator._ground_clauses``
 to them, one per seed.  Both match atoms against clause patterns through
 a name-to-value binding (``_match``, ``_instantiate``), independently of
-the package grounder's join plans.
+the package grounder's join plans.  ``decoded`` reads a package
+grounding's numbered instances as clauses of atoms, to compare them with.
 """
 
 from __future__ import annotations
@@ -16,7 +17,20 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from defeasidl.datalog import DatalogProgram
-from defeasidl.evaluator import GAtom, GroundClause, ThreeValuedInterpretation, _head_instances
+from defeasidl.evaluator import (
+    GAtom,
+    GroundClause,
+    GroundProgram,
+    ThreeValuedInterpretation,
+    _head_instances,
+)
+
+
+def decoded(g: GroundProgram) -> tuple[GroundClause, ...]:
+    """The grounding's instances, each atom number replaced by its atom."""
+    atom = g.atoms.__getitem__
+    return tuple(GroundClause(atom(head), tuple(map(atom, pos)), tuple(map(atom, neg)))
+                 for head, pos, neg in g.instances)
 
 
 def _compile_clauses(program: DatalogProgram):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from conftest import theory
-from defeasidl import corpus, generator
+from conftest import failures_in, theory
+from defeasidl import generator
 from defeasidl.check import CheckResult, check_theory
 from defeasidl.cli import main
 from defeasidl.compiler import compile_individual, compile_team, compiled_size
@@ -23,7 +23,8 @@ from defeasidl.datalog import stratify
 from defeasidl.evaluator import eval_fitting, eval_stratified, eval_wellfounded
 from defeasidl.oracle import conclusions
 from defeasidl.theory import DefeasibleTheory, theory_size
-from evaluation_reference import information_leq
+import corpus
+from evaluation_reference import information_leq, true_of
 from program_generator import random_program
 
 SEED = 20260809
@@ -105,7 +106,7 @@ def failures(corpus_data: Corpus, *categories: str) -> list[str]:
     found = []
     for result in corpus_data.results:
         for category in categories:
-            for failure in result.failures_in(category):
+            for failure in failures_in(result, category):
                 found.append(f"{result.name}: {failure}")
     return found
 
@@ -171,8 +172,8 @@ def test_criterion_5_hybrid_equivalence(acceptance_corpus, nonstrat):
         from defeasidl.evaluator import eval_hybrid
 
         defeasibly = lambda p: out.predicate_info[p].base == "defeasibly"
-        hybrid = eval_hybrid(out).true_of(defeasibly)
-        wf = eval_wellfounded(out.program).true_of(defeasibly)
+        hybrid = true_of(eval_hybrid(out), defeasibly)
+        wf = true_of(eval_wellfounded(out.program), defeasibly)
         assert hybrid == wf == {("defeasibly__not__q", ())}
 
 

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import defeasidl
-from defeasidl import cli, corpus, evaluator, oracle
+from defeasidl import cli, evaluator, oracle
 from defeasidl.cli import build_parser, main
 from defeasidl.compiler import compile_individual, compile_team
 from defeasidl.parser import format_theory, parse_theory
+import corpus
 from test_check import counting
 from test_grounding import rot_theory
 
@@ -57,6 +58,27 @@ class TestValidate:
         code, out = run("--no-timings", "validate", str(bad))
         assert code == 1
         assert "parse-error" in out
+
+    @pytest.mark.parametrize("text", [
+        "p.\np(a).\n",
+        "p(a).\np(b, c).\nq(a).\nr1: q(X) => p(X, X).\n",
+    ])
+    def test_arity_errors_do_not_depend_on_the_hash_seed(self, tmp_path, text):
+        # The facts are a frozenset; the first one met fixes the arity the
+        # others are checked against, so they must be met in one order.
+        path = tmp_path / "arity.dfl"
+        path.write_text(text, encoding="utf-8")
+        package_root = str(Path(defeasidl.__file__).resolve().parent.parent)
+        outputs = set()
+        for seed in ("0", "1", "3"):
+            done = subprocess.run(
+                [sys.executable, "-m", "defeasidl", "--no-timings", "validate", str(path)],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": package_root, "PYTHONHASHSEED": seed})
+            assert done.returncode == 1, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, outputs
+        assert "arity-mismatch" in outputs.pop()
 
 
 class TestAnalyze:

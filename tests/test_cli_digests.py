@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from defeasidl import corpus
 from defeasidl.cli import main
 from defeasidl.parser import format_theory
+import corpus
 from test_grounding import rot_theory
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

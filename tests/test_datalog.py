@@ -3,10 +3,11 @@ import pytest
 from defeasidl import generator
 from defeasidl.compiler import compile_individual, compile_team
 from defeasidl.datalog import (
+    NEGATIVE,
+    POSITIVE,
     DatalogProgram,
     DatalogSyntaxError,
     DClause,
-    Signing,
     compute_signing,
     dependency_graph,
     is_call_consistent,
@@ -22,6 +23,7 @@ from analysis_reference import (
     reference_components,
     reference_signing,
     reference_strata,
+    signed_edges,
 )
 from test_evaluation import corpus_slice
 from program_generator import random_program
@@ -43,13 +45,18 @@ def is_valid_stratification(program: DatalogProgram, mapping: dict[str, int]) ->
     return True
 
 
-def signing_satisfies_edges(program: DatalogProgram, signing: Signing) -> bool:
-    graph = dependency_graph(program)
-    for p, q, sign in graph.edges:
-        if p in signing.scope and q in signing.scope:
-            if signing.mapping[p] != signing.mapping[q] * sign:
-                return False
+def signing_satisfies_edges(program: DatalogProgram, signing: dict[str, int]) -> bool:
+    # The signing's keys are its scope.
+    for p, q, sign in signed_edges(program):
+        if p in signing and q in signing and signing[p] != signing[q] * sign:
+            return False
     return True
+
+
+def as_signed(edges) -> set[tuple[str, str, int]]:
+    """``(p, q, bits)`` edges as the ``(p, q, +1 / -1)`` ones ``signed_edges`` lists."""
+    return {(p, q, sign) for p, q, bits in edges
+            for sign, bit in ((+1, POSITIVE), (-1, NEGATIVE)) if bits & bit}
 
 
 class TestParsing:
@@ -118,21 +125,21 @@ class TestParsing:
 class TestDependencyGraph:
     def test_negative_edge(self):
         g = dependency_graph(parse_datalog("p :- not q."))
-        assert g.edges == {("p", "q", -1)}
+        assert g.adjacency == {"p": {"q": NEGATIVE}, "q": {}}
 
     def test_both_signs(self):
         g = dependency_graph(parse_datalog("p :- q, not q."))
-        assert g.edges == {("p", "q", +1), ("p", "q", -1)}
+        assert g.adjacency == {"p": {"q": NEGATIVE | POSITIVE}, "q": {}}
 
     def test_compiled_defeat_cycle(self, nonstrat):
         g = dependency_graph(compile_team(nonstrat).program)
-        for edge in [
-            ("defeasibly__q", "overruled__q", -1),
-            ("overruled__q", "defeated__not__q", -1),
-            ("defeated__not__q", "body__t__d", +1),
-            ("body__t__d", "defeasibly__q", +1),
+        for p, q, bit in [
+            ("defeasibly__q", "overruled__q", NEGATIVE),
+            ("overruled__q", "defeated__not__q", NEGATIVE),
+            ("defeated__not__q", "body__t__d", POSITIVE),
+            ("body__t__d", "defeasibly__q", POSITIVE),
         ]:
-            assert edge in g.edges
+            assert g.adjacency[p][q] & bit
 
     def test_components_and_inside_match_mutual_reachability(self, rng):
         programs = [parse_datalog(text) for text in (
@@ -147,7 +154,7 @@ class TestDependencyGraph:
             assert sorted(len(c) for c in graph.components) == sorted(len(c) for c in components)
             assert {frozenset(c) for c in graph.components} == components
             assert len(graph.inside) == len(set(graph.inside))
-            assert set(graph.inside) == inside
+            assert as_signed(graph.inside) == inside
             nontrivial += bool(inside)
         assert nontrivial > 50
 
@@ -260,16 +267,15 @@ class TestSigning:
                 for pred in scope:
                     base = out.predicate_info[pred].base
                     if base == "defeasibly":
-                        assert signing.sign(pred) == +1
+                        assert signing[pred] == +1
                     if base == "overruled":
-                        assert signing.sign(pred) == -1
+                        assert signing[pred] == -1
 
     def test_parity_conflict(self):
         assert compute_signing(parse_datalog("p :- not p."), {"p"}) is None
 
     def test_empty_scope(self):
-        signing = compute_signing(parse_datalog("p :- not p."), set())
-        assert signing is not None and signing.mapping == {}
+        assert compute_signing(parse_datalog("p :- not p."), set()) == {}
 
     def test_found_signings_satisfy_constraint(self, rng):
         found = 0
@@ -294,8 +300,7 @@ class TestSigning:
                 cases.append((out.program, out.upper_names))
         outcomes = []
         for p, scope in cases:
-            signing = compute_signing(p, scope)
-            got = None if signing is None else signing.mapping
+            got = compute_signing(p, scope)
             assert got == reference_signing(p, scope), (str(p), sorted(scope))
             outcomes.append(got is None)
         assert outcomes.count(True) > 20 and outcomes.count(False) > 20
@@ -303,7 +308,7 @@ class TestSigning:
     def test_canonical_least_predicate_positive(self):
         signing = compute_signing(parse_datalog("b :- not z. z :- c."), {"b", "z", "c"})
         assert signing is not None
-        assert signing.mapping["b"] == +1  # lexicographically least in its component
+        assert signing["b"] == +1  # lexicographically least in its component
 
 
 class TestSafety:
@@ -367,4 +372,4 @@ def test_dependency_graph_round_trip(rng):
         p = random_program(rng)
         g1 = dependency_graph(p)
         g2 = dependency_graph(parse_datalog(print_datalog(p)))
-        assert g1.nodes == g2.nodes and g1.edges == g2.edges
+        assert g1.adjacency == g2.adjacency

@@ -19,8 +19,8 @@ from defeasidl.evaluator import (
     ground_program,
 )
 from defeasidl.oracle import conclusions
-from evaluation_reference import information_leq
-from grounding_reference import is_three_valued_model
+from evaluation_reference import information_leq, true_of, value
+from grounding_reference import decoded, is_three_valued_model
 from program_generator import random_program
 from test_evaluation import corpus_slice
 
@@ -35,14 +35,14 @@ def atom(text: str):
 class TestGrounding:
     def test_simple_instance(self):
         g = ground_program(parse_datalog("p(a). q(X) :- p(X)."))
-        heads = {format_atom(c.head) for c in g.clauses}
+        heads = {format_atom(c.head) for c in decoded(g)}
         assert heads == {"p(a)", "q(a)"}
         assert g.herbrand_base == {atom("p(a)"), atom("q(a)")}
 
     def test_propositional_program_unchanged(self):
         text = "p :- q, not r.\nq.\n"
         g = ground_program(parse_datalog(text))
-        assert len(g.clauses) == 2
+        assert len(g.instances) == 2
 
     def test_unsafe_rejected(self):
         with pytest.raises(UnsafeProgram):
@@ -50,17 +50,17 @@ class TestGrounding:
 
     def test_positive_loops_are_kept(self):
         g = ground_program(parse_datalog("q :- q.\nr :- not q."))
-        assert {format_atom(c.head) for c in g.clauses} == {"q", "r"}
+        assert {format_atom(c.head) for c in decoded(g)} == {"q", "r"}
 
     def test_unsupported_joins_are_pruned(self):
         g = ground_program(parse_datalog("p(a).\np(b).\nq(X) :- p(X), r(X).\ns(X) :- p(X)."))
         # r has no clauses at all, so no q instance survives.
-        assert {format_atom(c.head) for c in g.clauses} == {"p(a)", "p(b)", "s(a)", "s(b)"}
+        assert {format_atom(c.head) for c in decoded(g)} == {"p(a)", "p(b)", "s(a)", "s(b)"}
 
     def test_tweety_team_instance_counts(self, tweety):
         g = ground_program(compile_team(tweety).program)
         by_pred = {}
-        for c in g.clauses:
+        for c in decoded(g):
             by_pred[c.head[0]] = by_pred.get(c.head[0], 0) + 1
         assert by_pred["body__r3__delta"] == 1  # only penguin(tweety) is definite
         assert by_pred["overruled__fly"] == 2  # r2 at tweety, r4 at freddie
@@ -70,8 +70,8 @@ class TestGrounding:
 class TestStratifiedSemantics:
     def test_default_negation(self):
         interp = eval_stratified(parse_datalog("p :- not q."))
-        assert interp.value(atom("p")) == "true"
-        assert interp.value(atom("q")) == "false"
+        assert value(interp, atom("p")) == "true"
+        assert value(interp, atom("q")) == "false"
         assert interp.is_total()
 
     def test_not_stratified_raises(self):
@@ -81,8 +81,8 @@ class TestStratifiedSemantics:
     def test_platypus_individual_mammal_false(self, platypus):
         out = compile_individual(platypus)
         interp = eval_stratified(out.program)
-        assert interp.value(atom("defeasibly__mammal(platypus)")) == "false"
-        assert interp.value(atom("defeasibly__not__mammal(platypus)")) == "false"
+        assert value(interp, atom("defeasibly__mammal(platypus)")) == "false"
+        assert value(interp, atom("defeasibly__not__mammal(platypus)")) == "false"
 
     def test_matches_wellfounded_when_stratified(self, rng):
         hits = 0
@@ -101,16 +101,16 @@ class TestStratifiedSemantics:
 
 class TestFittingSemantics:
     def test_negative_self_loop_unknown(self):
-        assert eval_fitting(parse_datalog("p :- not p.")).value(atom("p")) == "unknown"
+        assert value(eval_fitting(parse_datalog("p :- not p.")), atom("p")) == "unknown"
 
     def test_positive_self_loop_unknown(self):
         # No unfoundedness reasoning under Fitting.
-        assert eval_fitting(parse_datalog("p :- p.")).value(atom("p")) == "unknown"
+        assert value(eval_fitting(parse_datalog("p :- p.")), atom("p")) == "unknown"
 
     def test_no_clauses_means_false(self):
         interp = eval_fitting(parse_datalog("p :- not q."))
-        assert interp.value(atom("q")) == "false"
-        assert interp.value(atom("p")) == "true"
+        assert value(interp, atom("q")) == "false"
+        assert value(interp, atom("p")) == "true"
 
     def test_below_wellfounded(self, rng):
         for _ in range(150):
@@ -120,23 +120,23 @@ class TestFittingSemantics:
 
 class TestWellFoundedSemantics:
     def test_positive_loop_false(self):
-        assert eval_wellfounded(parse_datalog("p :- p.")).value(atom("p")) == "false"
+        assert value(eval_wellfounded(parse_datalog("p :- p.")), atom("p")) == "false"
 
     def test_negative_loop_unknown(self):
-        assert eval_wellfounded(parse_datalog("p :- not p.")).value(atom("p")) == "unknown"
+        assert value(eval_wellfounded(parse_datalog("p :- not p.")), atom("p")) == "unknown"
 
     def test_classic_mixture(self):
         program = parse_datalog("a :- not b.\nb :- not a.\nc :- not d.\nd :- e.\ne :- d.")
         interp = eval_wellfounded(program)
-        assert interp.value(atom("a")) == "unknown"
-        assert interp.value(atom("b")) == "unknown"
-        assert interp.value(atom("c")) == "true"
-        assert interp.value(atom("d")) == "false"
+        assert value(interp, atom("a")) == "unknown"
+        assert value(interp, atom("b")) == "unknown"
+        assert value(interp, atom("c")) == "true"
+        assert value(interp, atom("d")) == "false"
 
     def test_tweety_team(self, tweety):
         interp = eval_wellfounded(compile_team(tweety).program)
-        assert interp.value(atom("defeasibly__not__fly(tweety)")) == "true"
-        assert interp.value(atom("defeasibly__fly(freddie)")) in ("false", "unknown")
+        assert value(interp, atom("defeasibly__not__fly(tweety)")) == "true"
+        assert value(interp, atom("defeasibly__fly(freddie)")) in ("false", "unknown")
 
     def test_result_is_a_model(self, rng):
         for _ in range(100):
@@ -174,22 +174,22 @@ class TestHybrid:
         defeasibly = lambda p: out.predicate_info[p].base == "defeasibly"
         hybrid = eval_hybrid(out)
         wf = eval_wellfounded(out.program)
-        assert hybrid.true_of(defeasibly) == wf.true_of(defeasibly)
+        assert true_of(hybrid, defeasibly) == true_of(wf, defeasibly)
 
     def test_nonstratified_team_program_agrees(self, nonstrat):
         out = compile_team(nonstrat)
         assert stratify(out.program) is None  # hybrid must still work
         defeasibly = lambda p: out.predicate_info[p].base == "defeasibly"
-        assert eval_hybrid(out).true_of(defeasibly) == eval_wellfounded(out.program).true_of(
-            defeasibly
+        assert true_of(eval_hybrid(out), defeasibly) == true_of(
+            eval_wellfounded(out.program), defeasibly
         )
 
     def test_platypus_individual_three_way(self, platypus):
         out = compile_individual(platypus)
         defeasibly = lambda p: out.predicate_info[p].base == "defeasibly"
-        hybrid = eval_hybrid(out).true_of(defeasibly)
-        strat = eval_stratified(out.program).true_of(defeasibly)
-        wf = eval_wellfounded(out.program).true_of(defeasibly)
+        hybrid = true_of(eval_hybrid(out), defeasibly)
+        strat = true_of(eval_stratified(out.program), defeasibly)
+        wf = true_of(eval_wellfounded(out.program), defeasibly)
         assert hybrid == strat == wf
 
     def test_upper_clauses_read_the_floor_truths(self):
@@ -202,7 +202,7 @@ class TestHybrid:
         hybrid = eval_hybrid(out)
         assert atom("body__r2__lam(tweety)") in hybrid.true_set
         defeasibly = lambda p: out.predicate_info[p].base == "defeasibly"
-        assert hybrid.true_of(defeasibly) == {atom("defeasibly__bird(tweety)")}
+        assert true_of(hybrid, defeasibly) == {atom("defeasibly__bird(tweety)")}
 
     def test_rejects_programs_without_provenance(self):
         with pytest.raises(TypeError):

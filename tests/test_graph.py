@@ -38,10 +38,13 @@ def test_levels_refuse_a_step_inside_a_component():
 
 
 def test_two_colouring_follows_edges_both_ways():
-    mapping = two_colouring("abcd", [("a", "b", -1), ("c", "b", +1)])
+    # An edge's value is its sign bits: 1 negative, 2 positive.
+    mapping = two_colouring("abcd", [("a", "b", 1), ("c", "b", 2)])
     assert mapping == {"a": +1, "b": -1, "c": -1, "d": +1}
 
 
 def test_two_colouring_detects_a_parity_conflict():
-    assert two_colouring("ab", [("a", "b", -1), ("b", "a", +1)]) is None
-    assert two_colouring("a", [("a", "a", -1)]) is None
+    assert two_colouring("ab", [("a", "b", 1), ("b", "a", 2)]) is None
+    assert two_colouring("a", [("a", "a", 1)]) is None
+    assert two_colouring("ab", [("a", "b", 3)]) is None
+    assert two_colouring("a", [("a", "a", 2)]) == {"a": +1}

@@ -17,7 +17,6 @@ import random
 import pytest
 
 from conftest import theory
-from defeasidl import corpus
 from defeasidl.compiler import compile_individual, compile_team, read_conclusions
 from defeasidl.datalog import is_safe, stratify
 from defeasidl.evaluator import (
@@ -38,6 +37,7 @@ from defeasidl.theory import (
     Term,
     validate_theory,
 )
+import corpus
 from test_evaluation import corpus_slice
 
 LABEL_EXAMPLE = "q(a).\nr0: q(X) -> q(X).\nr1: q(X) => p(X).\n"

@@ -1,7 +1,8 @@
 """Package-wide rules: the exported API, no bare ``assert`` in the code, one
 home for the variable rule, no import outside the standard library, an
-oracle that imports only the data model, a README row for every module and
-README examples that parse."""
+oracle that imports only the data model, a README row for every module,
+README examples that parse, and no definition or module that nothing in
+the package calls or imports."""
 
 import ast
 import re
@@ -115,28 +116,48 @@ def test_readme_examples_parse():
     assert parsed == ["Theory format (`.dfl`)", "Compiled form (`.dl`)"]
 
 
-def test_every_private_top_level_name_has_a_package_caller():
-    # A private function or class that nothing in the package uses outside
-    # its own definition serves only tests, and belongs in tests/.
-    defined = {}
-    used = set()  # (name, the top-level definition it is used in, or None)
+def test_every_definition_and_module_has_a_package_caller():
+    """The package holds only what its own pipeline reads.
+
+    Every function, class, method and property, public or private (dunders
+    exempt), needs a reference by its name from package code outside its
+    own definition: a read of the name or of an attribute so named, or an
+    import of it.  Every module but ``__init__`` and ``__main__`` needs an
+    importer in the package.  What only tests use belongs in ``tests/``.
+
+    Matching is by name only, so a member whose name the package reads for
+    something else passes unseen: a ``value``, ``clauses`` or ``edges``
+    member would, since those names are read elsewhere.  Such members are
+    found by reading the code, not by this test.
+    """
+    defined = []  # (name, file, first line, last line)
+    used = []  # (name, file, line)
+    imported = set()  # module names
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for top in tree.body:
-            owner = getattr(top, "name", None)
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and owner.startswith("_"):
-                if not owner.startswith("__"):
-                    defined[owner] = f"{path.name}:{top.lineno}"
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    used.add((node.id, owner))
-                elif isinstance(node, ast.Attribute):
-                    used.add((node.attr, owner))
-                elif isinstance(node, ast.alias):
-                    used.add((node.name, None))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((node.name, path.name, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.append((node.id, path.name, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.append((node.attr, path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                module = (node.module or "").removeprefix("defeasidl").lstrip(".")
+                if node.level or node.module.startswith("defeasidl"):
+                    if module:
+                        imported.add(module.partition(".")[0])
+                    else:  # from . import x
+                        imported.update(alias.name for alias in node.names)
+                used += [(alias.name, path.name, node.lineno) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.removeprefix("defeasidl.") for alias in node.names)
     unused = [
-        f"{where} {name}"
-        for name, where in defined.items()
-        if not any(ref == name and owner != name for ref, owner in used)
+        f"{where}:{first} {name}"
+        for name, where, first, last in defined
+        if not any(ref == name and (at != where or not first <= line <= last)
+                   for ref, at, line in used)
     ]
-    assert unused == []
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    assert (unused, sorted(modules - imported)) == ([], [])

@@ -1,7 +1,7 @@
 from conftest import theory
-from defeasidl import corpus
 from defeasidl.parser import ParseError, format_theory, parse_theory
 from defeasidl.theory import DefeasibleTheory, RuleKind
+import corpus
 
 
 def test_single_defeasible_rule():
