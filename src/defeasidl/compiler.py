@@ -97,6 +97,7 @@ class _Emitter:
         self.predicate_info: dict[str, MangledPredicate] = {}
         self.names: dict[tuple, str] = {}  # descriptor fields -> name
         self.arities: dict[str, int] = {}  # name -> arity, fixed by the validated theory
+        self.labels: dict[str, Term] = {}  # rule label -> its term, name-checked once
 
     def atom(self, fields: tuple, args: tuple[Term, ...]) -> Atom:
         """An atom of the predicate described by ``fields``, the fields of its
@@ -109,6 +110,9 @@ class _Emitter:
             self.arities[name] = len(args)
         # Mangled from validated names, so ``Atom``'s name check is skipped.
         return Atom.unchecked(name, args)
+
+    def label(self, rule: Rule) -> Term:
+        return self.labels.get(rule.label) or self.labels.setdefault(rule.label, Term(rule.label))
 
     def lit_atom(self, tag: str, lit: Literal, extra: tuple[Term, ...] = ()) -> Atom:
         return self.atom((tag, lit.predicate, lit.negated), extra + lit.args)
@@ -194,7 +198,7 @@ def _compile(theory: DefeasibleTheory, mode: str, shared=None) -> CompilationOut
 
     for r in sd:
         # Individual defeat overrules a conclusion per defending rule (C25).
-        label_arg = () if mode == TEAM else (Term(r.label),)
+        label_arg = () if mode == TEAM else (em.label(r),)
         em.emit(
             lambda: DClause(
                 em.lit_atom(TAG_DEFEASIBLY, r.head),
@@ -233,7 +237,7 @@ def _compile(theory: DefeasibleTheory, mode: str, shared=None) -> CompilationOut
                 lambda: DClause(
                     em.lit_atom(TAG_OVERRULED, s.head.complement()),
                     (em.body_atom(s, FLAVOR_LAM),),
-                    (em.lit_atom(TAG_DEFEATED, s.head, extra=(Term(s.label),)),),
+                    (em.lit_atom(TAG_DEFEATED, s.head, extra=(em.label(s),)),),
                 ),
                 s.label,
                 "C23",
@@ -241,7 +245,7 @@ def _compile(theory: DefeasibleTheory, mode: str, shared=None) -> CompilationOut
         for sup, inf in _consumed_superiority(theory):
             em.emit(
                 lambda: DClause(
-                    em.lit_atom(TAG_DEFEATED, sup.head.complement(), extra=(Term(inf.label),)),
+                    em.lit_atom(TAG_DEFEATED, sup.head.complement(), extra=(em.label(inf),)),
                     (em.body_atom(sup, FLAVOR_D),),
                 ),
                 f"{sup.label} > {inf.label}",
@@ -255,12 +259,12 @@ def _compile(theory: DefeasibleTheory, mode: str, shared=None) -> CompilationOut
                     continue
                 em.emit(
                     lambda: DClause(
-                        em.lit_atom(TAG_OVERRULED, defended, extra=(Term(r.label),)),
+                        em.lit_atom(TAG_OVERRULED, defended, extra=(em.label(r),)),
                         (em.body_atom(s, FLAVOR_LAM),),
                         (
                             em.atom(
                                 (TAG_DEFEATS, s.head.predicate, s.head.negated),
-                                (Term(r.label), Term(s.label)),
+                                (em.label(r), em.label(s)),
                             ),
                         ),
                     ),
@@ -272,7 +276,7 @@ def _compile(theory: DefeasibleTheory, mode: str, shared=None) -> CompilationOut
                 lambda: DClause(
                     em.atom(
                         (TAG_DEFEATS, inf.head.predicate, inf.head.negated),
-                        (Term(sup.label), Term(inf.label)),
+                        (em.label(sup), em.label(inf)),
                     )
                 ),
                 f"{sup.label} > {inf.label}",

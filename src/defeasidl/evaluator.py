@@ -25,11 +25,13 @@ backend decides the stratified floor's atoms as under the well-founded
 semantics and the rest by Fitting's operator; its defeasibly truths are
 exactly the well-founded ones.
 
-The grounder numbers each ground atom, a ``(predicate, args)`` tuple, once;
-instances, join tables and the occurrence index hold numbers, which a
-``GroundProgram`` decodes only for its base and its models.
-A clause without variables (the compiler's three unit clauses per fact)
-has one instance, built directly, with no join plan.
+The grounder numbers each ground atom, a ``(predicate, args)`` tuple, once,
+in an order that does not depend on the string-hash seed; instances, join
+tables and the occurrence index hold numbers, which a ``GroundProgram``
+decodes only for its base and its models.  A clause without variables (the
+compiler's three unit clauses per fact) has one instance, built directly,
+with no join plan, and the components that are not positively recursive
+are grounded in one running pass (see ``_ground_clauses``).
 """
 
 from __future__ import annotations
@@ -250,9 +252,10 @@ def _join(plan: _Plan, tables: list, number: dict, atoms: list, found: dict) -> 
             i -= 1
 
 
-def _head_instances(clauses: Iterable[DClause], constants: list[str]) -> dict[str, set[tuple]]:
+def _head_instances(clauses: Iterable[DClause], constants: list[str]) -> dict[str, dict]:
     """Every instance of the given clauses' head patterns over the constant
-    pool.
+    pool, by predicate, in clause and then ``product`` order, so the seeds
+    (and so the atom numbers) do not depend on the string-hash seed.
 
     The self-supporting seed of ``_ground_clauses`` starts a positively
     recursive component from it: the coarsest universe of atoms any
@@ -260,17 +263,17 @@ def _head_instances(clauses: Iterable[DClause], constants: list[str]) -> dict[st
     positively self-supporting atoms (``q :- q``), which Fitting's
     semantics must leave unknown.
     """
-    universe: dict[str, set[tuple]] = {}
+    universe: dict[str, dict[tuple, None]] = {}  # an insertion-ordered set per predicate
     for clause in clauses:
         args = clause.head.args
         names = list(dict.fromkeys(t.name for t in args if t.is_variable))
-        bucket = universe.setdefault(clause.head.predicate, set())
+        bucket = universe.setdefault(clause.head.predicate, {})
         if len(names) == len(args):  # distinct variables: every tuple is an instance
-            bucket.update(product(constants, repeat=len(args)))
+            bucket.update(dict.fromkeys(product(constants, repeat=len(args))))
             continue
         for values in product(constants, repeat=len(names)):
             binding = dict(zip(names, values))
-            bucket.add(tuple(binding[t.name] if t.is_variable else t.name for t in args))
+            bucket[tuple(binding[t.name] if t.is_variable else t.name for t in args)] = None
     return universe
 
 
@@ -426,9 +429,10 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
     positions) that is built on first use and grows in place (``_Atoms``);
     bound positions are the constant positions and those whose variable an
     earlier body atom bound.  A component that is one predicate without a
-    positive self-edge reads final atoms only, so every instance it joins
-    is kept and its heads are its final atoms.  Each atom is numbered when
-    first met; one that the pruning drops is left out of the result's atoms.
+    positive self-edge reads final atoms only, so such components share one
+    running pass: each instance is kept and its head is final at once, and
+    the tables get the new final atoms only before a join reads them.  Each
+    atom is numbered when first met; one the pruning drops is left out.
     A ``floor``, the grounding by derivability of a downward-closed part of
     the program, numbered without gaps, is finished: the clauses whose head
     it ``derived`` are skipped, and the rest are grounded on top, numbering on.
@@ -473,17 +477,23 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
     number: dict[GAtom, int] = {atom: n for n, atom in floor.atoms.items()}
     atoms: list[GAtom] = list(floor.atoms.values())  # by number
     instances: list[GroundClause] = list(floor.instances)
-    heads = dict.fromkeys(inst.head for inst in instances)
-    final = _Atoms(atoms)  # the atoms of finished components, and those derived so far
-    final.add(heads)
-    done: set[int] = set(heads)  # the numbers of the atoms in ``final``
+    pending = list(dict.fromkeys(inst.head for inst in instances))  # final, not yet in tables
+    done: set[int] = set(pending)  # the numbers of the final atoms
+    final = _Atoms(atoms)  # the tables of the final atoms, and those derived so far
     final_table = final.table
+    found: dict[GroundClause, None] = {}  # the running pass's instances, or one component's
+    plans: list[_Plan] = []  # the join plans since the last recursive component began
     for component in _tarjan_sccs(clauses_of, uses):
-        rules = [clause for pred in component for clause in clauses_of.get(pred, ())]
         recursive = len(component) > 1 or component[0] in uses.get(component[0], ())
+        rules = ([clause for pred in component for clause in clauses_of.get(pred, ())]
+                 if recursive else clauses_of.get(component[0], ()))
         members = set(component) if recursive else ()  # the predicates a body reads recursively
         derivable = (recursive and self_supporting is not None
                      and members.isdisjoint(self_supporting))
+        if recursive:  # flush the running pass
+            instances += found
+            found.clear()
+            plans.clear()
         start = final  # what the member steps of round 0 read: no member atom is final yet
         if recursive and not derivable:
             start = _Atoms(atoms)
@@ -492,22 +502,33 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
                      for args in argsets]
             _sync(number, atoms)
             start.add(seeds)
-        found: dict[GroundClause, None] = {}
-        plans = []
         for clause in rules:
             fixed = _fixed(clause)
             if fixed is not None and not (members and any(p in members for p, _ in fixed[1])):
                 pos = tuple(map(number.get, fixed[1]))  # kept when its positive atoms are final
-                if done.issuperset(pos):
-                    neg = tuple([number.setdefault(atom, len(number)) for atom in fixed[2]])
-                    found[GroundClause(number.setdefault(fixed[0], len(number)), pos, neg)] = None
-                continue
-            plans.append(plan := _plan(clause))
-            _join(plan, [start.table(step) if step.pred in members else final_table(step)
-                         for step in plan.steps], number, atoms, found)
+                if not done.issuperset(pos):
+                    continue
+                neg = tuple([number.setdefault(atom, len(number)) for atom in fixed[2]])
+                new = (GroundClause(number.setdefault(fixed[0], len(number)), pos, neg),)
+            else:
+                if pending:  # the tables get every final atom before a join reads them
+                    _sync(number, atoms)
+                    final.add(pending)
+                    pending.clear()
+                plans.append(plan := _plan(clause))
+                _join(plan, [start.table(step) if step.pred in members else final_table(step)
+                             for step in plan.steps], number, atoms, new := {})
+            for inst in new:
+                found[inst] = None
+                if not recursive and inst.head not in done:  # final at once
+                    done.add(inst.head)
+                    pending.append(inst.head)
+        if not recursive:
+            continue
         _sync(number, atoms)
         kept = list(found)
-        if recursive and not derivable:
+        found.clear()
+        if not derivable:
             kept = _drop_unsupported(kept, seeds)
         heads = dict.fromkeys(inst.head for inst in kept)
         done.update(heads)
@@ -516,6 +537,7 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
         else:
             final.add(heads)
         instances += kept
+    instances += found
     base = {a for inst in instances for a in (inst.head, *inst.positive, *inst.negative)}
     return instances, {n: atom for atom, n in number.items() if n in base}
 

@@ -6,8 +6,8 @@ rule label plus body flavour.  Components are joined with the reserved
 two-character separator ``__`` and negative literals insert a ``not``
 component, e.g. ``defeasibly__not__fly``.  Injectivity cannot be assumed
 for arbitrary source names (identifiers may contain underscores), so
-validation enumerates the full candidate name space and rejects theories
-where two distinct sources collide.
+validation rejects theories where two distinct sources collide; see
+``mangling_collisions`` for the only way they can.
 """
 
 from __future__ import annotations
@@ -73,22 +73,24 @@ def mangling_collisions(
     theory: DefeasibleTheory,
 ) -> list[tuple[str, MangledPredicate, MangledPredicate]]:
     """Pairs of distinct descriptors that mangle to the same name, among
-    every name compilation could generate for this theory, in either mode."""
-    candidates = [
-        MangledPredicate(tag, pred, negated)
-        for pred in sorted(theory.predicates())
-        for tag in LITERAL_TAGS
-        for negated in (False, True)
-    ]
-    candidates += [
-        MangledPredicate(TAG_BODY, rule_label=rule.label, flavor=flavor)
-        for rule in theory.rules
-        for flavor in BODY_FLAVORS
-    ]
-    seen: dict[str, MangledPredicate] = {}
+    every name compilation could generate for this theory, in either mode.
+
+    A name is ``tag__rest`` and no tag contains ``_``, so equal names have
+    the same tag.  A body name ends in ``__`` and its flavour, and none of
+    these endings is a suffix of another, so body names never collide.  What
+    is left is a negated ``p`` against a predicate ``not__p``, under each
+    literal tag.  Each pair is listed once, the descriptor met later when
+    enumerating by sorted predicate, tag and sign second, in that order."""
+    prefix = NEG + SEP
+    preds = sorted(theory.predicates())
+    known = set(preds)
     collisions = []
-    for mp in candidates:
-        prev = seen.setdefault(mp.name, mp)
-        if prev != mp:
-            collisions.append((mp.name, prev, mp))
+    for pred in preds:
+        earlier = [(negated, other)  # the sign of pred's descriptor, and the earlier predicate
+                   for negated, other in ((False, pred.removeprefix(prefix)), (True, prefix + pred))
+                   if other != pred and other in known and other < pred]
+        for tag in LITERAL_TAGS if earlier else ():
+            for negated, other in earlier:
+                mp = MangledPredicate(tag, pred, negated)
+                collisions.append((mp.name, MangledPredicate(tag, other, not negated), mp))
     return collisions

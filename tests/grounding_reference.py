@@ -133,7 +133,8 @@ def naive_ground_clauses(
     external: dict[str, set[tuple]] = {}
     for pred, args in external_true:
         external.setdefault(pred, set()).add(args)
-    universe = _head_instances(program.clauses, sorted(constants))
+    universe = {pred: set(argsets)
+                for pred, argsets in _head_instances(program.clauses, sorted(constants)).items()}
     for pred, argsets in external.items():
         universe.setdefault(pred, set()).update(argsets)
     return _fixpoint(program, universe, external)

@@ -16,6 +16,7 @@ from defeasidl.compiler import SHARED_SCHEMAS, compile_individual, compile_team
 from defeasidl.datalog import (
     POSITIVE, DClause, DatalogProgram, DependencyGraph, parse_datalog, stratify)
 from defeasidl.evaluator import ThreeValuedInterpretation
+from defeasidl.graph import _tarjan_sccs
 from defeasidl.parser import parse_theory
 from defeasidl.theory import DefeasibleTheory
 import corpus
@@ -365,6 +366,31 @@ def test_one_check_builds_each_clause_once_and_grounds_the_floor_once(tweety, mo
                      for out in (team, indiv) for c in out.program.clauses)
         assert sum(grounded.values()) == len(floor) + uppers
     assert evaluated > 0
+
+
+def positively_recursive(program) -> bool:
+    """Some component of the program's positive dependency graph is recursive."""
+    adjacency = datalog.dependency_graph(program).adjacency
+    positive = {p: [q for q, bits in out.items() if bits & POSITIVE]
+                for p, out in adjacency.items()}
+    return any(len(c) > 1 or c[0] in positive[c[0]] for c in _tarjan_sccs(positive, positive))
+
+
+def test_variable_free_programs_are_grounded_without_tables(monkeypatch):
+    # Without a variable or a positively recursive component, every component
+    # joins the grounder's running pass and nothing is joined: no table is read,
+    # so none is synced with the atom numbers or filled.
+    synced = counting(monkeypatch, evaluator, "_sync")
+    filled = counting(monkeypatch, evaluator._Atoms, "add")
+    gated = evaluated = 0
+    for t in corpus_slice():
+        if t.has_variables() or any(positively_recursive(compile_(t).program)
+                                    for compile_ in (compile_team, compile_individual)):
+            continue
+        gated += 1
+        evaluated += not check_theory(t).skipped_eval
+    assert gated == evaluated >= 30
+    assert synced == [0] and filled == [0]
 
 
 def evaluated_groundings(monkeypatch):

@@ -6,11 +6,16 @@ the two seeds must give the same well-founded and stratified conclusions,
 and the per-component mix ``solve --backend hybrid`` and ``check`` ground
 must give the same well-founded and hybrid ones."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import defeasidl
 from defeasidl import evaluator, generator
 from defeasidl.compiler import compile_individual, compile_team
 from defeasidl.datalog import DatalogProgram, dependency_graph, is_safe, parse_datalog, stratify
@@ -182,7 +187,45 @@ def test_head_instances_match_each_pattern_exactly():
             if all(value == (binding.setdefault(t.name, value) if t.is_variable else t.name)
                    for t, value in zip(args, values)):
                 want.add(values)
-        assert _head_instances([clause], constants) == {"p": want}, head
+        assert {p: set(args) for p, args in _head_instances([clause], constants).items()} \
+            == {"p": want}, head
+
+
+# Grounds a reach theory both ways, each seed mode, and prints one digest
+# over every grounding's numbered instances and atoms.
+HASH_SEED_DIGEST = """
+import hashlib
+from defeasidl.compiler import compile_individual, compile_team
+from defeasidl.evaluator import ground_program
+from defeasidl.parser import parse_theory
+theory = parse_theory(
+    "edge(a, b). edge(b, c). edge(c, a). edge(c, d).\\n"
+    "r1: edge(X,Y) => path(X,Y).\\n"
+    "r2: path(X,Z), edge(Z,Y) => path(X,Y).\\n"
+    "r3: edge(X,Y) => neg path(Y,X).\\n"
+    "r1 > r3.\\nr2 > r3.\\n")
+digest = hashlib.sha256()
+for compile_ in (compile_team, compile_individual):
+    out = compile_(theory)
+    for keep in (None, out.upper_names, frozenset()):
+        g = ground_program(out.program, out.constants, self_supporting=keep)
+        digest.update(repr((g.instances, g.atoms)).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_grounding_does_not_depend_on_the_hash_seed():
+    # The self-supporting seeds come in product order, not in a set's, so the
+    # atom numbers and the instance order are the same under every hash seed.
+    package_root = str(Path(defeasidl.__file__).resolve().parent.parent)
+    digests = set()
+    for seed in ("0", "1", "3"):
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_DIGEST], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": package_root, "PYTHONHASHSEED": seed})
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout)
+    assert len(digests) == 1, digests
 
 
 def test_positive_self_support_is_kept():
