@@ -4,11 +4,12 @@ For each theory this checks, against the proof-theoretic oracle, the
 positive atom sets of the well-founded models of both compiled programs,
 the hybrid (stratified floor + Fitting) backend, the totality the pure
 stratified backend rests on, the structural guarantees of the compilation,
-and the subset chain of the four closures.  The individual program reuses
-the team's shared clauses, whose floor is grounded once, each upper part on
-top; each program is condensed once, and its evaluations share its grounding
-and occurrence index, each condensing only its own residual.  Failures carry
-a category prefix to slice them by; a failing theory shrinks with :func:`minimize`.
+and the subset chain of the four closures.  The individual program is
+spliced from the team program, whose floor is grounded once, each upper
+part on top; each program is condensed once, and its evaluations share its
+grounding and occurrence index, each condensing only its own residual.
+Failures carry a category prefix to slice them by; a failing theory shrinks
+with :func:`minimize`.
 """
 
 from __future__ import annotations

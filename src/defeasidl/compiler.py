@@ -20,13 +20,15 @@ by a rule-indexed variant: the defeasibly clause negates overruled_q(r, a)
 defeats fact (C26), and each consumed superiority pair emits the unit
 clause defeats_h(r, s) (tagged C24, being that mode's defeat clause).
 Superiority pairs whose rules do not have complementary heads, or whose
-superior rule is a defeater, compile to nothing.
+superior rule is a defeater, compile to nothing.  C25's block is as long
+as C20's, so the individual program is spliced from a team program of the
+same theory: two slices of its clauses around C25, then the C26 tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 from .datalog import DatalogProgram, DClause
 from .mangling import (
@@ -59,9 +61,6 @@ TEAM = "team"
 INDIVIDUAL = "individual"
 
 SCHEMA_FACT = "fact"
-# The schemas whose clauses both modes emit alike; C25's block is as long as
-# C20's, so each such clause has one position in both programs.
-SHARED_SCHEMAS = frozenset({SCHEMA_FACT, "C15", "C16", "C17", "C18", "C19", "C21", "C22"})
 
 
 class ClauseInfo(NamedTuple):
@@ -75,6 +74,7 @@ class CompilationOutput:
     # One record per entry of ``program.clauses``, in the same order.
     provenance: tuple[ClauseInfo, ...]
     mode: str
+    theory: DefeasibleTheory  # the theory compiled, which a shared compilation must match
     # One descriptor per predicate of the program, keyed by its name.
     predicate_info: dict[str, MangledPredicate]
     floor_names: frozenset[str]
@@ -89,9 +89,8 @@ class CompilationOutput:
 
 
 class _Emitter:
-    def __init__(self, mode: str, shared: Optional[CompilationOutput] = None):
+    def __init__(self, mode: str):
         self.mode = mode
-        self.shared = shared  # the output whose clauses of SHARED_SCHEMAS are taken
         self.clauses: list[DClause] = []
         self.provenance: list[ClauseInfo] = []
         self.predicate_info: dict[str, MangledPredicate] = {}
@@ -120,26 +119,24 @@ class _Emitter:
     def body_atom(self, rule: Rule, flavor: str) -> Atom:
         return self.atom((TAG_BODY, None, False, rule.label, flavor), rule.head.args)
 
-    def emit(self, build: Callable[[], DClause], source: str, schema: str) -> None:
-        """Append ``build()``, or the shared output's clause here if both modes share it."""
-        at = len(self.clauses)
-        if self.shared is None or schema not in SHARED_SCHEMAS:
-            self.clauses.append(build())
-            self.provenance.append(ClauseInfo(source, schema))
-        elif self.shared.provenance[at:at + 1] == ((source, schema),):
-            self.clauses.append(self.shared.program.clauses[at])
-            self.provenance.append(self.shared.provenance[at])
-        else:
-            raise RuntimeError(f"clause {at} is not {schema} {source} in the shared compilation")
+    def emit(self, clause: DClause, source: str, schema: str) -> None:
+        self.clauses.append(clause)
+        self.provenance.append(ClauseInfo(source, schema))
 
-    def finish(self, constants: frozenset[str]) -> CompilationOutput:
+    def take(self, out: CompilationOutput, start: int, stop: int) -> None:
+        """Append ``out``'s clauses from ``start`` to ``stop``, with their records."""
+        self.clauses += out.program.clauses[start:stop]
+        self.provenance += out.provenance[start:stop]
+
+    def finish(self, theory: DefeasibleTheory) -> CompilationOutput:
         return CompilationOutput(
             program=DatalogProgram(tuple(self.clauses), self.arities),
             provenance=tuple(self.provenance),
             mode=self.mode,
+            theory=theory,
             predicate_info=self.predicate_info,
             floor_names=frozenset(name for name, mp in self.predicate_info.items() if mp.is_floor),
-            constants=constants,
+            constants=frozenset(theory.constants()),
         )
 
 
@@ -150,139 +147,85 @@ def _consumed_superiority(theory: DefeasibleTheory) -> list[tuple[Rule, Rule]]:
     return [(sup, inf) for sup, inf in pairs if inert_superiority(sup, inf) is None]
 
 
-def _compile(theory: DefeasibleTheory, mode: str, shared=None) -> CompilationOutput:
+def _compile(theory: DefeasibleTheory, mode: str, team=None) -> CompilationOutput:
     report = validate_theory(theory)
     if not report.ok:
         raise ValidationFailed(report)
-    em = _Emitter(mode, shared)
+    em = _Emitter(mode)
     strict = [r for r in theory.rules if r.kind is RuleKind.STRICT]
     sd = [r for r in theory.rules if r.is_strict_or_defeasible]
-    if shared is not None:  # the shared clauses' predicates, in the order they were met
+    c20 = 3 * len(theory.facts) + 4 * len(strict) + len(sd)  # where C20's or C25's block begins
+
+    if team is None:
+        for fact in theory.sorted_facts:
+            for tag in CONCLUSION_TAGS:
+                em.emit(DClause(em.lit_atom(tag, fact)), str(fact), SCHEMA_FACT)
+        for r in strict:
+            delta_body = (em.body_atom(r, FLAVOR_DELTA),)
+            em.emit(DClause(em.lit_atom(TAG_DEFINITELY, r.head), delta_body), r.label, "C15")
+            em.emit(DClause(em.lit_atom(TAG_LAMBDA, r.head), delta_body), r.label, "C16")
+            em.emit(DClause(em.lit_atom(TAG_DEFEASIBLY, r.head), delta_body), r.label, "C17")
+            em.emit(DClause(em.body_atom(r, FLAVOR_DELTA),
+                            tuple(em.lit_atom(TAG_DEFINITELY, b) for b in r.body)), r.label, "C18")
+        for r in sd:
+            em.emit(DClause(em.lit_atom(TAG_LAMBDA, r.head), (em.body_atom(r, FLAVOR_LAM),),
+                            (em.lit_atom(TAG_DEFINITELY, r.head.complement()),)), r.label, "C19")
+    elif team.theory is not theory and team.theory != theory:
+        raise RuntimeError("the given output is not this theory's shared compilation")
+    else:  # both modes emit every clause but C20's and C25's blocks and the tails alike
         heads = {(r.head.predicate, r.head.negated) for r in sd}  # C20 and C25 overrule these
-        em.predicate_info = {
-            name: mp for name, mp in shared.predicate_info.items()
+        em.predicate_info = {  # the taken clauses' predicates, in the order they were met
+            name: mp for name, mp in team.predicate_info.items()
             if mp.base not in (TAG_DEFEATED, TAG_DEFEATS)
             and (mp.base != TAG_OVERRULED or (mp.source_predicate, mp.negated) in heads)}
         # C25's first atom of each overruled predicate sets its arity again.
-        em.arities = {name: shared.program.predicates[name] for name in em.predicate_info}
-
-    for fact in theory.sorted_facts:
-        source = str(fact)
-        for tag in CONCLUSION_TAGS:
-            em.emit(lambda: DClause(em.lit_atom(tag, fact)), source, SCHEMA_FACT)
-
-    for r in strict:
-        delta_body = (em.body_atom(r, FLAVOR_DELTA),)
-        em.emit(lambda: DClause(em.lit_atom(TAG_DEFINITELY, r.head), delta_body), r.label, "C15")
-        em.emit(lambda: DClause(em.lit_atom(TAG_LAMBDA, r.head), delta_body), r.label, "C16")
-        em.emit(lambda: DClause(em.lit_atom(TAG_DEFEASIBLY, r.head), delta_body), r.label, "C17")
-        em.emit(
-            lambda: DClause(
-                em.body_atom(r, FLAVOR_DELTA),
-                tuple(em.lit_atom(TAG_DEFINITELY, b) for b in r.body),
-            ),
-            r.label,
-            "C18",
-        )
-
-    for r in sd:
-        em.emit(
-            lambda: DClause(
-                em.lit_atom(TAG_LAMBDA, r.head),
-                (em.body_atom(r, FLAVOR_LAM),),
-                (em.lit_atom(TAG_DEFINITELY, r.head.complement()),),
-            ),
-            r.label,
-            "C19",
-        )
+        em.arities = {name: team.program.predicates[name] for name in em.predicate_info}
+        em.take(team, 0, c20)  # the facts' units and C15-C19
 
     for r in sd:
         # Individual defeat overrules a conclusion per defending rule (C25).
         label_arg = () if mode == TEAM else (em.label(r),)
-        em.emit(
-            lambda: DClause(
-                em.lit_atom(TAG_DEFEASIBLY, r.head),
-                (em.body_atom(r, FLAVOR_D),),
-                (
-                    em.lit_atom(TAG_DEFINITELY, r.head.complement()),
-                    em.lit_atom(TAG_OVERRULED, r.head, extra=label_arg),
-                ),
-            ),
-            r.label,
-            "C20" if mode == TEAM else "C25",
-        )
+        em.emit(DClause(em.lit_atom(TAG_DEFEASIBLY, r.head), (em.body_atom(r, FLAVOR_D),),
+                        (em.lit_atom(TAG_DEFINITELY, r.head.complement()),
+                         em.lit_atom(TAG_OVERRULED, r.head, extra=label_arg))),
+                r.label, "C20" if mode == TEAM else "C25")
 
-    for r in theory.rules:  # lambda-bodies exist for defeaters too: overruled needs them
-        em.emit(
-            lambda: DClause(
-                em.body_atom(r, FLAVOR_LAM),
-                tuple(em.lit_atom(TAG_LAMBDA, b) for b in r.body),
-            ),
-            r.label,
-            "C21",
-        )
-    for r in sd:  # d-bodies of defeaters are never referenced
-        em.emit(
-            lambda: DClause(
-                em.body_atom(r, FLAVOR_D),
-                tuple(em.lit_atom(TAG_DEFEASIBLY, b) for b in r.body),
-            ),
-            r.label,
-            "C22",
-        )
+    if team is None:
+        for r in theory.rules:  # lam bodies exist for defeaters too: overruled needs them
+            em.emit(DClause(em.body_atom(r, FLAVOR_LAM),
+                            tuple(em.lit_atom(TAG_LAMBDA, b) for b in r.body)), r.label, "C21")
+        for r in sd:  # d-bodies of defeaters are never referenced
+            em.emit(DClause(em.body_atom(r, FLAVOR_D),
+                            tuple(em.lit_atom(TAG_DEFEASIBLY, b) for b in r.body)), r.label, "C22")
+    else:  # C21 and C22, after C25's block, as long as C20's
+        em.take(team, c20 + len(sd), c20 + 2 * len(sd) + len(theory.rules))
 
     if mode == TEAM:
         for s in theory.rules:
-            em.emit(
-                lambda: DClause(
-                    em.lit_atom(TAG_OVERRULED, s.head.complement()),
-                    (em.body_atom(s, FLAVOR_LAM),),
-                    (em.lit_atom(TAG_DEFEATED, s.head, extra=(em.label(s),)),),
-                ),
-                s.label,
-                "C23",
-            )
+            em.emit(DClause(em.lit_atom(TAG_OVERRULED, s.head.complement()),
+                            (em.body_atom(s, FLAVOR_LAM),),
+                            (em.lit_atom(TAG_DEFEATED, s.head, extra=(em.label(s),)),)),
+                    s.label, "C23")
         for sup, inf in _consumed_superiority(theory):
-            em.emit(
-                lambda: DClause(
-                    em.lit_atom(TAG_DEFEATED, sup.head.complement(), extra=(em.label(inf),)),
-                    (em.body_atom(sup, FLAVOR_D),),
-                ),
-                f"{sup.label} > {inf.label}",
-                "C24",
-            )
+            em.emit(DClause(em.lit_atom(TAG_DEFEATED, sup.head.complement(), extra=(em.label(inf),)),
+                            (em.body_atom(sup, FLAVOR_D),)),
+                    f"{sup.label} > {inf.label}", "C24")
     else:
         for s in theory.rules:
             defended = s.head.complement()
             for r in sd:
                 if r.head.predicate != defended.predicate or r.head.negated != defended.negated:
                     continue
-                em.emit(
-                    lambda: DClause(
-                        em.lit_atom(TAG_OVERRULED, defended, extra=(em.label(r),)),
-                        (em.body_atom(s, FLAVOR_LAM),),
-                        (
-                            em.atom(
-                                (TAG_DEFEATS, s.head.predicate, s.head.negated),
-                                (em.label(r), em.label(s)),
-                            ),
-                        ),
-                    ),
-                    f"{r.label} | {s.label}",
-                    "C26",
-                )
+                em.emit(DClause(em.lit_atom(TAG_OVERRULED, defended, extra=(em.label(r),)),
+                                (em.body_atom(s, FLAVOR_LAM),),
+                                (em.atom((TAG_DEFEATS, s.head.predicate, s.head.negated),
+                                         (em.label(r), em.label(s))),)),
+                        f"{r.label} | {s.label}", "C26")
         for sup, inf in _consumed_superiority(theory):
-            em.emit(
-                lambda: DClause(
-                    em.atom(
-                        (TAG_DEFEATS, inf.head.predicate, inf.head.negated),
-                        (em.label(sup), em.label(inf)),
-                    )
-                ),
-                f"{sup.label} > {inf.label}",
-                "C24",
-            )
-    return em.finish(frozenset(theory.constants()))
+            em.emit(DClause(em.atom((TAG_DEFEATS, inf.head.predicate, inf.head.negated),
+                                    (em.label(sup), em.label(inf)))),
+                    f"{sup.label} > {inf.label}", "C24")
+    return em.finish(theory)
 
 
 def compile_team(theory: DefeasibleTheory) -> CompilationOutput:
@@ -292,8 +235,9 @@ def compile_team(theory: DefeasibleTheory) -> CompilationOutput:
 
 def compile_individual(theory: DefeasibleTheory, team=None) -> CompilationOutput:
     """Compile for the individual-defeat consequence relation; the result
-    is stratified for every theory.  The clauses both modes share are taken
-    from ``team``, the theory's ``compile_team`` output, if given."""
+    is stratified for every theory.  Given ``team``, an output compiled
+    from this theory, its clauses and records are taken except C20's or
+    C25's block and the defeat tail; another theory's raises RuntimeError."""
     return _compile(theory, INDIVIDUAL, team)
 
 

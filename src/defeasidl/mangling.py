@@ -13,9 +13,7 @@ validation rejects theories where two distinct sources collide; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-from .theory import DefeasibleTheory
+from typing import Iterable, Optional
 
 SEP = "__"
 NEG = "not"
@@ -70,10 +68,11 @@ class MangledPredicate:
 
 
 def mangling_collisions(
-    theory: DefeasibleTheory,
+    predicates: Iterable[str],
 ) -> list[tuple[str, MangledPredicate, MangledPredicate]]:
     """Pairs of distinct descriptors that mangle to the same name, among
-    every name compilation could generate for this theory, in either mode.
+    every name compilation could generate, in either mode, for a theory
+    with these source predicates (its rule labels cannot collide).
 
     A name is ``tag__rest`` and no tag contains ``_``, so equal names have
     the same tag.  A body name ends in ``__`` and its flavour, and none of
@@ -82,8 +81,8 @@ def mangling_collisions(
     literal tag.  Each pair is listed once, the descriptor met later when
     enumerating by sorted predicate, tag and sign second, in that order."""
     prefix = NEG + SEP
-    preds = sorted(theory.predicates())
-    known = set(preds)
+    known = set(predicates)
+    preds = sorted(known)
     collisions = []
     for pred in preds:
         earlier = [(negated, other)  # the sign of pred's descriptor, and the earlier predicate

@@ -17,6 +17,7 @@ from itertools import product
 from typing import Iterable, Optional
 
 from .graph import _tarjan_sccs, levels
+from .mangling import mangling_collisions
 
 
 class EmptyUniverse(Exception):
@@ -327,10 +328,7 @@ def _validate(theory: DefeasibleTheory) -> ValidationReport:
                 code, reason = inert
                 report.warn(code, f"superiority {t} > {s} is inert: {reason}", f"{t} > {s}")
 
-    # Deferred import: the mangling scheme lives next to the compiler.
-    from .mangling import mangling_collisions
-
-    for name, a, b in mangling_collisions(theory):
+    for name, a, b in mangling_collisions(theory.predicates()):
         report.error(
             "mangling-collision",
             f"generated predicate name {name!r} is produced by both {a} and {b}",

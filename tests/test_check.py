@@ -12,7 +12,7 @@ from defeasidl import check, datalog, evaluator, generator, oracle
 from defeasidl import theory as theory_module
 from defeasidl.check import CheckResult, _structural, check_theory, minimize, minimize_failure
 from defeasidl.cli import main
-from defeasidl.compiler import SHARED_SCHEMAS, compile_individual, compile_team
+from defeasidl.compiler import compile_individual, compile_team
 from defeasidl.datalog import (
     POSITIVE, DClause, DatalogProgram, DependencyGraph, parse_datalog, stratify)
 from defeasidl.evaluator import ThreeValuedInterpretation
@@ -24,6 +24,7 @@ from analysis_reference import restrict_to
 from evaluation_reference import reference_wellfounded
 from grounding_reference import decoded
 from residual_generator import residual_theory
+from test_compiler import SHARED_SCHEMAS
 from test_evaluation import corpus_slice
 from test_grounding import rot_theory
 

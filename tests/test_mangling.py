@@ -67,7 +67,7 @@ def test_random_names_match_the_enumeration():
     for _ in range(1500):
         t = random_theory(rng)
         want = enumerated_collisions(t)
-        assert mangling_collisions(t) == want
+        assert mangling_collisions(t.predicates()) == want
         met += len(want)
     assert met > 1000  # the names are built to collide
 
@@ -81,11 +81,12 @@ def test_random_names_match_the_enumeration():
 ])
 def test_hand_cases_match_the_enumeration(text):
     t = theory(text)
-    assert mangling_collisions(t) == enumerated_collisions(t)
+    assert mangling_collisions(t.predicates()) == enumerated_collisions(t)
 
 
 def test_a_negated_predicate_collides_with_its_not_name_under_each_tag():
-    collisions = mangling_collisions(theory("r1: => neg p.\nr2: => not__p.\nr3: => not__not__p."))
+    collisions = mangling_collisions(
+        theory("r1: => neg p.\nr2: => not__p.\nr3: => not__not__p.").predicates())
     assert [name for name, _, _ in collisions] == [
         f"{tag}__not__{p}" for p in ("not__p", "p") for tag in LITERAL_TAGS]
-    assert mangling_collisions(theory("r__d: => p.\nr: => q.\nr__lam: => neg p.")) == []
+    assert mangling_collisions(theory("r__d: => p.\nr: => q.\nr__lam: => neg p.").predicates()) == []

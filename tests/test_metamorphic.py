@@ -63,7 +63,8 @@ def rename_constants(t: DefeasibleTheory, rng: random.Random):
     every name that mangles to a collision."""
     constants = sorted(t.constants())
     labels = {r.label for r in t.rules}
-    reserved = {*constants, *labels, "neg", *(name for name, _, _ in mangling_collisions(t))}
+    collisions = mangling_collisions(t.predicates())
+    reserved = {*constants, *labels, "neg", *(name for name, _, _ in collisions)}
     fresh = [f"k{i}" for i in range(len(constants) + len(reserved))]
     fresh = [name for name in fresh if name not in reserved][: len(constants)]
     order = rng.sample(fresh, len(fresh))
@@ -105,7 +106,7 @@ def rename_predicates(t: DefeasibleTheory, rng: random.Random, avoid=frozenset()
         [Rule(r.label, tuple(map(rename, r.body)), rename(r.head), r.kind) for r in t.rules],
         t.superiority,
     )
-    assert mangling_collisions(renamed) == []
+    assert mangling_collisions(renamed.predicates()) == []
     return renamed, {name: predicate for predicate, name in new.items()}
 
 
