@@ -27,7 +27,7 @@ same theory: two slices of its clauses around C25, then the C26 tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .datalog import DatalogProgram, DClause
@@ -44,6 +44,7 @@ from .mangling import (
     TAG_LAMBDA,
     TAG_OVERRULED,
     MangledPredicate,
+    mangled_name,
 )
 from .theory import (
     Atom,
@@ -89,23 +90,22 @@ class CompilationOutput:
 
 
 class _Emitter:
-    def __init__(self, mode: str):
-        self.mode = mode
+    def __init__(self, predicate_info: dict[str, MangledPredicate], arities: dict[str, int]):
         self.clauses: list[DClause] = []
         self.provenance: list[ClauseInfo] = []
-        self.predicate_info: dict[str, MangledPredicate] = {}
+        self.predicate_info = predicate_info  # name -> descriptor, in the order met
+        self.arities = arities  # name -> arity, fixed by the validated theory
         self.names: dict[tuple, str] = {}  # descriptor fields -> name
-        self.arities: dict[str, int] = {}  # name -> arity, fixed by the validated theory
         self.labels: dict[str, Term] = {}  # rule label -> its term, name-checked once
 
     def atom(self, fields: tuple, args: tuple[Term, ...]) -> Atom:
         """An atom of the predicate described by ``fields``, the fields of its
-        ``MangledPredicate`` in order; each descriptor is built once."""
+        ``MangledPredicate`` in order; a descriptor not yet held is built once."""
         name = self.names.get(fields)
         if name is None:
-            mp = MangledPredicate(*fields)
-            name = self.names[fields] = mp.name
-            self.predicate_info[name] = mp
+            name = self.names[fields] = mangled_name(*fields)
+            if name not in self.predicate_info:
+                self.predicate_info[name] = MangledPredicate(*fields)
             self.arities[name] = len(args)
         # Mangled from validated names, so ``Atom``'s name check is skipped.
         return Atom.unchecked(name, args)
@@ -128,16 +128,8 @@ class _Emitter:
         self.clauses += out.program.clauses[start:stop]
         self.provenance += out.provenance[start:stop]
 
-    def finish(self, theory: DefeasibleTheory) -> CompilationOutput:
-        return CompilationOutput(
-            program=DatalogProgram(tuple(self.clauses), self.arities),
-            provenance=tuple(self.provenance),
-            mode=self.mode,
-            theory=theory,
-            predicate_info=self.predicate_info,
-            floor_names=frozenset(name for name, mp in self.predicate_info.items() if mp.is_floor),
-            constants=frozenset(theory.constants()),
-        )
+    def program(self) -> DatalogProgram:
+        return DatalogProgram(tuple(self.clauses), self.arities)
 
 
 def _consumed_superiority(theory: DefeasibleTheory) -> list[tuple[Rule, Rule]]:
@@ -147,98 +139,99 @@ def _consumed_superiority(theory: DefeasibleTheory) -> list[tuple[Rule, Rule]]:
     return [(sup, inf) for sup, inf in pairs if inert_superiority(sup, inf) is None]
 
 
-def _compile(theory: DefeasibleTheory, mode: str, team=None) -> CompilationOutput:
+def compile_team(theory: DefeasibleTheory) -> CompilationOutput:
+    """Compile for the team-defeat consequence relation."""
     report = validate_theory(theory)
     if not report.ok:
         raise ValidationFailed(report)
-    em = _Emitter(mode)
+    em = _Emitter({}, {})
     strict = [r for r in theory.rules if r.kind is RuleKind.STRICT]
     sd = [r for r in theory.rules if r.is_strict_or_defeasible]
-    c20 = 3 * len(theory.facts) + 4 * len(strict) + len(sd)  # where C20's or C25's block begins
-
-    if team is None:
-        for fact in theory.sorted_facts:
-            for tag in CONCLUSION_TAGS:
-                em.emit(DClause(em.lit_atom(tag, fact)), str(fact), SCHEMA_FACT)
-        for r in strict:
-            delta_body = (em.body_atom(r, FLAVOR_DELTA),)
-            em.emit(DClause(em.lit_atom(TAG_DEFINITELY, r.head), delta_body), r.label, "C15")
-            em.emit(DClause(em.lit_atom(TAG_LAMBDA, r.head), delta_body), r.label, "C16")
-            em.emit(DClause(em.lit_atom(TAG_DEFEASIBLY, r.head), delta_body), r.label, "C17")
-            em.emit(DClause(em.body_atom(r, FLAVOR_DELTA),
-                            tuple(em.lit_atom(TAG_DEFINITELY, b) for b in r.body)), r.label, "C18")
-        for r in sd:
-            em.emit(DClause(em.lit_atom(TAG_LAMBDA, r.head), (em.body_atom(r, FLAVOR_LAM),),
-                            (em.lit_atom(TAG_DEFINITELY, r.head.complement()),)), r.label, "C19")
-    elif team.theory is not theory and team.theory != theory:
-        raise RuntimeError("the given output is not this theory's shared compilation")
-    else:  # both modes emit every clause but C20's and C25's blocks and the tails alike
-        heads = {(r.head.predicate, r.head.negated) for r in sd}  # C20 and C25 overrule these
-        em.predicate_info = {  # the taken clauses' predicates, in the order they were met
-            name: mp for name, mp in team.predicate_info.items()
-            if mp.base not in (TAG_DEFEATED, TAG_DEFEATS)
-            and (mp.base != TAG_OVERRULED or (mp.source_predicate, mp.negated) in heads)}
-        # C25's first atom of each overruled predicate sets its arity again.
-        em.arities = {name: team.program.predicates[name] for name in em.predicate_info}
-        em.take(team, 0, c20)  # the facts' units and C15-C19
-
+    for fact in theory.sorted_facts:
+        for tag in CONCLUSION_TAGS:
+            em.emit(DClause(em.lit_atom(tag, fact)), str(fact), SCHEMA_FACT)
+    for r in strict:
+        delta_body = (em.body_atom(r, FLAVOR_DELTA),)
+        em.emit(DClause(em.lit_atom(TAG_DEFINITELY, r.head), delta_body), r.label, "C15")
+        em.emit(DClause(em.lit_atom(TAG_LAMBDA, r.head), delta_body), r.label, "C16")
+        em.emit(DClause(em.lit_atom(TAG_DEFEASIBLY, r.head), delta_body), r.label, "C17")
+        em.emit(DClause(em.body_atom(r, FLAVOR_DELTA),
+                        tuple(em.lit_atom(TAG_DEFINITELY, b) for b in r.body)), r.label, "C18")
     for r in sd:
-        # Individual defeat overrules a conclusion per defending rule (C25).
-        label_arg = () if mode == TEAM else (em.label(r),)
+        em.emit(DClause(em.lit_atom(TAG_LAMBDA, r.head), (em.body_atom(r, FLAVOR_LAM),),
+                        (em.lit_atom(TAG_DEFINITELY, r.head.complement()),)), r.label, "C19")
+    for r in sd:
         em.emit(DClause(em.lit_atom(TAG_DEFEASIBLY, r.head), (em.body_atom(r, FLAVOR_D),),
                         (em.lit_atom(TAG_DEFINITELY, r.head.complement()),
-                         em.lit_atom(TAG_OVERRULED, r.head, extra=label_arg))),
-                r.label, "C20" if mode == TEAM else "C25")
-
-    if team is None:
-        for r in theory.rules:  # lam bodies exist for defeaters too: overruled needs them
-            em.emit(DClause(em.body_atom(r, FLAVOR_LAM),
-                            tuple(em.lit_atom(TAG_LAMBDA, b) for b in r.body)), r.label, "C21")
-        for r in sd:  # d-bodies of defeaters are never referenced
-            em.emit(DClause(em.body_atom(r, FLAVOR_D),
-                            tuple(em.lit_atom(TAG_DEFEASIBLY, b) for b in r.body)), r.label, "C22")
-    else:  # C21 and C22, after C25's block, as long as C20's
-        em.take(team, c20 + len(sd), c20 + 2 * len(sd) + len(theory.rules))
-
-    if mode == TEAM:
-        for s in theory.rules:
-            em.emit(DClause(em.lit_atom(TAG_OVERRULED, s.head.complement()),
-                            (em.body_atom(s, FLAVOR_LAM),),
-                            (em.lit_atom(TAG_DEFEATED, s.head, extra=(em.label(s),)),)),
-                    s.label, "C23")
-        for sup, inf in _consumed_superiority(theory):
-            em.emit(DClause(em.lit_atom(TAG_DEFEATED, sup.head.complement(), extra=(em.label(inf),)),
-                            (em.body_atom(sup, FLAVOR_D),)),
-                    f"{sup.label} > {inf.label}", "C24")
-    else:
-        for s in theory.rules:
-            defended = s.head.complement()
-            for r in sd:
-                if r.head.predicate != defended.predicate or r.head.negated != defended.negated:
-                    continue
-                em.emit(DClause(em.lit_atom(TAG_OVERRULED, defended, extra=(em.label(r),)),
-                                (em.body_atom(s, FLAVOR_LAM),),
-                                (em.atom((TAG_DEFEATS, s.head.predicate, s.head.negated),
-                                         (em.label(r), em.label(s))),)),
-                        f"{r.label} | {s.label}", "C26")
-        for sup, inf in _consumed_superiority(theory):
-            em.emit(DClause(em.atom((TAG_DEFEATS, inf.head.predicate, inf.head.negated),
-                                    (em.label(sup), em.label(inf)))),
-                    f"{sup.label} > {inf.label}", "C24")
-    return em.finish(theory)
-
-
-def compile_team(theory: DefeasibleTheory) -> CompilationOutput:
-    """Compile for the team-defeat consequence relation."""
-    return _compile(theory, TEAM)
+                         em.lit_atom(TAG_OVERRULED, r.head))), r.label, "C20")
+    for r in theory.rules:  # lam bodies exist for defeaters too: overruled needs them
+        em.emit(DClause(em.body_atom(r, FLAVOR_LAM),
+                        tuple(em.lit_atom(TAG_LAMBDA, b) for b in r.body)), r.label, "C21")
+    for r in sd:  # d-bodies of defeaters are never referenced
+        em.emit(DClause(em.body_atom(r, FLAVOR_D),
+                        tuple(em.lit_atom(TAG_DEFEASIBLY, b) for b in r.body)), r.label, "C22")
+    for s in theory.rules:
+        em.emit(DClause(em.lit_atom(TAG_OVERRULED, s.head.complement()),
+                        (em.body_atom(s, FLAVOR_LAM),),
+                        (em.lit_atom(TAG_DEFEATED, s.head, extra=(em.label(s),)),)),
+                s.label, "C23")
+    for sup, inf in _consumed_superiority(theory):
+        em.emit(DClause(em.lit_atom(TAG_DEFEATED, sup.head.complement(), extra=(em.label(inf),)),
+                        (em.body_atom(sup, FLAVOR_D),)),
+                f"{sup.label} > {inf.label}", "C24")
+    return CompilationOutput(
+        program=em.program(),
+        provenance=tuple(em.provenance),
+        mode=TEAM,
+        theory=theory,
+        predicate_info=em.predicate_info,
+        floor_names=frozenset(name for name, mp in em.predicate_info.items() if mp.is_floor),
+        constants=frozenset(theory.constants()),
+    )
 
 
 def compile_individual(theory: DefeasibleTheory, team=None) -> CompilationOutput:
     """Compile for the individual-defeat consequence relation; the result
-    is stratified for every theory.  Given ``team``, an output compiled
-    from this theory, its clauses and records are taken except C20's or
-    C25's block and the defeat tail; another theory's raises RuntimeError."""
-    return _compile(theory, INDIVIDUAL, team)
+    is stratified for every theory.  It is spliced from ``team``, an output
+    compiled from this theory (another theory's raises RuntimeError), or
+    else from ``compile_team(theory)``: every clause and record is taken
+    but C20's block, replaced by C25's, and the defeat tail."""
+    team = team or compile_team(theory)
+    if team.theory is not theory and team.theory != theory:
+        raise RuntimeError("the given output is not this theory's shared compilation")
+    sd = [r for r in theory.rules if r.is_strict_or_defeasible]
+    strict = sum(r.kind is RuleKind.STRICT for r in theory.rules)
+    c20 = 3 * len(theory.facts) + 4 * strict + len(sd)  # where C20's block begins
+    heads = {(r.head.predicate, r.head.negated) for r in sd}  # C25 overrules these
+    info = {  # the taken clauses' predicates, in the order they were met
+        name: mp for name, mp in team.predicate_info.items()
+        if mp.base not in (TAG_DEFEATED, TAG_DEFEATS)
+        and (mp.base != TAG_OVERRULED or (mp.source_predicate, mp.negated) in heads)}
+    # C25's first atom of each overruled predicate sets its arity again.
+    em = _Emitter(info, {name: team.program.predicates[name] for name in info})
+    em.take(team, 0, c20)  # the facts' units and C15-C19
+    for r in sd:  # individual defeat overrules a conclusion per defending rule
+        em.emit(DClause(em.lit_atom(TAG_DEFEASIBLY, r.head), (em.body_atom(r, FLAVOR_D),),
+                        (em.lit_atom(TAG_DEFINITELY, r.head.complement()),
+                         em.lit_atom(TAG_OVERRULED, r.head, extra=(em.label(r),)))),
+                r.label, "C25")
+    em.take(team, c20 + len(sd), c20 + 2 * len(sd) + len(theory.rules))  # C21 and C22
+    for s in theory.rules:
+        defended = s.head.complement()
+        for r in sd:
+            if r.head.predicate != defended.predicate or r.head.negated != defended.negated:
+                continue
+            em.emit(DClause(em.lit_atom(TAG_OVERRULED, defended, extra=(em.label(r),)),
+                            (em.body_atom(s, FLAVOR_LAM),),
+                            (em.atom((TAG_DEFEATS, s.head.predicate, s.head.negated),
+                                     (em.label(r), em.label(s))),)),
+                    f"{r.label} | {s.label}", "C26")
+    for sup, inf in _consumed_superiority(theory):
+        em.emit(DClause(em.atom((TAG_DEFEATS, inf.head.predicate, inf.head.negated),
+                                (em.label(sup), em.label(inf)))),
+                f"{sup.label} > {inf.label}", "C24")
+    return replace(team, program=em.program(), provenance=tuple(em.provenance),
+                   mode=INDIVIDUAL, theory=theory, predicate_info=em.predicate_info)
 
 
 def emit_datalog_text(out: CompilationOutput) -> str:

@@ -58,9 +58,9 @@ class NotStratified(Exception):
 
 
 class GroundClause(NamedTuple):  # of atom numbers
-    head: GAtom
-    positive: tuple[GAtom, ...]
-    negative: tuple[GAtom, ...]
+    head: int
+    positive: tuple[int, ...]
+    negative: tuple[int, ...]
 
 
 @dataclass(frozen=True)

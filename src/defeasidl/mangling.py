@@ -49,10 +49,7 @@ class MangledPredicate:
 
     @property
     def name(self) -> str:
-        if self.base == TAG_BODY:
-            return SEP.join((TAG_BODY, self.rule_label, self.flavor))
-        parts = [self.base, NEG, self.source_predicate] if self.negated else [self.base, self.source_predicate]
-        return SEP.join(parts)
+        return mangled_name(self.base, self.source_predicate, self.negated, self.rule_label, self.flavor)
 
     @property
     def is_floor(self) -> bool:
@@ -65,6 +62,14 @@ class MangledPredicate:
             return f"body[{self.rule_label}, {self.flavor}]"
         sign = "neg " if self.negated else ""
         return f"{self.base}[{sign}{self.source_predicate}]"
+
+
+def mangled_name(base: str, source_predicate: Optional[str] = None, negated: bool = False,
+                 rule_label: Optional[str] = None, flavor: Optional[str] = None) -> str:
+    """The name of the descriptor with these fields, without building it."""
+    if base == TAG_BODY:
+        return SEP.join((TAG_BODY, rule_label, flavor))
+    return SEP.join((base, NEG, source_predicate) if negated else (base, source_predicate))
 
 
 def mangling_collisions(

@@ -109,6 +109,14 @@ def test_minimize_shrinks_to_a_small_witness(tweety):
     assert small.superiority == frozenset()
 
 
+def test_minimize_drops_a_superiority_pair_its_rules_do_not_need():
+    # Neither rule can go, and there is no fact: only the third shrink step,
+    # dropping a superiority pair, keeps the predicate true.
+    small = minimize(theory("r1: => p.\nr2: => neg p.\nr1 > r2."), lambda t: len(t.rules) == 2)
+    assert len(small.rules) == 2
+    assert small.superiority == frozenset()
+
+
 def test_minimize_failure_returns_none_when_agreeing(tweety):
     assert minimize_failure(tweety) is None
 

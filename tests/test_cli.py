@@ -103,6 +103,13 @@ class TestAnalyze:
         assert code == 0
         assert "theory-size: 0" in out and "team-ratio: n/a" in out
 
+    def test_constant_free_variable_theory(self, tmp_path):
+        src = tmp_path / "free.dfl"
+        src.write_text("r1: p(X) => q(X).\n", encoding="utf-8")
+        code, out = run("--no-timings", "analyze", str(src))
+        assert code == 0
+        assert "locally-hierarchical: undetermined (no constants)" in out
+
 
 class TestCompile:
     def test_round_trips(self, tmp_path):

@@ -14,7 +14,7 @@ from defeasidl.compiler import (
 )
 from defeasidl.datalog import DatalogProgram, DClause, is_safe, parse_datalog
 from defeasidl.evaluator import eval_wellfounded
-from defeasidl.mangling import MangledPredicate
+from defeasidl.mangling import TAG_DEFEATS, MangledPredicate
 from defeasidl.theory import (
     Atom,
     DefeasibleTheory,
@@ -203,22 +203,34 @@ class TestCompileGuards:
             with_floor += bool(team[2])
         assert with_floor >= len(corpus_slice()) - 1  # one generated theory is empty
 
-    def test_individual_output_built_on_the_team_output_is_the_same(self, tweety, platypus):
+    def test_individual_output_built_on_the_team_output_is_the_same(self, monkeypatch, tweety,
+                                                                      platypus):
         # compile_individual(t, team) takes every clause both modes share, and
         # its record, from the team output; only C25, C26 and the defeats
-        # units are built.  The result must be compile_individual(t)'s.
+        # units are built.  Without a team it compiles one through the module
+        # name, where a wrapper (the benchmark's tracer) sees it.
         def whole(out):
             return (out.mode, out.program.clauses, out.provenance, out.predicate_info,
                     out.floor_names, out.constants, list(out.program.predicates.items()))
 
+        teams = []
+        compile_team_ = compiler.compile_team
+
+        def counted(t):
+            teams.append(compile_team_(t))
+            return teams[-1]
+
+        monkeypatch.setattr(compiler, "compile_team", counted)
         rng = random.Random(20261019)
         theories = [*(corpus.load(name) for name in corpus.names()), *corpus_slice(),
                     *(residual_theory(rng) for _ in range(200))]
         built = 0
         for t in theories:
-            team = compile_team(t)
+            team = compile_team_(t)
             reused = compile_individual(t, team)
+            assert not teams
             assert whole(reused) == whole(compile_individual(t))
+            assert len(teams) == 1 and teams.pop().theory is t
             for at, info in enumerate(reused.provenance):
                 if info.schema in SHARED_SCHEMAS:
                     assert reused.program.clauses[at] is team.program.clauses[at]
@@ -226,12 +238,14 @@ class TestCompileGuards:
                 else:
                     built += 1
                     assert info.schema in ("C24", "C25", "C26")
+            assert reused.floor_names is team.floor_names
+            assert reused.constants is team.constants
         assert built > 0
         # An individual output shares the same clauses; another theory's does not fit.
         fresh = compile_individual(tweety)
         assert whole(compile_individual(tweety, fresh)) == whole(fresh)
         with pytest.raises(RuntimeError, match="shared compilation"):
-            compile_individual(platypus, compile_team(tweety))
+            compile_individual(platypus, compile_team_(tweety))
 
     def test_a_team_output_of_another_theory_is_refused(self):
         # Same labels, schemas and clause counts, but r1 reads another predicate:
@@ -247,6 +261,8 @@ class TestCompileGuards:
                 == compile_individual(penguin).program.clauses)
 
     def test_one_descriptor_per_compiled_predicate(self, monkeypatch, tweety):
+        # The team output builds one descriptor per predicate; the individual
+        # output reuses them and builds only its defeats predicates'.
         built = [0]
         init = MangledPredicate.__init__
 
@@ -254,14 +270,23 @@ class TestCompileGuards:
             built[0] += 1
             init(self, *args, **kwargs)
 
+        def building(compile_, *args):
+            before = built[0]
+            out = compile_(*args)
+            assert set(out.predicate_info) == set(out.program.predicates)
+            return out, built[0] - before
+
         monkeypatch.setattr(MangledPredicate, "__init__", counted)
+        defeats = 0
         for t in [tweety, *corpus_slice()]:
             validate_theory(t)  # the collision check builds its own candidates
-            for compile_ in (compile_team, compile_individual):
-                before = built[0]
-                out = compile_(t)
-                assert built[0] - before == len(out.program.predicates)
-                assert set(out.predicate_info) == set(out.program.predicates)
+            team, in_team = building(compile_team, t)
+            assert in_team == len(team.program.predicates)
+            indiv, in_splice = building(compile_individual, t, team)
+            assert in_splice == sum(mp.base == TAG_DEFEATS for mp in indiv.predicate_info.values())
+            assert building(compile_individual, t)[1] == in_team + in_splice
+            defeats += in_splice
+        assert defeats > 0
 
     def test_provenance_is_aligned_with_the_clauses(self, tweety, platypus):
         # Each record's schema names the tag of its own clause's head.

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import theory
-from defeasidl import generator
+from defeasidl import evaluator, generator
 from defeasidl.compiler import compile_individual, compile_team, read_conclusions
 from defeasidl.datalog import DatalogProgram, is_safe, parse_datalog, stratify
 from defeasidl.evaluator import (
@@ -219,6 +219,31 @@ class TestHybrid:
         ):
             with pytest.raises(TypeError):
                 eval_hybrid(bad)
+
+
+class TestInternalErrorGuards:
+    # A planted fault: the evaluation leaves one true floor atom unknown.
+    @pytest.fixture(autouse=True)
+    def faulty(self, monkeypatch):
+        evaluate = evaluator._evaluate
+
+        def leaves_one_unknown(g, *args):
+            interp = evaluate(g, *args)
+            left = min(a for a in interp.true_set if a[0].startswith("definitely__"))
+            return ThreeValuedInterpretation(interp.true_set - {left}, interp.false_set,
+                                             interp.domain)
+
+        monkeypatch.setattr(evaluator, "_evaluate", leaves_one_unknown)
+
+    def test_stratified(self, tweety):
+        with pytest.raises(RuntimeError,
+                           match=r"^stratified program left atoms unknown \(internal error\)$"):
+            eval_stratified(compile_individual(tweety).program)
+
+    def test_hybrid(self, tweety):
+        with pytest.raises(RuntimeError,
+                           match=r"^hybrid floor left atoms unknown \(internal error\)$"):
+            eval_hybrid(compile_team(tweety))
 
 
 def test_a_shared_grounding_evaluates_as_a_fresh_one():
