@@ -4,10 +4,10 @@ For each theory this checks, against the proof-theoretic oracle, the
 positive atom sets of the well-founded models of both compiled programs,
 the hybrid (stratified floor + Fitting) backend, the totality the pure
 stratified backend rests on, the structural guarantees of the compilation,
-and the subset chain of the four closures.  The individual program is
-spliced from the team program, whose floor is grounded once, each upper
-part on top; each program is condensed once, and its evaluations share its
-grounding and occurrence index, each condensing only its own residual.
+and the subset chain of the four closures.  Each theory is grounded twice:
+the team program whole, then the individual program (spliced from it) on
+that grounding's floor, each reading its program's one condensation; the
+evaluations share a grounding's occurrence index and condense only residuals.
 Failures carry a category prefix to slice them by; a failing theory shrinks
 with :func:`minimize`.
 """
@@ -25,7 +25,6 @@ from .compiler import (
 )
 from .datalog import (
     NEGATIVE,
-    DatalogProgram,
     compute_signing,
     dependency_graph,
     is_call_consistent,
@@ -124,16 +123,12 @@ def check_theory(theory: DefeasibleTheory, name: str = "theory") -> CheckResult:
         result.skipped_eval = True
         return result
 
-    # Both programs hold the team's floor clauses: it is grounded once, by derivability,
-    # and each upper part on top, where only Fitting's operator needs self-support.
-    floor_names = team.floor_names
-    floor = ground_program(
-        DatalogProgram(tuple(c for c in team.program.clauses if c.head.predicate in floor_names),
-                       {p: n for p, n in team.program.predicates.items() if p in floor_names}),
-        team.constants, self_supporting=frozenset())
+    # The team program is grounded whole, and the individual program, which
+    # holds the team's floor clauses, on top of that grounding's floor.
+    ground = None
     for out, closure in ((team, "dpar"), (indiv, "dpar_star")):
         ground = ground_program(out.program, out.constants, self_supporting=out.upper_names,
-                                floor=floor)
+                                floor=ground)
         wf = eval_wellfounded(out.program, ground)
         got = read_conclusions(out, wf.true_set)
         category = f"oracle-{out.mode}"

@@ -30,8 +30,8 @@ in an order that does not depend on the string-hash seed; instances, join
 tables and the occurrence index hold numbers, which a ``GroundProgram``
 decodes only for its base and its models.  A clause without variables (the
 compiler's three unit clauses per fact) has one instance, built directly,
-with no join plan, and the components that are not positively recursive
-are grounded in one running pass (see ``_ground_clauses``).
+with no join plan.  The grounder walks the program's signed condensation and
+grounds its non-recursive components in one running pass (``_ground_clauses``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from operator import itemgetter
 from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
 from .compiler import CompilationOutput
-from .datalog import DClause, DatalogProgram, is_safe, stratify
+from .datalog import POSITIVE, DClause, DatalogProgram, dependency_graph, is_safe, stratify
 from .graph import _tarjan_sccs
 
 GAtom = tuple  # (predicate: str, args: tuple[str, ...])
@@ -422,9 +422,12 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
 
     It works one component of the positive predicate dependency graph at a
     time, dependencies first, so the atoms of lower components are final
-    when a component is joined.  A clause without variables that reads no
-    atom of its own component (``_fixed``) is kept when its positive atoms
-    are final.  Every other clause is joined through its plan (``_plan``,
+    when a component is joined.  They come from the program's cached signed
+    condensation: one predicate is positively recursive iff it has a positive
+    self-edge, and one ``_tarjan_sccs`` pass over the positive edges inside
+    the larger components splits them.  A clause without variables that
+    reads no atom of its own component (``_fixed``) is kept when its positive
+    atoms are final.  Every other clause is joined through its plan (``_plan``,
     walked by ``_join``), probing a hash index per (predicate, bound
     positions) that is built on first use and grows in place (``_Atoms``);
     bound positions are the constant positions and those whose variable an
@@ -433,9 +436,9 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
     running pass: each instance is kept and its head is final at once, and
     the tables get the new final atoms only before a join reads them.  Each
     atom is numbered when first met; one the pruning drops is left out.
-    A ``floor``, the grounding by derivability of a downward-closed part of
-    the program, numbered without gaps, is finished: the clauses whose head
-    it ``derived`` are skipped, and the rest are grounded on top, numbering on.
+    A ``floor``, a grounding of a program with the same clauses for the
+    downward-closed part it ``derived``, gives its instances there, their atoms
+    renumbered without gaps, and the other clauses are grounded on top.
 
     A positively recursive component is seeded self-supporting if
     ``self_supporting`` is None or names one of its predicates, else derivable:
@@ -466,25 +469,38 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
     """
     floor = floor or GroundProgram((), {})
     clauses_of: dict[str, list[DClause]] = {}
-    uses: dict[str, list[str]] = {}  # positive predicate dependencies
     for clause in program.clauses:
-        pred = clause.head.predicate
-        if pred not in floor.derived:
-            clauses_of.setdefault(pred, []).append(clause)
-            uses.setdefault(pred, []).extend(
-                a.predicate for a in clause.positive if a.predicate not in floor.derived)
+        if clause.head.predicate not in floor.derived:
+            clauses_of.setdefault(clause.head.predicate, []).append(clause)
     constants = sorted(constants)
-    number: dict[GAtom, int] = {atom: n for n, atom in floor.atoms.items()}
-    atoms: list[GAtom] = list(floor.atoms.values())  # by number
-    instances: list[GroundClause] = list(floor.instances)
+    shared = [inst for inst in floor.instances if floor.atoms[inst.head][0] in floor.derived]
+    renumber = {n: i for i, n in enumerate(dict.fromkeys(  # the floor's atoms, on first mention
+        [n for head, pos, neg in shared for n in (head, *pos, *neg)]))}
+    instances = [GroundClause(renumber[head], tuple(map(renumber.get, pos)),
+                              tuple(map(renumber.get, neg))) for head, pos, neg in shared]
+    number: dict[GAtom, int] = {floor.atoms[n]: i for n, i in renumber.items()}
+    atoms: list[GAtom] = list(number)  # by number
     pending = list(dict.fromkeys(inst.head for inst in instances))  # final, not yet in tables
     done: set[int] = set(pending)  # the numbers of the final atoms
     final = _Atoms(atoms)  # the tables of the final atoms, and those derived so far
     final_table = final.table
     found: dict[GroundClause, None] = {}  # the running pass's instances, or one component's
     plans: list[_Plan] = []  # the join plans since the last recursive component began
-    for component in _tarjan_sccs(clauses_of, uses):
-        recursive = len(component) > 1 or component[0] in uses.get(component[0], ())
+    graph = dependency_graph(program)
+    positive: dict[str, list[str]] = {}  # the positive edges inside a signed component
+    for p, q, bits in graph.inside:
+        if bits & POSITIVE:
+            positive.setdefault(p, []).append(q)
+    signed = graph.components
+    inner = {p: i for i, comp in enumerate(signed) if len(comp) > 1 for p in comp}
+    split: dict[int, list[list[str]]] = {}
+    for comp in _tarjan_sccs(inner, positive):
+        split.setdefault(inner[comp[0]], []).append(comp)
+    # A list, not a generator: one left suspended by a MemoryError is finalised at the cap.
+    for component in [part for i, comp in enumerate(signed) for part in split.get(i, (comp,))]:
+        if component[0] not in clauses_of:  # body-only, or grounded in the floor
+            continue
+        recursive = len(component) > 1 or component[0] in positive.get(component[0], ())
         rules = ([clause for pred in component for clause in clauses_of.get(pred, ())]
                  if recursive else clauses_of.get(component[0], ()))
         members = set(component) if recursive else ()  # the predicates a body reads recursively
@@ -550,10 +566,12 @@ def ground_program(program: DatalogProgram, constants=None, *, self_supporting=N
     suits every semantics; predicates left out of it are recorded as
     ``derived``, and Fitting's operator must not decide them.  A compiled
     program's own constants include its rule labels, so it is grounded over
-    ``CompilationOutput.constants``.  A ``floor`` is built on as in
-    ``_ground_clauses``, and ``self_supporting`` leaves its predicates out."""
+    ``CompilationOutput.constants``.  A ``floor``, built on as in ``_ground_clauses``,
+    derives only ``program``'s predicates, and ``self_supporting`` leaves them out."""
     if not is_safe(program):
         raise UnsafeProgram("program is not safe; grounding would not terminate on ground atoms")
+    if floor is not None and not floor.derived <= program.predicates.keys():
+        raise ValueError("the floor grounding derived predicates the program lacks")
     pool = program.constants() if constants is None else constants
     instances, atoms = _ground_clauses(program, pool, self_supporting=self_supporting, floor=floor)
     derived = frozenset() if self_supporting is None else program.predicates.keys() - self_supporting

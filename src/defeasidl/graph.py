@@ -43,10 +43,12 @@ def _tarjan_sccs(nodes: Iterable[Hashable], successors: Mapping) -> list[list]:
                     low[node] = low[nxt]
             else:
                 work.pop()
-                if low[node] == index[node]:
-                    comp = stack[at:][::-1]
-                    del stack[at:]
-                    low.update(dict.fromkeys(comp, finished))
+                if low[node] == index[node]:  # pop the component, its last node first
+                    comp = []
+                    while len(stack) > at:
+                        member = stack.pop()
+                        low[member] = finished
+                        comp.append(member)
                     sccs.append(comp)
                 elif low[node] < low[work[-1][0]]:
                     low[work[-1][0]] = low[node]

@@ -181,15 +181,31 @@ def counting(monkeypatch, module, name):
 
 
 def test_each_compiled_program_is_grounded_at_most_once(monkeypatch):
-    # The floor both programs share is grounded once, and each program's
-    # part above it once, on top of it.
+    # The team program is grounded whole, and the individual program's part
+    # above the floor once, on top of the team grounding's floor.
     calls = counting(monkeypatch, evaluator, "_ground_clauses")
     evaluated = 0
     for t in corpus_slice():
         before = calls[0]
         result = check_theory(t)
         assert result.agree, result.failures
-        assert calls[0] - before == (0 if result.skipped_eval else 3)
+        assert calls[0] - before == (0 if result.skipped_eval else 2)
+        evaluated += not result.skipped_eval
+    assert evaluated > 0
+
+
+def test_each_check_builds_and_condenses_two_dependency_graphs(monkeypatch):
+    # One signed graph per compiled program, built and condensed by the
+    # structural battery; the groundings read that condensation, through the
+    # program's cached graph, and build no graph of their own.
+    built = counting(monkeypatch, datalog.DependencyGraph, "__init__")
+    passes = tarjan_passes(monkeypatch, datalog)
+    evaluated = 0
+    for t in corpus_slice():
+        before = built[0], passes()
+        result = check_theory(t)
+        assert result.agree, result.failures
+        assert (built[0], passes()) == (before[0] + 2, before[1] + 2)
         evaluated += not result.skipped_eval
     assert evaluated > 0
 
@@ -254,21 +270,22 @@ def tarjan_passes(monkeypatch, *modules):
     return lambda: sum(calls[0] for calls in counts)
 
 
-def test_each_theory_condenses_at_most_seven_graphs(monkeypatch):
-    # One pass per compiled program's graph (2) and per grounding's positive
-    # predicate graph (3: the shared floor's, then each program's part above
-    # it), plus the superiority cycle search.  A team program that does not
-    # stratify adds the hierarchy test, and ground atoms are condensed only
-    # where propagation and the unfounded-set pass leave some undecided, in
-    # at most one evaluation.  No theory of the slice needs both; of the
-    # acceptance corpus only ground-0958 does, with 8 passes.
+def test_each_theory_condenses_at_most_six_graphs(monkeypatch):
+    # One pass per compiled program's signed graph (2) and at most one per
+    # grounding (2), which splits the signed components of two or more
+    # predicates along their positive edges, plus the superiority cycle
+    # search.  A team program that does not stratify adds the hierarchy
+    # test, and ground atoms are condensed only where propagation and the
+    # unfounded-set pass leave some undecided, in at most one evaluation.
+    # No theory of the slice needs both; of the acceptance corpus only
+    # ground-0958 does, with 7 passes.
     passes = tarjan_passes(monkeypatch)
     evaluated = 0
     for t in corpus_slice():
         before = passes()
         result = check_theory(t)
         assert result.agree, result.failures
-        assert passes() - before <= 7
+        assert passes() - before <= 6
         evaluated += not result.skipped_eval
     assert evaluated > 0
 
@@ -325,12 +342,11 @@ def test_one_grounding_builds_its_occurrence_index_once(tweety, monkeypatch):
     evaluator.eval_wellfounded(out.program, g)
     evaluator.eval_hybrid(out, g)
     assert builds == [1]
-    # check_theory grounds the shared floor, then each program on top of it,
-    # and evaluates each program's grounding twice; the floor's own is never
-    # evaluated, so it builds no index.
+    # check_theory grounds the team program, then the individual program on
+    # top of the team grounding's floor, and evaluates each grounding twice.
     groundings = counting(monkeypatch, evaluator, "_ground_clauses")
     assert check_theory(tweety).agree
-    assert groundings == [3] and builds == [1 + 2]
+    assert groundings == [2] and builds == [1 + 2]
 
 
 def test_one_check_builds_each_clause_once_and_grounds_the_floor_once(tweety, monkeypatch):
@@ -416,9 +432,9 @@ def evaluated_groundings(monkeypatch):
 
 
 def test_groundings_on_the_shared_floor_are_the_per_mode_ones(monkeypatch):
-    # Each program's part above the floor is grounded on top of the one floor
-    # grounding; the result must be the program's own grounding, with the
-    # same well-founded and hybrid models.
+    # The team program is grounded whole and the individual program on top
+    # of that grounding's floor; each result must be the program's own
+    # grounding, with the same well-founded and hybrid models.
     def whole(interp):
         return interp.true_set, interp.false_set, interp.domain
 

@@ -292,7 +292,8 @@ class TestSolve:
     def test_backend_picks_the_grounding_seed(self, monkeypatch):
         # Records the predicates each grounding keeps self-supporting: none
         # for wf and stratified, and those above the floor for hybrid, check
-        # and --three-valued; check grounds its shared floor first, with none.
+        # and --three-valued; check grounds the team program, then the
+        # individual program on top of the team grounding's floor.
         kept = []
         real = evaluator._ground_clauses
 
@@ -317,7 +318,7 @@ class TestSolve:
         kept.clear()
         assert run("--no-timings", "check", TWEETY)[0] == 0
         indiv = compile_individual(parse_theory(Path(TWEETY).read_text(encoding="utf-8")))
-        assert kept == [set(), upper, indiv.program.predicates.keys() - indiv.floor_names]
+        assert kept == [upper, indiv.program.predicates.keys() - indiv.floor_names]
 
     def test_unsafe_theory_exits_1_on_every_compiled_backend(self, tmp_path):
         src = tmp_path / "unsafe.dfl"

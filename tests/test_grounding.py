@@ -191,8 +191,10 @@ def test_head_instances_match_each_pattern_exactly():
             == {"p": want}, head
 
 
-# Grounds a reach theory both ways, each seed mode, and prints one digest
-# over every grounding's numbered instances and atoms.
+# Grounds a reach theory both ways, each seed mode, and as check_theory does
+# (the team program whole, the individual one on the team grounding's
+# floor), and prints one digest over every grounding's numbered instances
+# and atoms.
 HASH_SEED_DIGEST = """
 import hashlib
 from defeasidl.compiler import compile_individual, compile_team
@@ -210,6 +212,11 @@ for compile_ in (compile_team, compile_individual):
     for keep in (None, out.upper_names, frozenset()):
         g = ground_program(out.program, out.constants, self_supporting=keep)
         digest.update(repr((g.instances, g.atoms)).encode())
+team = compile_team(theory)
+g = None
+for out in (team, compile_individual(theory, team)):
+    g = ground_program(out.program, out.constants, self_supporting=out.upper_names, floor=g)
+    digest.update(repr((g.instances, g.atoms)).encode())
 print(digest.hexdigest())
 """
 
@@ -478,6 +485,38 @@ def test_floor_by_derivability_on_random_programs(rng):
             heads = sorted({c.head.predicate for c in program.clauses})
             floor = downward_closure(program, rng.choice(heads)) if heads else set()
             assert_floor_by_derivability_agrees(program, program.constants(), floor)
+
+
+def test_a_grounding_on_its_own_floor_is_the_same_grounding(rng):
+    # Given a floor grounding, the grounder takes its instances whose heads it
+    # derived, numbered without gaps, and grounds the other clauses on top.
+    for shape in (ProgramShape(), ProgramShape(max_arity=3)):
+        for _ in range(100):
+            program = random_program(rng, shape)
+            heads = sorted({c.head.predicate for c in program.clauses})
+            floor = downward_closure(program, rng.choice(heads)) if heads else set()
+            keep = program.predicates.keys() - floor
+            whole = ground_program(program, self_supporting=keep)
+            on_top = ground_program(program, self_supporting=keep, floor=whole)
+            assert sorted(decoded(on_top)) == sorted(decoded(whole))
+            assert (on_top.herbrand_base, on_top.derived) == (whole.herbrand_base, whole.derived)
+            shared = [inst for inst in whole.instances if whole.atoms[inst.head][0] in floor]
+            numbers = {n for inst in on_top.instances[:len(shared)]
+                       for n in (inst.head, *inst.positive, *inst.negative)}
+            assert numbers == set(range(len(numbers)))
+            assert all(on_top.atoms[inst.head][0] in floor
+                       for inst in on_top.instances[:len(shared)])
+
+
+def test_a_floor_deriving_predicates_the_program_lacks_is_refused(tweety):
+    team = compile_team(tweety)
+    ground = ground_program(team.program, team.constants, self_supporting=upper_names(team))
+    indiv = compile_individual(tweety, team)
+    on_top = ground_program(indiv.program, indiv.constants, self_supporting=upper_names(indiv),
+                            floor=ground)
+    assert on_top.derived == ground.derived == team.floor_names
+    with pytest.raises(ValueError, match="floor grounding derived predicates the program lacks"):
+        ground_program(parse_datalog("bird(tweety)."), floor=ground)
 
 
 @pytest.mark.parametrize("n", [20, 24])
