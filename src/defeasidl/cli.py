@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -484,10 +485,18 @@ def main(argv=None) -> int:
     # it from past their 256th instruction: CPython re-raises with that index as
     # a new int, and at the memory cap it retries that allocation forever.
     reporter = Reporter(args, args.command(args))
+    # The subcommand runs with the cyclic collector paused: the engine's data
+    # are acyclic, yet on a large grounding the collector walks them again and
+    # again.  The caller's setting comes back on every exit.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args, reporter)
     except MemoryError:
         code = None  # reported below, once the handler has freed the frames of the partial work
+    finally:
+        if collecting:
+            gc.enable()
     if code is None:
         reporter.result("error resource-exhausted: the input needs more memory than is available")
         code = DOMAIN_FAILURE

@@ -148,8 +148,9 @@ def compile_team(theory: DefeasibleTheory) -> CompilationOutput:
     strict = [r for r in theory.rules if r.kind is RuleKind.STRICT]
     sd = [r for r in theory.rules if r.is_strict_or_defeasible]
     for fact in theory.sorted_facts:
+        text = str(fact)  # one provenance text for the fact's three units
         for tag in CONCLUSION_TAGS:
-            em.emit(DClause(em.lit_atom(tag, fact)), str(fact), SCHEMA_FACT)
+            em.emit(DClause(em.lit_atom(tag, fact)), text, SCHEMA_FACT)
     for r in strict:
         delta_body = (em.body_atom(r, FLAVOR_DELTA),)
         em.emit(DClause(em.lit_atom(TAG_DEFINITELY, r.head), delta_body), r.label, "C15")

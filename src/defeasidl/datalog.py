@@ -87,9 +87,14 @@ class DatalogProgram:
 
     @cached_property
     def _graph(self) -> "DependencyGraph":
-        return DependencyGraph(self.predicates, (
-            (c.head.predicate, a.predicate, bit) for c in self.clauses
-            for atoms, bit in ((c.positive, POSITIVE), (c.negative, NEGATIVE)) for a in atoms))
+        graph = DependencyGraph(self.predicates, ())
+        for c in self.clauses:  # the edges of each clause, positive then negative
+            out = graph.adjacency[c.head.predicate]
+            for a in c.positive:
+                out[a.predicate] = out.get(a.predicate, 0) | POSITIVE
+            for a in c.negative:
+                out[a.predicate] = out.get(a.predicate, 0) | NEGATIVE
+        return graph
 
     @cached_property
     def _safe(self) -> bool:

@@ -10,6 +10,7 @@ rely on.  Everything here is immutable and side-effect free.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -40,14 +41,17 @@ def _check_name(name: str, what: str) -> None:
         raise ValueError(f"{what} name must start with a letter or digit: {name!r}")
 
 
-@dataclass(frozen=True, order=True)
-class Term:
+# Term, Atom and Literal are tuples of their fields, so they hash, compare and
+# order in C.  Equality is by content, across types: ``Atom("q") == ("q", ())``,
+# the engine's atom for ``q``, so never mix the two in one container.
+class Term(namedtuple("Term", "name")):
     """A variable (uppercase-initial) or a constant (lowercase/digit-initial)."""
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_name(self.name, "term")
+    def __new__(cls, name: str):
+        _check_name(name, "term")
+        return tuple.__new__(cls, (name,))
 
     @property
     def is_variable(self) -> bool:
@@ -57,27 +61,23 @@ class Term:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+class Atom(namedtuple("Atom", "predicate args")):
     """A predicate applied to terms; arity is fixed per predicate by validation."""
 
-    predicate: str
-    args: tuple[Term, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_name(self.predicate, "predicate")
-        if self.predicate[0].isdigit() or self.predicate[0].isupper():
-            raise ValueError(f"predicate must start with a lowercase letter: {self.predicate!r}")
+    def __new__(cls, predicate: str, args: tuple[Term, ...] = ()):
+        _check_name(predicate, "predicate")
+        if predicate[0].isdigit() or predicate[0].isupper():
+            raise ValueError(f"predicate must start with a lowercase letter: {predicate!r}")
+        return tuple.__new__(cls, (predicate, args))
 
     @classmethod
     def unchecked(cls, predicate: str, args: tuple[Term, ...] = ()) -> "Atom":
         """An atom built without the name check, for a predicate name the
         caller has already made well-formed (the compiler's mangled names,
         the parser's lexed ones)."""
-        atom = object.__new__(cls)
-        object.__setattr__(atom, "predicate", predicate)
-        object.__setattr__(atom, "args", args)
-        return atom
+        return tuple.__new__(cls, (predicate, args))
 
     @property
     def arity(self) -> int:
@@ -92,12 +92,10 @@ class Atom:
         return f"{self.predicate}({', '.join(t.name for t in self.args)})"
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
+class Literal(namedtuple("Literal", "atom negated", defaults=(False,))):
     """A possibly classically-negated atom."""
 
-    atom: Atom
-    negated: bool = False
+    __slots__ = ()
 
     @property
     def predicate(self) -> str:

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -662,3 +663,62 @@ class TestResourceLimits:
                 assert result_lines(out)[-1] == (
                     "error resource-exhausted: the input needs more memory than is available"
                 ), argv
+
+
+@contextmanager
+def collector(enabled):
+    """The cyclic collector set to ``enabled`` inside the block, and reset
+    to its setting before it on leaving."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+    def test_main_restores_the_callers_setting(self, monkeypatch, tmp_path, enabled):
+        broken = tmp_path / "broken.dfl"
+        broken.write_text("p(((\n", encoding="utf-8")
+        requests = [
+            (["solve", TWEETY], 0),
+            (["validate", str(broken)], 1),
+            (["validate", "/nonexistent/nowhere.dfl"], 2),
+            (["solve", TWEETY, "--backend", "nope"], 2),
+        ]
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("planted")
+
+        with collector(enabled):
+            for argv, code in requests:
+                assert run("--no-timings", *argv)[0] == code, argv
+                assert gc.isenabled() is enabled, argv
+            monkeypatch.setattr(cli, "ground_program", exhausted)
+            code, out = run("--no-timings", "solve", TWEETY)
+            assert (code, result_lines(out)[-1]) == (
+                1, "error resource-exhausted: the input needs more memory than is available")
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(cli, "ground_program", failing)
+            with pytest.raises(RuntimeError, match="planted"):
+                run("--no-timings", "solve", TWEETY)
+            assert gc.isenabled() is enabled
+
+    def test_the_subcommand_runs_with_the_collector_paused(self, monkeypatch):
+        seen = []
+        real = cli.ground_program
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ground_program", spy)
+        with collector(True):
+            assert run("--no-timings", "solve", TWEETY)[0] == 0
+            assert gc.isenabled()
+        assert seen == [False]

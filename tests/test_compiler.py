@@ -455,14 +455,14 @@ class TestReadback:
         true_atoms = eval_wellfounded(out.program).true_set
         checked = {tag: {Literal(Atom(l.atom.predicate, l.atom.args), l.negated) for l in lits}
                    for tag, lits in read_conclusions(out, true_atoms).items()}
-        calls = []
-        real = Atom.__post_init__
+        checked_names = []  # what each name check was for
+        real = _check_name
 
-        def counting(self):
-            calls.append(self)
-            real(self)
+        def counting(name, what):
+            checked_names.append(what)
+            real(name, what)
 
-        monkeypatch.setattr(Atom, "__post_init__", counting)
+        monkeypatch.setattr("defeasidl.theory._check_name", counting)
         sets = read_conclusions(out, true_atoms)
-        assert calls == []
+        assert set(checked_names) == {"term"}  # each constant's term, and no atom
         assert sets == checked and sets["defeasibly"]

@@ -1,8 +1,9 @@
 """Package-wide rules: the exported API, no bare ``assert`` in the code, one
 home for the variable rule, no import outside the standard library, an
-oracle that imports only the data model, a README row for every module,
-README examples that parse, and no definition or module that nothing in
-the package calls or imports."""
+oracle that imports only the data model, collector settings made only by
+the command line, a README row for every module, README examples that
+parse, and no definition or module that nothing in the package calls or
+imports."""
 
 import ast
 import re
@@ -84,6 +85,27 @@ def test_oracle_imports_only_the_theory_module():
         if name not in (".theory", "defeasidl.theory")
         and name.partition(".")[0] not in sys.stdlib_module_names
     ]
+    assert found == []
+
+
+def test_only_the_command_line_sets_the_collector():
+    # A collector setting holds for the whole process, so it is the
+    # command's to make around a request, never a library function's.
+    setters = {"disable", "enable", "freeze", "set_threshold"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "gc"):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} gc.{name}" for name in names if name in setters]
     assert found == []
 
 

@@ -1,3 +1,7 @@
+import copy
+import pickle
+import re
+
 import pytest
 
 from analysis_reference import reference_levels
@@ -7,6 +11,7 @@ from defeasidl.theory import (
     Atom,
     DefeasibleTheory,
     EmptyUniverse,
+    Literal,
     Rule,
     RuleKind,
     Term,
@@ -283,3 +288,68 @@ def test_terms_reject_malformed_names():
         Atom("Pred")
     with pytest.raises(ValueError):
         Rule("Label", (), lit("p"))
+
+
+class TestDataModel:
+    """``Term``, ``Atom`` and ``Literal`` are immutable tuples of their fields:
+    checked names, hashes and orders of those tuples, and the reprs, the
+    pickles and the copies that the dataclasses they replaced gave."""
+
+    A, B = Term("a"), Term("b")
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Term(""), "malformed term name: ''"),
+        (lambda: Term("a-b"), "malformed term name: 'a-b'"),
+        (lambda: Term("_x"), "term name must start with a letter or digit: '_x'"),
+        (lambda: Atom("p q"), "malformed predicate name: 'p q'"),
+        (lambda: Atom("_p"), "predicate name must start with a letter or digit: '_p'"),
+        (lambda: Atom("Pred"), "predicate must start with a lowercase letter: 'Pred'"),
+        (lambda: Atom("1p", (Term("a"),)), "predicate must start with a lowercase letter: '1p'"),
+        (lambda: Literal(Atom("Pred"), True), "predicate must start with a lowercase letter: 'Pred'"),
+    ])
+    def test_malformed_names_keep_their_messages(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_unchecked_atoms_skip_the_name_check(self):
+        atom = Atom.unchecked("Not-a-name", (self.A,))
+        assert type(atom) is Atom and (atom.predicate, atom.args) == ("Not-a-name", (self.A,))
+        assert Atom.unchecked("q") == Atom("q")
+
+    def test_hash_and_equality_are_those_of_the_field_tuple(self):
+        atom = Atom("p", (self.A,))
+        for value, fields in [(self.A, ("a",)), (atom, ("p", (self.A,))),
+                              (Literal(atom, True), (atom, True)), (Literal(atom), (atom, False))]:
+            assert hash(value) == hash(fields) and value == fields
+        # By content across types: a 0-ary atom equals the engine's atom for q.
+        assert Atom("q") == ("q", ()) and Term("a") == ("a",)
+
+    def test_order_is_by_fields(self):
+        p_a, p_b = Atom("p", (self.A,)), Atom("p", (self.B,))
+        assert self.A < self.B and Atom("p") < p_a < p_b < Atom("q")
+        assert Literal(p_a) < Literal(p_a, True) < Literal(p_b)
+        assert sorted([Literal(p_b), Literal(p_a, True), Literal(p_a)]) == [
+            Literal(p_a), Literal(p_a, True), Literal(p_b)]
+
+    def test_reprs_are_unchanged(self):
+        value = Literal(Atom("p", (self.A,)), True)
+        assert repr(value) == ("Literal(atom=Atom(predicate='p', args=(Term(name='a'),)), "
+                               "negated=True)")
+        assert repr(Atom("q")) == "Atom(predicate='q', args=())"
+        assert repr(Literal(Atom("q"))) == "Literal(atom=Atom(predicate='q', args=()), negated=False)"
+
+    def test_fields_cannot_be_assigned(self):
+        atom = Atom("p", (self.A,))
+        for value, field in [(self.A, "name"), (atom, "predicate"), (atom, "args"),
+                             (Literal(atom), "atom"), (Literal(atom), "negated"), (atom, "other")]:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field, None))
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        atom = Atom("p", (self.A, Term("X")))
+        rule = Rule("r1", (Literal(atom),), Literal(Atom("q", (Term("X"),)), True))
+        for value in (self.A, atom, Literal(atom, True), rule):
+            copies = [copy.deepcopy(value)] + [pickle.loads(pickle.dumps(value, protocol))
+                                               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for twin in copies:
+                assert twin == value and repr(twin) == repr(value)
