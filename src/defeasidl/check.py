@@ -4,7 +4,9 @@ For each theory this checks, against the proof-theoretic oracle, the
 positive atom sets of the well-founded models of both compiled programs,
 the hybrid (stratified floor + Fitting) backend, the totality the pure
 stratified backend rests on, the structural guarantees of the compilation,
-and the subset chain of the four closures.  Each theory is grounded twice:
+and the subset chain of the four closures.  Each theory is grounded twice,
+the floor by derivability and the part above it on demand from the
+derivable defeasibly atoms, the grounding both WF and hybrid are exact on:
 the team program whole, then the individual program (spliced from it) on
 that grounding's floor, each reading its program's one condensation; the
 evaluations share a grounding's occurrence index and condense only residuals.
@@ -128,7 +130,7 @@ def check_theory(theory: DefeasibleTheory, name: str = "theory") -> CheckResult:
     ground = None
     for out, closure in ((team, "dpar"), (indiv, "dpar_star")):
         ground = ground_program(out.program, out.constants, self_supporting=out.upper_names,
-                                floor=ground)
+                                demand=out.defeasibly_names, floor=ground)
         wf = eval_wellfounded(out.program, ground)
         got = read_conclusions(out, wf.true_set)
         category = f"oracle-{out.mode}"

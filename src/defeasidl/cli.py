@@ -165,6 +165,8 @@ def cmd_analyze(args: argparse.Namespace, reporter: Reporter) -> int:
         locally_text = _yesno(locally)
     except EmptyUniverse:
         locally_text = "undetermined (no constants)"
+    except MemoryError:  # matched here, not re-raised: see main
+        return None
     size = theory_size(theory)
     team_size = compiled_size(team)
     indiv_size = compiled_size(indiv)
@@ -244,10 +246,12 @@ def cmd_solve(args: argparse.Namespace, reporter: Reporter) -> int:
         else:
             out = compile_team(theory) if args.logic == "dpar" else compile_individual(theory)
             # Atoms decided as under the well-founded semantics are grounded
-            # by derivability; hybrid's Fitting operator and the false atoms
-            # --three-valued lists need self-support above the floor.
+            # by derivability.  Above the floor, hybrid's Fitting operator
+            # needs the atoms its conclusions reach grounded on demand, and the
+            # false atoms --three-valued lists need self-support.
             keep = out.upper_names if args.backend == "hybrid" or args.three_valued else frozenset()
-            ground = ground_program(out.program, out.constants, self_supporting=keep)
+            demand = out.defeasibly_names if args.backend == "hybrid" else None
+            ground = ground_program(out.program, out.constants, self_supporting=keep, demand=demand)
             if args.backend == "wf":
                 interp = eval_wellfounded(out.program, ground)
             elif args.backend == "stratified":
@@ -481,9 +485,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return ENV_FAILURE if exc.code not in (0, None) else OK
     # Each subcommand returns its exit code; the timings record closes its report.
-    # cmd_solve and cmd_eval return None for a MemoryError rather than re-raise
-    # it from past their 256th instruction: CPython re-raises with that index as
-    # a new int, and at the memory cap it retries that allocation forever.
+    # cmd_analyze, cmd_solve and cmd_eval return None for a MemoryError rather
+    # than re-raise it: re-raised from past the 256th instruction, CPython makes
+    # that index a new int and at the memory cap retries that allocation
+    # forever, and cmd_analyze, re-raising, could return with no exception set.
     reporter = Reporter(args, args.command(args))
     # The subcommand runs with the cyclic collector paused: the engine's data
     # are acyclic, yet on a large grounding the collector walks them again and

@@ -79,6 +79,9 @@ class CompilationOutput:
     # One descriptor per predicate of the program, keyed by its name.
     predicate_info: dict[str, MangledPredicate]
     floor_names: frozenset[str]
+    # The predicates of the defeasibly conclusions, all above the floor; the
+    # individual compilation has the team's.
+    defeasibly_names: frozenset[str]
     # The theory's constants, the pool the program is grounded over; the
     # program's own constants also include the rule labels.
     constants: frozenset[str]
@@ -187,6 +190,8 @@ def compile_team(theory: DefeasibleTheory) -> CompilationOutput:
         theory=theory,
         predicate_info=em.predicate_info,
         floor_names=frozenset(name for name, mp in em.predicate_info.items() if mp.is_floor),
+        defeasibly_names=frozenset(name for name, mp in em.predicate_info.items()
+                                   if mp.base == TAG_DEFEASIBLY),
         constants=frozenset(theory.constants()),
     )
 

@@ -5,6 +5,9 @@ The grounder seeds each positively recursive component one of two ways
 supports itself, where Fitting's operator decides atoms; or derivable,
 keeping the least model of the positive part, found by semi-naive rounds,
 which is smaller and exact where atoms are decided as under the WF model.
+A third seed grounds the part above a floor on demand (``_demand``), from
+the derivable atoms of the conclusion predicates down, which is exact
+under both semantics, since both are relevant.
 
 Fitting's semantics is the least fixpoint of the three-valued
 immediate-consequence operator: an atom becomes true when some clause
@@ -38,13 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice, product
+from itertools import chain, compress, islice, product
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
 from .compiler import CompilationOutput
 from .datalog import POSITIVE, DClause, DatalogProgram, dependency_graph, is_safe, stratify
 from .graph import _tarjan_sccs
+from .theory import Atom
 
 GAtom = tuple  # (predicate: str, args: tuple[str, ...])
 
@@ -414,7 +418,157 @@ def _derive(plans: list[_Plan], members: set[str], new: list[int], final: _Atoms
     return instances
 
 
-def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
+def _universe(arity: int, constants: list[str]) -> int:
+    """How many atoms of an arity the self-supporting seed can start from."""
+    return len(constants) ** arity
+
+
+def _unsettled(program: DatalogProgram, parts: list[list[str]], positive: dict[str, list[str]],
+               upper, constants: list[str]) -> dict[str, None]:
+    """The predicates of ``upper`` whose derivable atoms need not be all
+    that support themselves: each positively recursive component of
+    ``parts`` (listed dependencies first, with their positive edges inside
+    ``positive``) that is wide, a predicate of it having more atoms over the
+    pool than the program has clauses, and each part with a member that
+    reads an unsettled predicate positively.  Empty without a wide
+    component: there the self-supporting seed is the cheaper one."""
+    arities = program.predicates
+    big = {p for p in positive if p in upper
+           and _universe(arities[p], constants) > len(program.clauses)}
+    unsettled: dict[str, None] = {}
+    if not big:
+        return unsettled
+    adjacency = dependency_graph(program).adjacency
+    for part in parts:
+        recursive = len(part) > 1 or part[0] in positive.get(part[0], ())
+        reads = any(bits & POSITIVE and q in unsettled  # through any member of the part
+                    for p in part for q, bits in adjacency[p].items())
+        if not big.isdisjoint(part) and recursive or reads:
+            unsettled.update(dict.fromkeys(part))
+    return unsettled
+
+
+class _Pattern(NamedTuple):
+    """A clause's atoms rearranged for a demand plan (``_demand_plans``)."""
+
+    head: object
+    positive: tuple
+    negative: tuple
+
+
+def _demand_plans(clauses: list[DClause], unsettled: dict, delta: _Atoms, final: _Atoms,
+                  number: dict[GAtom, int], constants: list[str], pool: list[int]) -> list:
+    """A predicate's clauses that read an unsettled atom positively, as
+    demand plans with the arguments ``_join_demand`` takes.
+
+    A demand plan's first step is the head, over ``delta``; the other
+    positive atoms follow, looked up among the final atoms, then a step over
+    ``pool``, the constants as "" atoms, per variable only unsettled atoms
+    bind.  The unsettled atoms are read like negative ones, before those."""
+    plans = []
+    for clause in clauses:
+        read = [a for a in clause.positive if a.predicate in unsettled]
+        if not read:  # the derivable grounding found all its instances
+            continue
+        probed = [a for a in clause.positive if a.predicate not in unsettled]
+        bound = {t.name for a in (clause.head, *probed) for t in a.args}
+        free = dict.fromkeys(t for a in read for t in a.args
+                             if t.is_variable and t.name not in bound)
+        if free and not pool:  # one "" atom per constant, never in an instance
+            pool += [number.setdefault(("", (c,)), len(number)) for c in constants]
+            _sync(number, final.atoms)
+        plan = _plan(_Pattern(clause.head, (clause.head, *probed, *(
+            Atom.unchecked("", (t,)) for t in free)), (*read, *clause.negative)))
+        plans.append((plan, [delta.table(plan.steps[0])] + [
+            final.table(step) for step in plan.steps[1:len(probed) + 1]
+        ] + [pool] * len(free), len(probed) + 1, len(read)))
+    return plans
+
+
+def _join_demand(plan: _Plan, tables: list, k: int, r: int, done: set[int],
+                 number: dict[GAtom, int], atoms: list[GAtom],
+                 found: dict[GroundClause, None]) -> None:
+    """Add to ``found`` the instances a demand plan joins, as clause
+    instances: step 0 is the head, steps 1 to k - 1 the atoms looked up,
+    and the first r negative atoms the ones read, which the instance holds
+    positively.  An instance is left out when its head and read atoms are
+    all in ``done``: the derivable grounding has it."""
+    joined: dict[GroundClause, None] = {}
+    _join(plan, tables, number, atoms, joined)
+    for _, chosen, neg in joined:
+        if chosen[0] not in done or not done.issuperset(neg[:r]):
+            found[GroundClause(chosen[0], chosen[1:k] + neg[:r], neg[r:])] = None
+
+
+def _demand(program: DatalogProgram, clauses_of: dict[str, list[DClause]], upper,
+            unsettled: dict, demand, final: _Atoms, done: set[int], number: dict[GAtom, int],
+            constants: list[str], above: dict[GroundClause, None]) -> list[GroundClause]:
+    """The instances of the atoms of ``upper`` that the derivable atoms of
+    the ``demand`` predicates reach through instance bodies, positive and
+    negative, less those that read an atom without support positively: the
+    ground form of magic sets.
+
+    ``above`` holds the derivable grounding's instances of ``upper``: all of
+    an atom's instances unless its predicate is ``unsettled``.  An unsettled
+    atom has the clauses that read unsettled atoms joined (one ``_join_demand``
+    per clause and round, over the atoms demanded in the last round), and the
+    instances that read an atom that is not derivable are added.  A joined
+    instance is held until the unsettled atoms it reads positively, demanded
+    at once, are decided: one that is not derivable stays if it supports
+    itself (``_drop_unsupported``), as under the self-supporting seed, and
+    else is false under every semantics, so what reads it positively is
+    dropped.  Only then are the atoms of the held instances kept demanded."""
+    atoms = final.atoms
+    known: dict[int, list[GroundClause]] = {}
+    for inst in above:
+        known.setdefault(inst.head, []).append(inst)
+    new = [n for p in program.predicates if p in upper and p in demand
+           for n in final.lists.get(p, ())]
+    delta = _Atoms(atoms)
+    joins: dict[str, list] = {}  # per unsettled predicate: _demand_plans
+    pool: list[int] = []
+    seen = set(new)  # the atoms demanded so far
+    dead: set[int] = set()  # the unsettled atoms found without support
+    instances: list[GroundClause] = []
+    while new:
+        held: dict[GroundClause, None] = {}
+        joined: list[int] = []  # the atoms joined here that are not derivable
+        while new:
+            delta.clear()
+            batch = [inst for n in new for inst in known.get(n, ())]
+            todo = [n for n in new if atoms[n][0] in unsettled]
+            for pred in {atoms[n][0] for n in todo} - joins.keys():
+                joins[pred] = _demand_plans(clauses_of.get(pred, ()), unsettled, delta, final,
+                                            number, constants, pool)
+            joined += [n for n in todo if n not in done]
+            delta.add(todo)
+            found: dict[GroundClause, None] = {}
+            for pred, pending in delta.lists.items():
+                if pending:
+                    for plan in joins[pred]:
+                        _join_demand(*plan, done, number, atoms, found)
+            _sync(number, atoms)
+            instances += batch
+            held.update(found)
+            fresh = set(chain.from_iterable([inst[1] + inst[2] for inst in batch]))
+            fresh.update([n for inst in found for n in inst.positive if atoms[n][0] in unsettled])
+            fresh -= seen
+            seen |= fresh
+            new = [n for n in fresh if atoms[n][0] in upper]
+        # Earlier dead atoms are seeds without instances here, so they drop their readers.
+        kept = _drop_unsupported([inst for inst in held if inst.head not in done],
+                                 joined + list(dead))
+        dead.update(set(joined).difference([inst.head for inst in kept]))
+        kept += [inst for inst in held if inst.head in done and dead.isdisjoint(inst.positive)]
+        instances += kept
+        fresh = set(chain.from_iterable([inst[1] + inst[2] for inst in kept]))
+        fresh -= seen
+        seen |= fresh
+        new = [n for n in fresh if atoms[n][0] in upper]
+    return instances
+
+
+def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None, demand=None,
                     floor=None) -> tuple[list[GroundClause], dict[int, GAtom]]:
     """Clause instances over ``constants`` whose positive body atoms can all
     appear as heads, and the atoms they mention; an instance holds atom
@@ -466,6 +620,23 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
     through ``a``) together with their clauses, making them false; Fitting's
     semantics has to leave them unknown, and only the well-founded and
     stratified semantics make them false.
+
+    Given ``demand``, the part above the floor (the predicates of
+    ``self_supporting``, all of them if it is None) is grounded on demand
+    when one of its positively recursive components is wide: a predicate of
+    it has more atoms over the pool than the program has clauses, so the
+    self-supporting seed would start from many (on narrower ones the pass
+    costs more than it saves; README, Grounding).  A wide component and the
+    components reading an unsettled predicate positively are unsettled,
+    grounded by derivability, and ``_demand`` keeps above the floor what
+    the derivable atoms of the ``demand`` predicates reach, adding the
+    instances that read atoms that support themselves without being
+    derivable.  Fitting's
+    and the well-founded semantics are relevant (an atom's value depends
+    only on the atoms it reaches through clause bodies), and every reached
+    atom has the instances the self-supporting seed would give it, so the
+    grounding is exact under both over its base, which holds every true
+    atom of the ``demand`` predicates.
     """
     floor = floor or GroundProgram((), {})
     clauses_of: dict[str, list[DClause]] = {}
@@ -497,15 +668,24 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
     for comp in _tarjan_sccs(inner, positive):
         split.setdefault(inner[comp[0]], []).append(comp)
     # A list, not a generator: one left suspended by a MemoryError is finalised at the cap.
-    for component in [part for i, comp in enumerate(signed) for part in split.get(i, (comp,))]:
+    parts = [part for i, comp in enumerate(signed) for part in split.get(i, (comp,))]
+    unsettled: Collection[str] = ()  # the predicates _unsettled names, grounded by derivability
+    if demand is not None:
+        upper = program.predicates if self_supporting is None else self_supporting
+        unsettled = _unsettled(program, parts, positive, upper, constants)
+        if not unsettled:
+            demand = None
+    above: dict[GroundClause, None] = {}  # the instances of ``upper``, for the demand pass
+    for component in parts:
         if component[0] not in clauses_of:  # body-only, or grounded in the floor
             continue
         recursive = len(component) > 1 or component[0] in positive.get(component[0], ())
         rules = ([clause for pred in component for clause in clauses_of.get(pred, ())]
                  if recursive else clauses_of.get(component[0], ()))
         members = set(component) if recursive else ()  # the predicates a body reads recursively
-        derivable = (recursive and self_supporting is not None
-                     and members.isdisjoint(self_supporting))
+        aside = demand is not None and component[0] in upper  # its instances go to ``above``
+        derivable = recursive and (component[0] in unsettled or self_supporting is not None
+                                   and members.isdisjoint(self_supporting))
         if recursive:  # flush the running pass
             instances += found
             found.clear()
@@ -534,8 +714,9 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
                 plans.append(plan := _plan(clause))
                 _join(plan, [start.table(step) if step.pred in members else final_table(step)
                              for step in plan.steps], number, atoms, new := {})
+            into = found if recursive or not aside else above
             for inst in new:
-                found[inst] = None
+                into[inst] = None
                 if not recursive and inst.head not in done:  # final at once
                     done.add(inst.head)
                     pending.append(inst.head)
@@ -552,13 +733,21 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
             kept += _derive(plans, members, heads, final, done, number)
         else:
             final.add(heads)
-        instances += kept
+        if aside:
+            above.update(dict.fromkeys(kept))
+        else:
+            instances += kept
     instances += found
+    if demand is not None:
+        _sync(number, atoms)
+        final.add(pending)
+        instances += _demand(program, clauses_of, upper, unsettled, demand, final, done, number,
+                             constants, above)
     base = {a for inst in instances for a in (inst.head, *inst.positive, *inst.negative)}
     return instances, {n: atom for atom, n in number.items() if n in base}
 
 
-def ground_program(program: DatalogProgram, constants=None, *, self_supporting=None,
+def ground_program(program: DatalogProgram, constants=None, *, self_supporting=None, demand=None,
                    floor: Optional[GroundProgram] = None) -> GroundProgram:
     """Ground a safe program over the constant pool ``constants``, by default
     its own constants, keeping the clause instances whose positive atoms
@@ -567,13 +756,17 @@ def ground_program(program: DatalogProgram, constants=None, *, self_supporting=N
     ``derived``, and Fitting's operator must not decide them.  A compiled
     program's own constants include its rule labels, so it is grounded over
     ``CompilationOutput.constants``.  A ``floor``, built on as in ``_ground_clauses``,
-    derives only ``program``'s predicates, and ``self_supporting`` leaves them out."""
+    derives only ``program``'s predicates, and ``self_supporting`` leaves them out.
+    ``demand`` names the predicates whose derivable atoms seed the demand
+    grounding of the predicates in ``self_supporting``, which must be closed
+    upward (no other predicate reads one of them); see ``_ground_clauses``."""
     if not is_safe(program):
         raise UnsafeProgram("program is not safe; grounding would not terminate on ground atoms")
     if floor is not None and not floor.derived <= program.predicates.keys():
         raise ValueError("the floor grounding derived predicates the program lacks")
     pool = program.constants() if constants is None else constants
-    instances, atoms = _ground_clauses(program, pool, self_supporting=self_supporting, floor=floor)
+    instances, atoms = _ground_clauses(program, pool, self_supporting=self_supporting,
+                                       demand=demand, floor=floor)
     derived = frozenset() if self_supporting is None else program.predicates.keys() - self_supporting
     return GroundProgram(tuple(instances), atoms, frozenset(derived))
 
@@ -704,3 +897,4 @@ def eval_hybrid(compiled: CompilationOutput,
     if any(a[0] in floor for a in interp.unknown_set):
         raise RuntimeError("hybrid floor left atoms unknown (internal error)")
     return interp
+

@@ -115,12 +115,6 @@ class Literal(namedtuple("Literal", "atom negated", defaults=(False,))):
         return f"neg {self.atom}" if self.negated else str(self.atom)
 
 
-def fact_key(fact: Literal) -> tuple:
-    """The order of ``sorted(theory.facts)`` without its dataclass comparisons:
-    by predicate, then argument names, then polarity."""
-    return fact.atom.predicate, tuple([t.name for t in fact.atom.args]), fact.negated
-
-
 class RuleKind(Enum):
     STRICT = "->"
     DEFEASIBLE = "=>"
@@ -186,8 +180,9 @@ class DefeasibleTheory:
 
     @cached_property
     def sorted_facts(self) -> tuple[Literal, ...]:
-        """The facts in ``fact_key`` order, sorted once per theory."""
-        return tuple(sorted(self.facts, key=fact_key))
+        """The facts in literal order (by predicate, then argument names, then
+        polarity: tuple order), sorted once per theory."""
+        return tuple(sorted(self.facts))
 
     def rule_map(self) -> dict[str, Rule]:
         return {r.label: r for r in self.rules}

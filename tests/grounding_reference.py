@@ -10,6 +10,8 @@ to them, one per seed.  Both match atoms against clause patterns through
 a name-to-value binding (``_match``, ``_instantiate``), independently of
 the package grounder's join plans.  ``decoded`` reads a package
 grounding's numbered instances as clauses of atoms, to compare them with.
+``relevant_clauses`` is the reference of the demand seed: a grounding cut
+down, by a plain search, to what the given atoms reach.
 """
 
 from __future__ import annotations
@@ -160,3 +162,34 @@ def is_three_valued_model(program: DatalogProgram, interp: ThreeValuedInterpreta
         if body_true and clause.head not in interp.true_set:
             return False
     return True
+
+
+def relevant_clauses(instances: Iterable[GroundClause], seeds: Iterable[GAtom],
+                     false: Iterable[GAtom] = ()) -> tuple[list[GroundClause], set[GAtom]]:
+    """The instances of the atoms that ``seeds`` reach through instance
+    bodies, positive and negative, and the atoms reached.  An instance that
+    reads an atom of ``false`` positively is left out first: its body is
+    false, so it neither decides its head nor makes its body atoms relevant.
+    An atom whose every instance is left out so is false too, in turn."""
+    false = set(false)
+    kept = list(instances)
+    while True:
+        live = [inst for inst in kept if false.isdisjoint(inst.positive)]
+        lost = {inst.head for inst in kept} - {inst.head for inst in live}
+        kept = live
+        if not lost:
+            break
+        false |= lost
+    by_head: dict[GAtom, list[GroundClause]] = {}
+    for inst in kept:
+        by_head.setdefault(inst.head, []).append(inst)
+    reached: set[GAtom] = set()
+    stack = list(seeds)
+    while stack:
+        atom = stack.pop()
+        if atom not in reached:
+            reached.add(atom)
+            for inst in by_head.get(atom, ()):
+                stack.extend(inst.positive)
+                stack.extend(inst.negative)
+    return [inst for atom in reached for inst in by_head.get(atom, ())], reached

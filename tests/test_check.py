@@ -450,7 +450,8 @@ def test_groundings_on_the_shared_floor_are_the_per_mode_ones(monkeypatch):
         for out in (compile_team(t), compile_individual(t)):
             got = seen[out.mode]
             want = evaluator.ground_program(out.program, out.constants,
-                                            self_supporting=out.upper_names)
+                                            self_supporting=out.upper_names,
+                                            demand=out.defeasibly_names)
             assert sorted(decoded(got)) == sorted(decoded(want))
             assert (got.herbrand_base, got.derived) == (want.herbrand_base, want.derived)
             assert whole(evaluator.eval_wellfounded(out.program, got)) == whole(

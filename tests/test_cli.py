@@ -246,8 +246,8 @@ class TestSolve:
         )
 
     def test_rot_hybrid_prints_the_wf_conclusions(self, tmp_path):
-        # hybrid grounds the floor by derivability and the part above it
-        # self-supporting; its + lines are those of wf.
+        # hybrid grounds the floor by derivability and the part above it on
+        # demand from the derivable defeasibly atoms; its + lines are those of wf.
         src = tmp_path / "rot.dfl"
         src.write_text(format_theory(rot_theory(20)), encoding="utf-8")
         for logic in ("dpar", "dpar_star"):
@@ -291,27 +291,33 @@ class TestSolve:
             assert (code, calls[0] - before) == (0, 1), logic
 
     def test_backend_picks_the_grounding_seed(self, monkeypatch):
-        # Records the predicates each grounding keeps self-supporting: none
-        # for wf and stratified, and those above the floor for hybrid, check
-        # and --three-valued; check grounds the team program, then the
-        # individual program on top of the team grounding's floor.
+        # Records the predicates each grounding keeps self-supporting and
+        # those whose derivable atoms seed the demand grounding: none for wf
+        # and stratified; those above the floor, on demand from the
+        # defeasibly predicates, for hybrid and check; and those above the
+        # floor, self-supporting, for --three-valued.  Check grounds the team
+        # program, then the individual program on top of the team
+        # grounding's floor.
         kept = []
         real = evaluator._ground_clauses
 
-        def recording(program, constants, *, self_supporting, floor=None):
-            kept.append(self_supporting)
-            return real(program, constants, self_supporting=self_supporting, floor=floor)
+        def recording(program, constants, *, self_supporting, demand=None, floor=None):
+            kept.append((self_supporting, demand))
+            return real(program, constants, self_supporting=self_supporting, demand=demand,
+                        floor=floor)
 
         monkeypatch.setattr(evaluator, "_ground_clauses", recording)
         out = compile_team(parse_theory(Path(TWEETY).read_text(encoding="utf-8")))
         upper = out.program.predicates.keys() - out.floor_names
         assert upper and out.floor_names
+        defeasibly = {p for p in upper if p.startswith("defeasibly__")}
+        assert out.defeasibly_names == defeasibly
         for backend, extra, seed in (
-            ("wf", (), set()),
-            ("stratified", (), set()),
-            ("hybrid", (), upper),
-            ("wf", ("--three-valued",), upper),
-            ("stratified", ("--three-valued",), upper),
+            ("wf", (), (set(), None)),
+            ("stratified", (), (set(), None)),
+            ("hybrid", (), (upper, defeasibly)),
+            ("wf", ("--three-valued",), (upper, None)),
+            ("stratified", ("--three-valued",), (upper, None)),
         ):
             kept.clear()
             code, _ = run("--no-timings", "solve", TWEETY, "--backend", backend, *extra)
@@ -319,7 +325,9 @@ class TestSolve:
         kept.clear()
         assert run("--no-timings", "check", TWEETY)[0] == 0
         indiv = compile_individual(parse_theory(Path(TWEETY).read_text(encoding="utf-8")))
-        assert kept == [upper, indiv.program.predicates.keys() - indiv.floor_names]
+        assert kept == [(upper, defeasibly),
+                        (indiv.program.predicates.keys() - indiv.floor_names, indiv.defeasibly_names)]
+        assert indiv.defeasibly_names == defeasibly
 
     def test_unsafe_theory_exits_1_on_every_compiled_backend(self, tmp_path):
         src = tmp_path / "unsafe.dfl"

@@ -14,14 +14,13 @@ from defeasidl.compiler import (
 )
 from defeasidl.datalog import DatalogProgram, DClause, is_safe, parse_datalog
 from defeasidl.evaluator import eval_wellfounded
-from defeasidl.mangling import TAG_DEFEATS, MangledPredicate
+from defeasidl.mangling import TAG_DEFEASIBLY, TAG_DEFEATS, MangledPredicate
 from defeasidl.theory import (
     Atom,
     DefeasibleTheory,
     Literal,
     ValidationFailed,
     _check_name,
-    fact_key,
     theory_size,
     validate_theory,
 )
@@ -203,6 +202,15 @@ class TestCompileGuards:
             with_floor += bool(team[2])
         assert with_floor >= len(corpus_slice()) - 1  # one generated theory is empty
 
+    def test_defeasibly_names_are_the_defeasibly_predicates(self):
+        # The individual compilation takes the team's set; it must name
+        # exactly its own defeasibly predicates, none of them in the floor.
+        for t in [*(corpus.load(name) for name in corpus.names()), *corpus_slice()]:
+            for out in (compile_team(t), compile_individual(t)):
+                want = {p for p, mp in out.predicate_info.items() if mp.base == TAG_DEFEASIBLY}
+                assert out.defeasibly_names == want
+                assert want.isdisjoint(out.floor_names)
+
     def test_individual_output_built_on_the_team_output_is_the_same(self, monkeypatch, tweety,
                                                                       platypus):
         # compile_individual(t, team) takes every clause both modes share, and
@@ -325,12 +333,6 @@ def random_facts(rng, consistent):
 
 
 class TestFactOrder:
-    def test_fact_key_sorts_like_the_literal_order(self, rng):
-        for consistent in (True, False):
-            for _ in range(200):
-                facts = random_facts(rng, consistent)
-                assert sorted(facts, key=fact_key) == sorted(facts)
-
     def test_facts_compile_in_literal_order(self, rng):
         for _ in range(50):
             t = DefeasibleTheory.of(facts=random_facts(rng, consistent=True))

@@ -3,8 +3,10 @@ and with none, ``evaluator._ground_clauses`` must give the same instance
 set and Herbrand base as the naive round-based reference of that seed on
 compiled corpus programs, random programs and hand-picked corner cases;
 the two seeds must give the same well-founded and stratified conclusions,
-and the per-component mix ``solve --backend hybrid`` and ``check`` ground
-must give the same well-founded and hybrid ones."""
+the per-component mix ``solve --three-valued`` grounds must give the same
+well-founded and hybrid ones, and the demand grounding ``solve --backend
+hybrid`` and ``check`` use must hold what the conclusions reach and give
+the same well-founded and hybrid values over its base."""
 
 import os
 import random
@@ -35,8 +37,16 @@ from defeasidl.evaluator import (
 from defeasidl.parser import parse_theory
 from analysis_reference import restrict_to
 from evaluation_reference import value
-from grounding_reference import decoded, naive_derivable_clauses, naive_ground_clauses
+from grounding_reference import (
+    decoded,
+    naive_derivable_clauses,
+    naive_ground_clauses,
+    relevant_clauses,
+)
 from program_generator import ProgramShape, random_program
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import chain_names, random_digraph, reach_theory, succ_theory  # noqa: E402
 
 CORPUS_SEED = 20260809
 GROUND_THEORIES = 60
@@ -191,10 +201,10 @@ def test_head_instances_match_each_pattern_exactly():
             == {"p": want}, head
 
 
-# Grounds a reach theory both ways, each seed mode, and as check_theory does
-# (the team program whole, the individual one on the team grounding's
-# floor), and prints one digest over every grounding's numbered instances
-# and atoms.
+# Grounds a reach theory both ways, each seed mode (the demand seed runs its
+# demand pass here), and as check_theory does (the team program whole, the
+# individual one on the team grounding's floor), and prints one digest over
+# every grounding's numbered instances and atoms.
 HASH_SEED_DIGEST = """
 import hashlib
 from defeasidl.compiler import compile_individual, compile_team
@@ -209,13 +219,15 @@ theory = parse_theory(
 digest = hashlib.sha256()
 for compile_ in (compile_team, compile_individual):
     out = compile_(theory)
-    for keep in (None, out.upper_names, frozenset()):
-        g = ground_program(out.program, out.constants, self_supporting=keep)
+    for keep, demand in ((None, None), (out.upper_names, None), (frozenset(), None),
+                         (out.upper_names, out.defeasibly_names)):
+        g = ground_program(out.program, out.constants, self_supporting=keep, demand=demand)
         digest.update(repr((g.instances, g.atoms)).encode())
 team = compile_team(theory)
 g = None
 for out in (team, compile_individual(theory, team)):
-    g = ground_program(out.program, out.constants, self_supporting=out.upper_names, floor=g)
+    g = ground_program(out.program, out.constants, self_supporting=out.upper_names,
+                       demand=out.defeasibly_names, floor=g)
     digest.update(repr((g.instances, g.atoms)).encode())
 print(digest.hexdigest())
 """
@@ -553,6 +565,147 @@ def test_fitting_and_hybrid_refuse_derivable_atoms_they_would_decide(tweety):
                 with pytest.raises(ValueError):
                     evaluate()
         eval_wellfounded(out.program, ground)
+    # A demand grounding derives the floor, so hybrid takes it and Fitting
+    # alone refuses it, with or without a demand pass (rot has a wide component).
+    for out in (out, compile_team(rot_theory(8))):
+        ground = ground_program(out.program, out.constants, self_supporting=upper_names(out),
+                                demand=out.defeasibly_names)
+        assert ground.derived == out.floor_names
+        eval_hybrid(out, ground)
+        with pytest.raises(ValueError):
+            eval_fitting(out.program, ground)
+        eval_wellfounded(out.program, ground)
+
+
+def canonical(clauses):
+    """Instances up to the order of their body atoms."""
+    return {(c.head, frozenset(c.positive), frozenset(c.negative)) for c in clauses}
+
+
+def assert_demand_grounding_exact(program, constants, floor, demand):
+    """Ground the predicates above the downward-closed ``floor`` on demand
+    from the derivable atoms of ``demand``.  The grounding must hold every
+    atom and upper instance of the reference: the full self-supporting
+    grounding over a floor decided as under the well-founded semantics, cut
+    down to what those atoms reach.  Over its own base it must give the
+    true and unknown atoms of the full grounding, floor-over-Fitting and
+    well-founded, and so hold every true atom of ``demand``."""
+    floor = program.predicates.keys() & floor
+    upper = program.predicates.keys() - floor
+    got = ground_program(program, constants, self_supporting=upper, demand=demand)
+    assert got.derived == floor
+    full = ground_program(program, constants)
+    derivable = {c.head for c in decoded(ground_program(program, constants, self_supporting=set()))}
+    want, reached = relevant_clauses(
+        decoded(full), [a for a in derivable if a[0] in demand],
+        [a for a in full.herbrand_base if a[0] in floor and a not in derivable])
+    base = got.herbrand_base
+    assert reached <= base
+    assert canonical(c for c in want if c.head[0] in upper) <= canonical(decoded(got))
+    for wf in (None, frozenset(floor)):
+        have, exact = _evaluate(got, wf), _evaluate(full, wf)
+        assert have.true_set == exact.true_set & base, wf
+        assert have.unknown_set == exact.unknown_set & base, wf
+        assert {a for a in exact.true_set if a[0] in demand} <= base, wf
+    return got
+
+
+@pytest.fixture(params=[False, True], ids=["as-is", "all-wide"])
+def all_wide(request, monkeypatch):
+    """Run as the grounder decides, and with every positively recursive
+    component above the floor taken as wide, so the demand pass runs
+    wherever such a component exists."""
+    if request.param:
+        monkeypatch.setattr(evaluator, "_universe", lambda arity, constants: float("inf"))
+    return request.param
+
+
+def test_demand_grounding_on_the_corpus_slice(all_wide):
+    checked = 0
+    for theory in corpus_slice():
+        for compile_ in (compile_team, compile_individual):
+            out = compile_(theory)
+            if is_safe(out.program):
+                assert_demand_grounding_exact(out.program, out.constants, out.floor_names,
+                                              out.defeasibly_names)
+                checked += 1
+    assert checked >= 2 * GROUND_THEORIES
+
+
+def test_demand_grounding_on_random_programs(rng, all_wide):
+    for shape in (ProgramShape(), ProgramShape(max_arity=3)):
+        for _ in range(150):
+            program = random_program(rng, shape)
+            heads = sorted({c.head.predicate for c in program.clauses})
+            floor = downward_closure(program, rng.choice(heads)) if heads else set()
+            demand = {p for p in sorted(program.predicates.keys() - floor) if rng.random() < 0.5}
+            assert_demand_grounding_exact(program, program.constants(), floor, demand)
+
+
+# A narrow positive loop {a, b} reads the wide component t through b only,
+# and b's instance from t's self-supporting cycle decides d under Fitting.
+NARROW_OVER_WIDE = """e(c0). e(c1). e(c2). e(c3). z.
+t(X, Y, Z) :- t(Y, Z, X).
+{a} :- {b}, not z.
+{b} :- {a}.
+{b} :- t(c1, c2, c3).
+d :- not {b}.
+"""
+# e8(a, a) supports itself only through e1(a, a), on a self-loop of another
+# recursive part that e8 reads in a clause outside its own recursion.
+BASE_OVER_LOOP = """e4.
+e1(b, a).
+e1(Y, Y) :- e1(Y, a).
+e8(X, a) :- e1(X, Y).
+e8(Y, a) :- e8(Y, b).
+e4 :- e8(Y, Y).
+"""
+DEMAND_HAND_CASES = [
+    (NARROW_OVER_WIDE.format(a="a", b="b"), {"e", "z"}, {"d"}),
+    (NARROW_OVER_WIDE.format(a="b", b="a"), {"e", "z"}, {"d"}),
+    (BASE_OVER_LOOP, set(), {"e4"}),
+]
+
+
+@pytest.mark.parametrize("text, floor, demand", DEMAND_HAND_CASES)
+def test_demand_grounding_on_hand_cases(text, floor, demand, all_wide):
+    program = parse_datalog(text)
+    assert_demand_grounding_exact(program, program.constants(), floor, demand)
+
+
+def compiled_workloads():
+    """rot-8, the reach graphs of 12 and 16 edges and succ chains of 10 and
+    30 links, each compiled both ways."""
+    texts = [reach_theory(random_digraph(random.Random(1), n)) for n in (12, 16)]
+    texts += [succ_theory(chain_names(random.Random(1), n)) for n in (10, 30)]
+    for theory in (rot_theory(8), *map(parse_theory, texts)):
+        for compile_ in (compile_team, compile_individual):
+            yield compile_(theory)
+
+
+def test_demand_grounding_on_rot_reach_and_succ(all_wide, monkeypatch):
+    passes = []
+    real = evaluator._demand
+    monkeypatch.setattr(evaluator, "_demand", lambda *args: passes.append(1) or real(*args))
+    for out in compiled_workloads():
+        assert_demand_grounding_exact(out.program, out.constants, out.floor_names,
+                                      out.defeasibly_names)
+    # rot and reach have a wide component above the floor; succ's universe
+    # is one atom per constant, so it is grounded self-supporting as it is.
+    assert len(passes) == (10 if all_wide else 6)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_rot_demand_grounds_linearly_many_upper_instances(n):
+    # Three per constant (its e fact, r2's body and neg t(c, c, c)) and seven
+    # for the rotations of the fact, where the self-supporting seed starts t
+    # from all n**3 triples.
+    for compile_ in (compile_team, compile_individual):
+        out = compile_(rot_theory(n))
+        ground = ground_program(out.program, out.constants, self_supporting=upper_names(out),
+                                demand=out.defeasibly_names)
+        upper = [c for c in ground.instances if ground.atoms[c.head][0] not in out.floor_names]
+        assert len(upper) == 3 * n + 7
 
 
 def interpretations(program, constants):

@@ -67,7 +67,7 @@ def test_traced_hybrid_solve_counts_its_grounding(tmp_path, monkeypatch):
     (row,) = tracer.per_operation()
     (g,) = groundings
     counted = (row["evaluator.ground_clauses"], row["evaluator.herbrand_base"])
-    assert counted == (len(g.instances), len(g.herbrand_base)) == (495, 629)
+    assert counted == (len(g.instances), len(g.herbrand_base)) == (365, 453)
 
 
 def test_traced_check_reports_its_structural_layers():
