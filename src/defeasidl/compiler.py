@@ -208,11 +208,13 @@ def compile_individual(theory: DefeasibleTheory, team=None) -> CompilationOutput
     sd = [r for r in theory.rules if r.is_strict_or_defeasible]
     strict = sum(r.kind is RuleKind.STRICT for r in theory.rules)
     c20 = 3 * len(theory.facts) + 4 * strict + len(sd)  # where C20's block begins
-    heads = {(r.head.predicate, r.head.negated) for r in sd}  # C25 overrules these
+    defenders: dict[tuple[str, bool], list[Rule]] = {}  # by head, which C25 overrules
+    for r in sd:
+        defenders.setdefault((r.head.predicate, r.head.negated), []).append(r)
     info = {  # the taken clauses' predicates, in the order they were met
         name: mp for name, mp in team.predicate_info.items()
         if mp.base not in (TAG_DEFEATED, TAG_DEFEATS)
-        and (mp.base != TAG_OVERRULED or (mp.source_predicate, mp.negated) in heads)}
+        and (mp.base != TAG_OVERRULED or (mp.source_predicate, mp.negated) in defenders)}
     # C25's first atom of each overruled predicate sets its arity again.
     em = _Emitter(info, {name: team.program.predicates[name] for name in info})
     em.take(team, 0, c20)  # the facts' units and C15-C19
@@ -224,9 +226,7 @@ def compile_individual(theory: DefeasibleTheory, team=None) -> CompilationOutput
     em.take(team, c20 + len(sd), c20 + 2 * len(sd) + len(theory.rules))  # C21 and C22
     for s in theory.rules:
         defended = s.head.complement()
-        for r in sd:
-            if r.head.predicate != defended.predicate or r.head.negated != defended.negated:
-                continue
+        for r in defenders.get((defended.predicate, defended.negated), ()):
             em.emit(DClause(em.lit_atom(TAG_OVERRULED, defended, extra=(em.label(r),)),
                             (em.body_atom(s, FLAVOR_LAM),),
                             (em.atom((TAG_DEFEATS, s.head.predicate, s.head.negated),

@@ -423,31 +423,6 @@ def _universe(arity: int, constants: list[str]) -> int:
     return len(constants) ** arity
 
 
-def _unsettled(program: DatalogProgram, parts: list[list[str]], positive: dict[str, list[str]],
-               upper, constants: list[str]) -> dict[str, None]:
-    """The predicates of ``upper`` whose derivable atoms need not be all
-    that support themselves: each positively recursive component of
-    ``parts`` (listed dependencies first, with their positive edges inside
-    ``positive``) that is wide, a predicate of it having more atoms over the
-    pool than the program has clauses, and each part with a member that
-    reads an unsettled predicate positively.  Empty without a wide
-    component: there the self-supporting seed is the cheaper one."""
-    arities = program.predicates
-    big = {p for p in positive if p in upper
-           and _universe(arities[p], constants) > len(program.clauses)}
-    unsettled: dict[str, None] = {}
-    if not big:
-        return unsettled
-    adjacency = dependency_graph(program).adjacency
-    for part in parts:
-        recursive = len(part) > 1 or part[0] in positive.get(part[0], ())
-        reads = any(bits & POSITIVE and q in unsettled  # through any member of the part
-                    for p in part for q, bits in adjacency[p].items())
-        if not big.isdisjoint(part) and recursive or reads:
-            unsettled.update(dict.fromkeys(part))
-    return unsettled
-
-
 class _Pattern(NamedTuple):
     """A clause's atoms rearranged for a demand plan (``_demand_plans``)."""
 
@@ -456,7 +431,7 @@ class _Pattern(NamedTuple):
     negative: tuple
 
 
-def _demand_plans(clauses: list[DClause], unsettled: dict, delta: _Atoms, final: _Atoms,
+def _demand_plans(clauses: list[DClause], unsettled: set[str], delta: _Atoms, final: _Atoms,
                   number: dict[GAtom, int], constants: list[str], pool: list[int]) -> list:
     """A predicate's clauses that read an unsettled atom positively, as
     demand plans with the arguments ``_join_demand`` takes.
@@ -501,27 +476,31 @@ def _join_demand(plan: _Plan, tables: list, k: int, r: int, done: set[int],
 
 
 def _demand(program: DatalogProgram, clauses_of: dict[str, list[DClause]], upper,
-            unsettled: dict, demand, final: _Atoms, done: set[int], number: dict[GAtom, int],
-            constants: list[str], above: dict[GroundClause, None]) -> list[GroundClause]:
-    """The instances of the atoms of ``upper`` that the derivable atoms of
-    the ``demand`` predicates reach through instance bodies, positive and
-    negative, less those that read an atom without support positively: the
-    ground form of magic sets.
+            unsettled: set[str], demand, final: _Atoms, done: set[int], number: dict[GAtom, int],
+            constants: list[str], grounded: list[GroundClause]) -> list[GroundClause]:
+    """The instances of ``grounded`` below ``upper``, then those of the atoms
+    of ``upper`` that the derivable atoms of the ``demand`` predicates reach
+    through instance bodies, positive and negative, less those that read an
+    atom without support positively: the ground form of magic sets.
 
-    ``above`` holds the derivable grounding's instances of ``upper``: all of
-    an atom's instances unless its predicate is ``unsettled``.  An unsettled
-    atom has the clauses that read unsettled atoms joined (one ``_join_demand``
-    per clause and round, over the atoms demanded in the last round), and the
-    instances that read an atom that is not derivable are added.  A joined
-    instance is held until the unsettled atoms it reads positively, demanded
-    at once, are decided: one that is not derivable stays if it supports
-    itself (``_drop_unsupported``), as under the self-supporting seed, and
-    else is false under every semantics, so what reads it positively is
-    dropped.  Only then are the atoms of the held instances kept demanded."""
+    ``grounded`` holds all of an upper atom's instances unless its predicate
+    is ``unsettled``, grounded by derivability.  An unsettled atom has the
+    clauses that read unsettled atoms joined (one ``_join_demand`` per clause
+    and round, over the atoms demanded in the last round), and the instances
+    that read an atom that is not derivable are added.  A joined instance is
+    held until the unsettled atoms it reads positively, demanded at once, are
+    decided: one that is not derivable stays if it supports itself
+    (``_drop_unsupported``), as under the self-supporting seed, and else is
+    false under every semantics, so what reads it positively is dropped.
+    Only then are the atoms of the held instances kept demanded."""
     atoms = final.atoms
-    known: dict[int, list[GroundClause]] = {}
-    for inst in above:
-        known.setdefault(inst.head, []).append(inst)
+    known: dict[int, list[GroundClause]] = {}  # the instances of upper atoms, by head
+    instances: list[GroundClause] = []
+    for inst in grounded:
+        if atoms[inst.head][0] in upper:
+            known.setdefault(inst.head, []).append(inst)
+        else:
+            instances.append(inst)
     new = [n for p in program.predicates if p in upper and p in demand
            for n in final.lists.get(p, ())]
     delta = _Atoms(atoms)
@@ -529,7 +508,6 @@ def _demand(program: DatalogProgram, clauses_of: dict[str, list[DClause]], upper
     pool: list[int] = []
     seen = set(new)  # the atoms demanded so far
     dead: set[int] = set()  # the unsettled atoms found without support
-    instances: list[GroundClause] = []
     while new:
         held: dict[GroundClause, None] = {}
         joined: list[int] = []  # the atoms joined here that are not derivable
@@ -537,7 +515,7 @@ def _demand(program: DatalogProgram, clauses_of: dict[str, list[DClause]], upper
             delta.clear()
             batch = [inst for n in new for inst in known.get(n, ())]
             todo = [n for n in new if atoms[n][0] in unsettled]
-            for pred in {atoms[n][0] for n in todo} - joins.keys():
+            for pred in dict.fromkeys([atoms[n][0] for n in todo if atoms[n][0] not in joins]):
                 joins[pred] = _demand_plans(clauses_of.get(pred, ()), unsettled, delta, final,
                                             number, constants, pool)
             joined += [n for n in todo if n not in done]
@@ -621,22 +599,22 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
     semantics has to leave them unknown, and only the well-founded and
     stratified semantics make them false.
 
-    Given ``demand``, the part above the floor (the predicates of
-    ``self_supporting``, all of them if it is None) is grounded on demand
-    when one of its positively recursive components is wide: a predicate of
-    it has more atoms over the pool than the program has clauses, so the
-    self-supporting seed would start from many (on narrower ones the pass
-    costs more than it saves; README, Grounding).  A wide component and the
-    components reading an unsettled predicate positively are unsettled,
-    grounded by derivability, and ``_demand`` keeps above the floor what
-    the derivable atoms of the ``demand`` predicates reach, adding the
-    instances that read atoms that support themselves without being
-    derivable.  Fitting's
-    and the well-founded semantics are relevant (an atom's value depends
-    only on the atoms it reaches through clause bodies), and every reached
-    atom has the instances the self-supporting seed would give it, so the
-    grounding is exact under both over its base, which holds every true
-    atom of the ``demand`` predicates.
+    Given ``demand``, the walk decides whether a part above the floor (the
+    predicates of ``self_supporting``, all of them if it is None) is
+    unsettled, and so grounded by derivability, when it reaches the part: a
+    positively recursive component is unsettled when it is wide, a predicate
+    of it having more atoms over the pool than the program has clauses, so
+    the self-supporting seed would start from many (on narrower ones the
+    demand pass costs more than it saves; README, Grounding), and any part
+    is when one of its clauses reads an unsettled predicate positively.  If
+    a part is unsettled, ``_demand`` takes the finished grounding and keeps
+    above the floor what the derivable atoms of the ``demand`` predicates
+    reach, adding the instances that read atoms that support themselves
+    without being derivable.  Fitting's and the well-founded semantics are
+    relevant (an atom's value depends only on the atoms it reaches through
+    clause bodies), and every reached atom has the instances the
+    self-supporting seed would give it, so the grounding is exact under both
+    over its base, which holds every true atom of the ``demand`` predicates.
     """
     floor = floor or GroundProgram((), {})
     clauses_of: dict[str, list[DClause]] = {}
@@ -669,13 +647,8 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
         split.setdefault(inner[comp[0]], []).append(comp)
     # A list, not a generator: one left suspended by a MemoryError is finalised at the cap.
     parts = [part for i, comp in enumerate(signed) for part in split.get(i, (comp,))]
-    unsettled: Collection[str] = ()  # the predicates _unsettled names, grounded by derivability
-    if demand is not None:
-        upper = program.predicates if self_supporting is None else self_supporting
-        unsettled = _unsettled(program, parts, positive, upper, constants)
-        if not unsettled:
-            demand = None
-    above: dict[GroundClause, None] = {}  # the instances of ``upper``, for the demand pass
+    upper = program.predicates if self_supporting is None else self_supporting
+    unsettled: set[str] = set()  # the parts above the floor grounded for _demand
     for component in parts:
         if component[0] not in clauses_of:  # body-only, or grounded in the floor
             continue
@@ -683,7 +656,13 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
         rules = ([clause for pred in component for clause in clauses_of.get(pred, ())]
                  if recursive else clauses_of.get(component[0], ()))
         members = set(component) if recursive else ()  # the predicates a body reads recursively
-        aside = demand is not None and component[0] in upper  # its instances go to ``above``
+        # Above the floor, a wide recursive component is unsettled, and so is a part reading one.
+        if demand is not None and component[0] in upper and (
+                recursive and any(_universe(program.predicates[p], constants)
+                                  > len(program.clauses) for p in component)
+                or unsettled and any(atom.predicate in unsettled
+                                     for clause in rules for atom in clause.positive)):
+            unsettled.update(component)
         derivable = recursive and (component[0] in unsettled or self_supporting is not None
                                    and members.isdisjoint(self_supporting))
         if recursive:  # flush the running pass
@@ -714,9 +693,8 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
                 plans.append(plan := _plan(clause))
                 _join(plan, [start.table(step) if step.pred in members else final_table(step)
                              for step in plan.steps], number, atoms, new := {})
-            into = found if recursive or not aside else above
             for inst in new:
-                into[inst] = None
+                found[inst] = None
                 if not recursive and inst.head not in done:  # final at once
                     done.add(inst.head)
                     pending.append(inst.head)
@@ -733,16 +711,13 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
             kept += _derive(plans, members, heads, final, done, number)
         else:
             final.add(heads)
-        if aside:
-            above.update(dict.fromkeys(kept))
-        else:
-            instances += kept
+        instances += kept
     instances += found
-    if demand is not None:
+    if unsettled:
         _sync(number, atoms)
         final.add(pending)
-        instances += _demand(program, clauses_of, upper, unsettled, demand, final, done, number,
-                             constants, above)
+        instances = _demand(program, clauses_of, upper, unsettled, demand, final, done, number,
+                            constants, instances)
     base = {a for inst in instances for a in (inst.head, *inst.positive, *inst.negative)}
     return instances, {n: atom for atom, n in number.items() if n in base}
 

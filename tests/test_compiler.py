@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -397,6 +398,37 @@ class TestSizes:
             ratios_indiv.append(compiled_size(compile_individual(family)) / size)
         assert max(ratios_team) - min(ratios_team) < 1e-9
         assert max(ratios_indiv) - min(ratios_indiv) < 1e-9
+
+    @pytest.mark.parametrize("family", [
+        lambda n: "".join(f"a{i}: => p{i}.\nb{i}: => neg p{i}.\na{i} > b{i}.\n"
+                          for i in range(n)),
+        lambda n: "e(a).\nf: => p0.\n" + "".join(f"r{i}: p{i} => p{i + 1}.\n" for i in range(n)),
+    ], ids=["sup", "chain"])
+    def test_compilation_grows_linearly(self, family):
+        # Both compilations of these families are linear in the theory, so
+        # twice the rules may cost about twice the work.  Line events in
+        # compiler.py count that work without a clock.
+        def lines(n):
+            t = theory(family(n))
+            count = 0
+
+            def local(frame, event, arg):
+                nonlocal count
+                count += event == "line"
+                return local
+
+            def enter(frame, event, arg):
+                return local if frame.f_code.co_filename == compiler.__file__ else None
+
+            previous = sys.gettrace()
+            sys.settrace(enter)
+            try:
+                compile_individual(t, compile_team(t))
+            finally:
+                sys.settrace(previous)
+            return count
+
+        assert lines(200) <= 2.5 * lines(100)
 
 
 class TestReadback:

@@ -8,6 +8,7 @@ well-founded and hybrid ones, and the demand grounding ``solve --backend
 hybrid`` and ``check`` use must hold what the conclusions reach and give
 the same well-founded and hybrid values over its base."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -241,6 +242,45 @@ def test_grounding_does_not_depend_on_the_hash_seed():
     for seed in ("0", "1", "3"):
         done = subprocess.run(
             [sys.executable, "-c", HASH_SEED_DIGEST], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": package_root, "PYTHONHASHSEED": seed})
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout)
+    assert len(digests) == 1, digests
+
+
+# Grounds the corpus slice's compiled programs on demand, with every
+# recursive component above the floor taken as wide, and prints one digest
+# over every grounding's numbered instances and atoms.
+DEMAND_HASH_SEED_DIGEST = """
+import hashlib, random
+from defeasidl import evaluator, generator
+from defeasidl.compiler import compile_individual, compile_team
+from defeasidl.datalog import is_safe
+from defeasidl.evaluator import ground_program
+evaluator._universe = lambda arity, constants: float("inf")
+rng = random.Random(%d)
+theories = [generator.random_ground_theory(rng) for _ in range(%d)]
+theories += [generator.random_variable_theory(rng) for _ in range(%d)]
+digest = hashlib.sha256()
+for theory in theories:
+    for compile_ in (compile_team, compile_individual):
+        out = compile_(theory)
+        if is_safe(out.program):
+            g = ground_program(out.program, out.constants, self_supporting=out.upper_names,
+                               demand=out.defeasibly_names)
+            digest.update(repr((g.instances, g.atoms)).encode())
+print(digest.hexdigest())
+""" % (CORPUS_SEED, GROUND_THEORIES, VARIABLE_THEORIES)
+
+
+def test_demand_grounding_does_not_depend_on_the_hash_seed():
+    # The demand pass takes up the predicates of a round in the order of its
+    # atoms, not in a set's, so it too numbers atoms the same way under every seed.
+    package_root = str(Path(defeasidl.__file__).resolve().parent.parent)
+    digests = set()
+    for seed in ("0", "1", "3"):
+        done = subprocess.run(
+            [sys.executable, "-c", DEMAND_HASH_SEED_DIGEST], capture_output=True, text=True,
             timeout=60, env={**os.environ, "PYTHONPATH": package_root, "PYTHONHASHSEED": seed})
         assert done.returncode == 0, done.stderr
         digests.add(done.stdout)
@@ -673,12 +713,17 @@ def test_demand_grounding_on_hand_cases(text, floor, demand, all_wide):
     assert_demand_grounding_exact(program, program.constants(), floor, demand)
 
 
-def compiled_workloads():
+def workload_theories():
     """rot-8, the reach graphs of 12 and 16 edges and succ chains of 10 and
-    30 links, each compiled both ways."""
+    30 links."""
     texts = [reach_theory(random_digraph(random.Random(1), n)) for n in (12, 16)]
     texts += [succ_theory(chain_names(random.Random(1), n)) for n in (10, 30)]
-    for theory in (rot_theory(8), *map(parse_theory, texts)):
+    return [rot_theory(8), *map(parse_theory, texts)]
+
+
+def compiled_workloads():
+    """The workload theories, each compiled both ways."""
+    for theory in workload_theories():
         for compile_ in (compile_team, compile_individual):
             yield compile_(theory)
 
@@ -744,3 +789,44 @@ def test_clause_order_changes_nothing():
                 assert interpretations(reordered, constants) == interpretations(program, constants)
                 checked += 1
     assert checked >= 3 * 2 * GROUND_THEORIES
+
+
+# SHA-256 of every pinned grounding, decoded and sorted, as the grounder
+# decides and with every recursive component above the floor taken as wide.
+# A change that prunes differently on purpose updates these and says why.
+GROUNDINGS_DIGEST = {
+    False: "f111669069f5a0e4f16c13d797283672cd7c3071f1a36cb685c38abdbdaf16f7",
+    True: "9a992eb7825353608355d11f3541ef7b1f944871dc493ced271aeadda5b158db",
+}
+
+
+def pinned_groundings():
+    """Every safe compiled program of the corpus slice and the workload
+    theories, grounded in each seed mode (self-supporting, derivable, the
+    floor by derivability, and on demand above it), and each theory as
+    ``check_theory`` grounds it: the team program whole, then the individual
+    program on that grounding's floor."""
+    for theory in (*corpus_slice(), *workload_theories()):
+        team = compile_team(theory)
+        safe = [out for out in (team, compile_individual(theory, team)) if is_safe(out.program)]
+        for out in safe:
+            upper = out.upper_names
+            for keep, demand in ((None, None), (frozenset(), None), (upper, None),
+                                 (upper, out.defeasibly_names)):
+                yield ground_program(out.program, out.constants, self_supporting=keep,
+                                     demand=demand)
+        if len(safe) == 2:
+            ground = None
+            for out in safe:
+                ground = ground_program(out.program, out.constants,
+                                        self_supporting=out.upper_names,
+                                        demand=out.defeasibly_names, floor=ground)
+                yield ground
+
+
+def test_groundings_are_pinned(all_wide):
+    # The instance and atom order is free; the instances and the base are not.
+    digest = hashlib.sha256()
+    for ground in pinned_groundings():
+        digest.update(repr((sorted(decoded(ground)), sorted(ground.herbrand_base))).encode())
+    assert digest.hexdigest() == GROUNDINGS_DIGEST[all_wide]
