@@ -130,7 +130,7 @@ def check_theory(theory: DefeasibleTheory, name: str = "theory") -> CheckResult:
     ground = None
     for out, closure in ((team, "dpar"), (indiv, "dpar_star")):
         ground = ground_program(out.program, out.constants, self_supporting=out.upper_names,
-                                demand=out.defeasibly_names, floor=ground)
+                                demand=out.floor_names | out.defeasibly_names, floor=ground)
         wf = eval_wellfounded(out.program, ground)
         got = read_conclusions(out, wf.true_set)
         category = f"oracle-{out.mode}"

@@ -245,12 +245,10 @@ def cmd_solve(args: argparse.Namespace, reporter: Reporter) -> int:
             extra = None
         else:
             out = compile_team(theory) if args.logic == "dpar" else compile_individual(theory)
-            # Atoms decided as under the well-founded semantics are grounded
-            # by derivability.  Above the floor, hybrid's Fitting operator
-            # needs the atoms its conclusions reach grounded on demand, and the
-            # false atoms --three-valued lists need self-support.
+            # All but hybrid's Fitting part are grounded by derivability, on demand from the atoms
+            # read back; the false atoms --three-valued lists need the whole part, self-supporting.
             keep = out.upper_names if args.backend == "hybrid" or args.three_valued else frozenset()
-            demand = out.defeasibly_names if args.backend == "hybrid" else None
+            demand = None if args.three_valued else out.floor_names | out.defeasibly_names
             ground = ground_program(out.program, out.constants, self_supporting=keep, demand=demand)
             if args.backend == "wf":
                 interp = eval_wellfounded(out.program, ground)

@@ -5,9 +5,9 @@ The grounder seeds each positively recursive component one of two ways
 supports itself, where Fitting's operator decides atoms; or derivable,
 keeping the least model of the positive part, found by semi-naive rounds,
 which is smaller and exact where atoms are decided as under the WF model.
-A third seed grounds the part above a floor on demand (``_demand``), from
-the derivable atoms of the conclusion predicates down, which is exact
-under both semantics, since both are relevant.
+A third seed grounds the part above a floor on demand (``_demand``): from the
+derivable atoms of the conclusion predicates down, what they read only
+negatively included, exact under both semantics since both are relevant.
 
 Fitting's semantics is the least fixpoint of the three-valued
 immediate-consequence operator: an atom becomes true when some clause
@@ -212,11 +212,11 @@ def _plan(clause: DClause) -> _Plan:
     return _Plan(tuple(values), head, tuple(steps), negative)
 
 
-def _join(plan: _Plan, tables: list, number: dict, atoms: list, found: dict) -> None:
-    """Add to ``found`` one ``GroundClause`` per way of matching the plan's
-    steps in order, ``tables[i]`` being step i's index (or, for a step
-    without positions, its atom list); ``atoms[n]`` is the atom numbered n
-    in ``number``, which numbers each new head or negative atom.
+def _join(plan: _Plan, tables: list, number: dict, atoms: list, found: dict, make) -> None:
+    """Add to ``found`` one ``make(head, positive, negative)`` per way of
+    matching the plan's steps in order, ``tables[i]`` being step i's index
+    (or, for a step without positions, its atom list); ``atoms[n]`` is the
+    atom numbered n in ``number``, which numbers each new head or negative atom.
 
     It walks the steps with one iterator each, without recursion, so a body
     of any length joins.  A step's iterator yields only the atoms whose
@@ -251,7 +251,7 @@ def _join(plan: _Plan, tables: list, number: dict, atoms: list, found: dict) -> 
             for pred, get in negative:
                 neg.append(numbered((pred, get(values)), len(number)))
             head = numbered((head_pred, head_args(values)), len(number))
-            found[GroundClause(head, tuple(chosen), tuple(neg))] = None
+            found[make(head, tuple(chosen), tuple(neg))] = None
         else:
             i -= 1
 
@@ -408,7 +408,7 @@ def _derive(plans: list[_Plan], members: set[str], new: list[int], final: _Atoms
         found: dict[GroundClause, None] = {}
         for plan, pending, tables in variants:
             if pending:
-                _join(plan, tables, number, final.atoms, found)
+                _join(plan, tables, number, final.atoms, found, GroundClause)
         if keep_older:
             older.add(new)
         _sync(number, final.atoms)
@@ -423,6 +423,18 @@ def _universe(arity: int, constants: list[str]) -> int:
     return len(constants) ** arity
 
 
+class _Member(NamedTuple):
+    """A step's table that probes every position among the final atoms, unindexed."""
+
+    pred: str
+    number: dict[GAtom, int]
+    done: set[int]
+
+    def get(self, key, default):  # one position's key is its value, not a tuple
+        n = self.number.get((self.pred, key if type(key) is tuple else (key,)))
+        return (n,) if n in self.done else default
+
+
 class _Pattern(NamedTuple):
     """A clause's atoms rearranged for a demand plan (``_demand_plans``)."""
 
@@ -431,21 +443,21 @@ class _Pattern(NamedTuple):
     negative: tuple
 
 
-def _demand_plans(clauses: list[DClause], unsettled: set[str], delta: _Atoms, final: _Atoms,
-                  number: dict[GAtom, int], constants: list[str], pool: list[int]) -> list:
-    """A predicate's clauses that read an unsettled atom positively, as
-    demand plans with the arguments ``_join_demand`` takes.
-
-    A demand plan's first step is the head, over ``delta``; the other
-    positive atoms follow, looked up among the final atoms, then a step over
-    ``pool``, the constants as "" atoms, per variable only unsettled atoms
-    bind.  The unsettled atoms are read like negative ones, before those."""
+def _demand_plans(clauses: list[DClause], lazy: set[str], every: bool, delta: _Atoms,
+                  final: _Atoms, done: set[int], number: dict[GAtom, int], constants: list[str],
+                  pool: list[int]) -> list:
+    """A predicate's clauses, all if ``every``, else those that read a
+    ``lazy`` atom positively, as the demand plans ``_join_demand`` takes: the
+    head first, over ``delta``, then the other positive atoms, looked up
+    among the final atoms, then per variable only lazy atoms bind a step
+    over ``pool``, the constants as "" atoms.  The lazy atoms are read like
+    negative ones, before those."""
     plans = []
     for clause in clauses:
-        read = [a for a in clause.positive if a.predicate in unsettled]
-        if not read:  # the derivable grounding found all its instances
+        read = [a for a in clause.positive if a.predicate in lazy]
+        if not read and not every:  # the derivable grounding found all its instances
             continue
-        probed = [a for a in clause.positive if a.predicate not in unsettled]
+        probed = [a for a in clause.positive if a.predicate not in lazy]
         bound = {t.name for a in (clause.head, *probed) for t in a.args}
         free = dict.fromkeys(t for a in read for t in a.args
                              if t.is_variable and t.name not in bound)
@@ -455,7 +467,9 @@ def _demand_plans(clauses: list[DClause], unsettled: set[str], delta: _Atoms, fi
         plan = _plan(_Pattern(clause.head, (clause.head, *probed, *(
             Atom.unchecked("", (t,)) for t in free)), (*read, *clause.negative)))
         plans.append((plan, [delta.table(plan.steps[0])] + [
-            final.table(step) for step in plan.steps[1:len(probed) + 1]
+            _Member(step.pred, number, done)
+            if step.positions and not step.binds and not step.checks else final.table(step)
+            for step in plan.steps[1:len(probed) + 1]
         ] + [pool] * len(free), len(probed) + 1, len(read)))
     return plans
 
@@ -469,30 +483,29 @@ def _join_demand(plan: _Plan, tables: list, k: int, r: int, done: set[int],
     positively.  An instance is left out when its head and read atoms are
     all in ``done``: the derivable grounding has it."""
     joined: dict[GroundClause, None] = {}
-    _join(plan, tables, number, atoms, joined)
+    _join(plan, tables, number, atoms, joined, lambda *row: row)
     for _, chosen, neg in joined:
         if chosen[0] not in done or not done.issuperset(neg[:r]):
             found[GroundClause(chosen[0], chosen[1:k] + neg[:r], neg[r:])] = None
 
 
-def _demand(program: DatalogProgram, clauses_of: dict[str, list[DClause]], upper,
-            unsettled: set[str], demand, final: _Atoms, done: set[int], number: dict[GAtom, int],
-            constants: list[str], grounded: list[GroundClause]) -> list[GroundClause]:
-    """The instances of ``grounded`` below ``upper``, then those of the atoms
-    of ``upper`` that the derivable atoms of the ``demand`` predicates reach
-    through instance bodies, positive and negative, less those that read an
-    atom without support positively: the ground form of magic sets.
+def _demand(clauses_of: dict[str, list[DClause]], upper: set[str], lazy: set[str],
+            deferred: set[str], new: list[int], final: _Atoms, done: set[int],
+            number: dict[GAtom, int], constants: list[str],
+            grounded: list[GroundClause]) -> list[GroundClause]:
+    """The instances of ``grounded`` below the predicates ``upper``, then
+    those of the upper atoms that the atoms ``new`` reach through instance
+    bodies, less those that read an atom without support positively: the
+    ground form of magic sets.
 
     ``grounded`` holds all of an upper atom's instances unless its predicate
-    is ``unsettled``, grounded by derivability.  An unsettled atom has the
-    clauses that read unsettled atoms joined (one ``_join_demand`` per clause
-    and round, over the atoms demanded in the last round), and the instances
-    that read an atom that is not derivable are added.  A joined instance is
-    held until the unsettled atoms it reads positively, demanded at once, are
-    decided: one that is not derivable stays if it supports itself
-    (``_drop_unsupported``), as under the self-supporting seed, and else is
-    false under every semantics, so what reads it positively is dropped.
-    Only then are the atoms of the held instances kept demanded."""
+    is ``lazy``: ``deferred`` (not grounded), or self-supporting but
+    grounded by derivability.  A lazy atom's clauses, all if it is deferred
+    and else those that read lazy atoms, are joined with the head bound, one
+    ``_join_demand`` per clause and round.  A joined instance is held until
+    the lazy atoms it reads positively are decided: one that is not
+    derivable stays if it supports itself (``_drop_unsupported``); else it
+    is false, and what reads it positively is dropped."""
     atoms = final.atoms
     known: dict[int, list[GroundClause]] = {}  # the instances of upper atoms, by head
     instances: list[GroundClause] = []
@@ -501,24 +514,22 @@ def _demand(program: DatalogProgram, clauses_of: dict[str, list[DClause]], upper
             known.setdefault(inst.head, []).append(inst)
         else:
             instances.append(inst)
-    new = [n for p in program.predicates if p in upper and p in demand
-           for n in final.lists.get(p, ())]
     delta = _Atoms(atoms)
-    joins: dict[str, list] = {}  # per unsettled predicate: _demand_plans
+    joins: dict[str, list] = {}  # per lazy predicate: _demand_plans
     pool: list[int] = []
     seen = set(new)  # the atoms demanded so far
-    dead: set[int] = set()  # the unsettled atoms found without support
+    dead: set[int] = set()  # the lazy atoms found without support
     while new:
         held: dict[GroundClause, None] = {}
         joined: list[int] = []  # the atoms joined here that are not derivable
         while new:
             delta.clear()
             batch = [inst for n in new for inst in known.get(n, ())]
-            todo = [n for n in new if atoms[n][0] in unsettled]
+            todo = [n for n in new if atoms[n][0] in lazy]
             for pred in dict.fromkeys([atoms[n][0] for n in todo if atoms[n][0] not in joins]):
-                joins[pred] = _demand_plans(clauses_of.get(pred, ()), unsettled, delta, final,
-                                            number, constants, pool)
-            joined += [n for n in todo if n not in done]
+                joins[pred] = _demand_plans(clauses_of.get(pred, ()), lazy, pred in deferred,
+                                            delta, final, done, number, constants, pool)
+            joined += [n for n in todo if n not in done and atoms[n][0] not in deferred]
             delta.add(todo)
             found: dict[GroundClause, None] = {}
             for pred, pending in delta.lists.items():
@@ -529,7 +540,7 @@ def _demand(program: DatalogProgram, clauses_of: dict[str, list[DClause]], upper
             instances += batch
             held.update(found)
             fresh = set(chain.from_iterable([inst[1] + inst[2] for inst in batch]))
-            fresh.update([n for inst in found for n in inst.positive if atoms[n][0] in unsettled])
+            fresh.update([n for inst in found for n in inst.positive if atoms[n][0] in lazy])
             fresh -= seen
             seen |= fresh
             new = [n for n in fresh if atoms[n][0] in upper]
@@ -599,22 +610,25 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
     semantics has to leave them unknown, and only the well-founded and
     stratified semantics make them false.
 
-    Given ``demand``, the walk decides whether a part above the floor (the
-    predicates of ``self_supporting``, all of them if it is None) is
-    unsettled, and so grounded by derivability, when it reaches the part: a
-    positively recursive component is unsettled when it is wide, a predicate
-    of it having more atoms over the pool than the program has clauses, so
-    the self-supporting seed would start from many (on narrower ones the
-    demand pass costs more than it saves; README, Grounding), and any part
-    is when one of its clauses reads an unsettled predicate positively.  If
-    a part is unsettled, ``_demand`` takes the finished grounding and keeps
-    above the floor what the derivable atoms of the ``demand`` predicates
-    reach, adding the instances that read atoms that support themselves
-    without being derivable.  Fitting's and the well-founded semantics are
+    ``demand`` names the predicates the caller reads back; the floor is the
+    part of them that reads only itself.  Above it, a positively recursive
+    component is unsettled, and so grounded by derivability, when it is
+    wide (a predicate of it has more atoms over the pool than the program
+    has clauses; README, Grounding), and so is any part with a clause that
+    reads an unsettled predicate positively.  If a part is unsettled, the
+    walk defers the parts that no clause reads positively and the caller
+    does not read back (a compiled program's ``overruled``, ``defeated`` and
+    ``defeats``), and ``_demand`` keeps above the floor what the derivable
+    atoms of the ``demand`` predicates reach, joining a deferred clause only
+    for its reached heads and adding the instances that read atoms that
+    support themselves without being derivable.  With every seed derivable,
+    it walks only the deferred parts if each predicate the walk grounded is
+    reached whole: read back, or read alone through distinct variables by a
+    clause of one that is.  Fitting's and the well-founded semantics are
     relevant (an atom's value depends only on the atoms it reaches through
-    clause bodies), and every reached atom has the instances the
-    self-supporting seed would give it, so the grounding is exact under both
-    over its base, which holds every true atom of the ``demand`` predicates.
+    clause bodies), and every reached atom has the instances its seed would
+    give it, so the grounding is exact under both over its base, which
+    holds every true atom of the ``demand`` predicates.
     """
     floor = floor or GroundProgram((), {})
     clauses_of: dict[str, list[DClause]] = {}
@@ -647,21 +661,27 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
         split.setdefault(inner[comp[0]], []).append(comp)
     # A list, not a generator: one left suspended by a MemoryError is finalised at the cap.
     parts = [part for i, comp in enumerate(signed) for part in split.get(i, (comp,))]
-    upper = program.predicates if self_supporting is None else self_supporting
-    unsettled: set[str] = set()  # the parts above the floor grounded for _demand
+    below, unsettled = set(), set()  # the floor, and the parts above grounded for _demand
+    if demand is not None:
+        wide = [comp for comp in parts if (len(comp) > 1 or comp[0] in positive.get(comp[0], ()))
+                and any(_universe(program.predicates[p], constants) > len(program.clauses)
+                        for p in comp)]
+        for comp in signed if wide else ():
+            if demand.issuperset(comp) and below.union(comp).issuperset(
+                    [q for p in comp for q in graph.adjacency[p]]):
+                below.update(comp)
+        unsettled = {p for comp in wide if comp[0] not in below for p in comp}
+    deferred = (clauses_of.keys() - demand - {q for out in graph.adjacency.values()
+                for q, bits in out.items() if bits & POSITIVE}) if unsettled else set()
     for component in parts:
-        if component[0] not in clauses_of:  # body-only, or grounded in the floor
+        if component[0] not in clauses_of or component[0] in deferred:  # body-only, or not here
             continue
         recursive = len(component) > 1 or component[0] in positive.get(component[0], ())
         rules = ([clause for pred in component for clause in clauses_of.get(pred, ())]
                  if recursive else clauses_of.get(component[0], ()))
         members = set(component) if recursive else ()  # the predicates a body reads recursively
-        # Above the floor, a wide recursive component is unsettled, and so is a part reading one.
-        if demand is not None and component[0] in upper and (
-                recursive and any(_universe(program.predicates[p], constants)
-                                  > len(program.clauses) for p in component)
-                or unsettled and any(atom.predicate in unsettled
-                                     for clause in rules for atom in clause.positive)):
+        if unsettled and any(atom.predicate in unsettled  # a part reading one is unsettled too
+                             for clause in rules for atom in clause.positive):
             unsettled.update(component)
         derivable = recursive and (component[0] in unsettled or self_supporting is not None
                                    and members.isdisjoint(self_supporting))
@@ -692,7 +712,7 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
                     pending.clear()
                 plans.append(plan := _plan(clause))
                 _join(plan, [start.table(step) if step.pred in members else final_table(step)
-                             for step in plan.steps], number, atoms, new := {})
+                             for step in plan.steps], number, atoms, new := {}, GroundClause)
             for inst in new:
                 found[inst] = None
                 if not recursive and inst.head not in done:  # final at once
@@ -716,8 +736,21 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
     if unsettled:
         _sync(number, atoms)
         final.add(pending)
-        instances = _demand(program, clauses_of, upper, unsettled, demand, final, done, number,
-                            constants, instances)
+        lazy = deferred.union([p for p in unsettled  # of these, the self-supporting ones
+                               if self_supporting is None or p in self_supporting])
+        whole = set(demand) if self_supporting == set() else set()  # reached whole, all derivable
+        for clause in [c for comp in reversed(parts) if whole for p in comp if p not in below
+                       for c in clauses_of.get(p, ()) if len(c.positive) == 1]:
+            if clause.head.predicate in whole and clause.positive[0].arity == len(
+                    {t.name for t in clause.positive[0].args if t.is_variable}):
+                whole.add(clause.positive[0].predicate)  # read alone, by distinct variables
+        fast = whole.issuperset(clauses_of.keys() - deferred)  # the walk built only reached ones
+        new = ([n for n, (pred, _) in enumerate(atoms) if pred in deferred] if fast else
+               [n for p in program.predicates if p in demand and p not in below
+                for n in final.lists.get(p, ())])
+        grounded, instances = ([], instances) if fast else (instances, [])
+        instances += _demand(clauses_of, deferred if fast else program.predicates.keys() - below,
+                             lazy, deferred, new, final, done, number, constants, grounded)
     base = {a for inst in instances for a in (inst.head, *inst.positive, *inst.negative)}
     return instances, {n: atom for atom, n in number.items() if n in base}
 
@@ -732,9 +765,8 @@ def ground_program(program: DatalogProgram, constants=None, *, self_supporting=N
     program's own constants include its rule labels, so it is grounded over
     ``CompilationOutput.constants``.  A ``floor``, built on as in ``_ground_clauses``,
     derives only ``program``'s predicates, and ``self_supporting`` leaves them out.
-    ``demand`` names the predicates whose derivable atoms seed the demand
-    grounding of the predicates in ``self_supporting``, which must be closed
-    upward (no other predicate reads one of them); see ``_ground_clauses``."""
+    ``demand`` names the predicates read back, the floor among them; their
+    derivable atoms seed the demand grounding (see ``_ground_clauses``)."""
     if not is_safe(program):
         raise UnsafeProgram("program is not safe; grounding would not terminate on ground atoms")
     if floor is not None and not floor.derived <= program.predicates.keys():

@@ -451,7 +451,7 @@ def test_groundings_on_the_shared_floor_are_the_per_mode_ones(monkeypatch):
             got = seen[out.mode]
             want = evaluator.ground_program(out.program, out.constants,
                                             self_supporting=out.upper_names,
-                                            demand=out.defeasibly_names)
+                                            demand=out.floor_names | out.defeasibly_names)
             assert sorted(decoded(got)) == sorted(decoded(want))
             assert (got.herbrand_base, got.derived) == (want.herbrand_base, want.derived)
             assert whole(evaluator.eval_wellfounded(out.program, got)) == whole(

@@ -292,12 +292,12 @@ class TestSolve:
 
     def test_backend_picks_the_grounding_seed(self, monkeypatch):
         # Records the predicates each grounding keeps self-supporting and
-        # those whose derivable atoms seed the demand grounding: none for wf
-        # and stratified; those above the floor, on demand from the
-        # defeasibly predicates, for hybrid and check; and those above the
-        # floor, self-supporting, for --three-valued.  Check grounds the team
-        # program, then the individual program on top of the team
-        # grounding's floor.
+        # those it grounds on demand from, the ones read back (the floor and
+        # the defeasibly predicates): none self-supporting, on demand, for
+        # wf and stratified; those above the floor, on demand, for hybrid
+        # and check; and those above the floor, self-supporting, for
+        # --three-valued.  Check grounds the team program, then the
+        # individual program on top of the team grounding's floor.
         kept = []
         real = evaluator._ground_clauses
 
@@ -312,10 +312,11 @@ class TestSolve:
         assert upper and out.floor_names
         defeasibly = {p for p in upper if p.startswith("defeasibly__")}
         assert out.defeasibly_names == defeasibly
+        read_back = out.floor_names | defeasibly
         for backend, extra, seed in (
-            ("wf", (), (set(), None)),
-            ("stratified", (), (set(), None)),
-            ("hybrid", (), (upper, defeasibly)),
+            ("wf", (), (set(), read_back)),
+            ("stratified", (), (set(), read_back)),
+            ("hybrid", (), (upper, read_back)),
             ("wf", ("--three-valued",), (upper, None)),
             ("stratified", ("--three-valued",), (upper, None)),
         ):
@@ -325,8 +326,9 @@ class TestSolve:
         kept.clear()
         assert run("--no-timings", "check", TWEETY)[0] == 0
         indiv = compile_individual(parse_theory(Path(TWEETY).read_text(encoding="utf-8")))
-        assert kept == [(upper, defeasibly),
-                        (indiv.program.predicates.keys() - indiv.floor_names, indiv.defeasibly_names)]
+        assert kept == [(upper, read_back),
+                        (indiv.program.predicates.keys() - indiv.floor_names,
+                         indiv.floor_names | indiv.defeasibly_names)]
         assert indiv.defeasibly_names == defeasibly
 
     def test_unsafe_theory_exits_1_on_every_compiled_backend(self, tmp_path):

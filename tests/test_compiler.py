@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from conftest import lit, theory
-from defeasidl import compiler, generator
+from defeasidl import compiler, evaluator, generator
 from defeasidl.compiler import (
     compile_individual,
     compile_team,
@@ -14,7 +14,7 @@ from defeasidl.compiler import (
     read_conclusions,
 )
 from defeasidl.datalog import DatalogProgram, DClause, is_safe, parse_datalog
-from defeasidl.evaluator import eval_wellfounded
+from defeasidl.evaluator import eval_hybrid, eval_wellfounded, ground_program
 from defeasidl.mangling import TAG_DEFEASIBLY, TAG_DEFEATS, MangledPredicate
 from defeasidl.theory import (
     Atom,
@@ -29,6 +29,7 @@ from analysis_reference import signed_edges
 import corpus
 from residual_generator import residual_theory
 from test_evaluation import corpus_slice
+from test_grounding import rot_theory
 
 
 WORKED_PAIR = theory(
@@ -410,25 +411,58 @@ class TestSizes:
         # compiler.py count that work without a clock.
         def lines(n):
             t = theory(family(n))
-            count = 0
-
-            def local(frame, event, arg):
-                nonlocal count
-                count += event == "line"
-                return local
-
-            def enter(frame, event, arg):
-                return local if frame.f_code.co_filename == compiler.__file__ else None
-
-            previous = sys.gettrace()
-            sys.settrace(enter)
-            try:
-                compile_individual(t, compile_team(t))
-            finally:
-                sys.settrace(previous)
-            return count
+            return line_events(compiler, lambda: compile_individual(t, compile_team(t)))
 
         assert lines(200) <= 2.5 * lines(100)
+
+    @pytest.mark.parametrize("family", [
+        rot_theory,
+        lambda n: theory("".join(f"q(c{i}).\n" for i in range(n))
+                         + "r: q(X) => p(X).\ns: q(X) ~> neg p(X).\nr > s.\n"),
+    ], ids=["rot", "facts"])
+    @pytest.mark.parametrize("stage", ["derivable", "wf-demand", "hybrid-demand", "wf", "hybrid"])
+    def test_grounding_and_evaluation_grow_linearly(self, family, stage):
+        # Both compilations of rot-N and facts-N ground to linearly many
+        # instances under the derivable seed and on demand (rot has a wide
+        # component, so its demand pass runs), and evaluate in linear work;
+        # line events in evaluator.py count each stage.
+        def lines(n):
+            count = 0
+            for out in (compile_team(family(n)), compile_individual(family(n))):
+                seed = out.upper_names if stage.startswith("hybrid") else frozenset()
+                demand = None if stage == "derivable" else out.floor_names | out.defeasibly_names
+                run = lambda: ground_program(out.program, out.constants, self_supporting=seed,
+                                             demand=demand)
+                if stage in ("wf", "hybrid"):
+                    g = run()
+                    run = ((lambda: eval_wellfounded(out.program, g)) if stage == "wf"
+                           else lambda: eval_hybrid(out, g))
+                count += line_events(evaluator, run)
+            return count
+
+        assert lines(80) <= 2.5 * lines(40)
+
+
+def line_events(module, run) -> int:
+    """The line events in ``module``'s source while ``run()`` runs: work
+    counted without a clock."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def enter(frame, event, arg):
+        return local if frame.f_code.co_filename == module.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 class TestReadback:

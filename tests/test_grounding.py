@@ -202,15 +202,18 @@ def test_head_instances_match_each_pattern_exactly():
             == {"p": want}, head
 
 
-# Grounds a reach theory both ways, each seed mode (the demand seed runs its
-# demand pass here), and as check_theory does (the team program whole, the
-# individual one on the team grounding's floor), and prints one digest over
-# every grounding's numbered instances and atoms.
+# Grounds a reach theory both ways, each seed mode (the demand seeds, hybrid's
+# and wf's, run their demand pass, its component taken as wide), and as
+# check_theory does (the team program whole, the individual one on the team
+# grounding's floor), and prints one digest over every grounding's numbered
+# instances and atoms.
 HASH_SEED_DIGEST = """
 import hashlib
+from defeasidl import evaluator
 from defeasidl.compiler import compile_individual, compile_team
 from defeasidl.evaluator import ground_program
 from defeasidl.parser import parse_theory
+evaluator._universe = lambda arity, constants: float("inf")
 theory = parse_theory(
     "edge(a, b). edge(b, c). edge(c, a). edge(c, d).\\n"
     "r1: edge(X,Y) => path(X,Y).\\n"
@@ -221,14 +224,15 @@ digest = hashlib.sha256()
 for compile_ in (compile_team, compile_individual):
     out = compile_(theory)
     for keep, demand in ((None, None), (out.upper_names, None), (frozenset(), None),
-                         (out.upper_names, out.defeasibly_names)):
+                         (out.upper_names, out.floor_names | out.defeasibly_names),
+                         (frozenset(), out.floor_names | out.defeasibly_names)):
         g = ground_program(out.program, out.constants, self_supporting=keep, demand=demand)
         digest.update(repr((g.instances, g.atoms)).encode())
 team = compile_team(theory)
 g = None
 for out in (team, compile_individual(theory, team)):
     g = ground_program(out.program, out.constants, self_supporting=out.upper_names,
-                       demand=out.defeasibly_names, floor=g)
+                       demand=out.floor_names | out.defeasibly_names, floor=g)
     digest.update(repr((g.instances, g.atoms)).encode())
 print(digest.hexdigest())
 """
@@ -267,7 +271,7 @@ for theory in theories:
         out = compile_(theory)
         if is_safe(out.program):
             g = ground_program(out.program, out.constants, self_supporting=out.upper_names,
-                               demand=out.defeasibly_names)
+                               demand=out.floor_names | out.defeasibly_names)
             digest.update(repr((g.instances, g.atoms)).encode())
 print(digest.hexdigest())
 """ % (CORPUS_SEED, GROUND_THEORIES, VARIABLE_THEORIES)
@@ -401,6 +405,48 @@ def test_few_instances_are_built_to_be_dropped(monkeypatch):
     result = _ground_clauses(squared, squared.constants(), self_supporting=set())
     assert built == len(result[0]) == 12 + 12 + 12**3
     assert set(decode(result)[0]) == set(naive_derivable_clauses(squared)[0])
+
+
+def test_no_deferred_instance_is_built_to_be_dropped(monkeypatch):
+    # On demand, the predicates that no clause reads positively and that the
+    # caller does not read back (overruled, defeated and defeats) are joined
+    # only for their demanded atoms, head bound, so under the wf and hybrid
+    # seeds every instance built with such a head is kept, and fewer are kept
+    # than the derivable grounding holds.  The atom numbers are read off the
+    # grounder's numbering, which every _sync call gets.
+    heads, numbering = [], {}
+    real_clause, real_sync = evaluator.GroundClause, evaluator._sync
+
+    def counting(head, positive, negative):
+        heads.append(head)
+        return real_clause(head, positive, negative)
+
+    def capturing(number, atoms):
+        numbering["number"] = number
+        real_sync(number, atoms)
+
+    monkeypatch.setattr(evaluator, "GroundClause", counting)
+    monkeypatch.setattr(evaluator, "_sync", capturing)
+    theories = [reach_path(20).theory]
+    theories += [parse_theory(reach_theory(random_digraph(random.Random(1), n))) for n in (12, 16)]
+    kept_in_all = whole_in_all = 0
+    for theory in theories:
+        for compile_ in (compile_team, compile_individual):
+            out = compile_(theory)
+            deferred = {p for p, mp in out.predicate_info.items()
+                        if mp.base in ("overruled", "defeated", "defeats")}
+            whole = ground_program(out.program, out.constants, self_supporting=set())
+            for keep in (frozenset(), out.upper_names):
+                heads.clear()
+                ground = ground_program(out.program, out.constants, self_supporting=keep,
+                                        demand=out.floor_names | out.defeasibly_names)
+                atom = {n: a for a, n in numbering["number"].items()}
+                built = sum(atom[head][0] in deferred for head in heads)
+                kept = sum(ground.atoms[c.head][0] in deferred for c in ground.instances)
+                assert built == kept, (theory, out.mode, keep)
+                kept_in_all += kept
+                whole_in_all += sum(whole.atoms[c.head][0] in deferred for c in whole.instances)
+    assert 0 < kept_in_all < whole_in_all / 4
 
 
 def test_variable_free_clauses_are_not_planned(monkeypatch):
@@ -609,7 +655,7 @@ def test_fitting_and_hybrid_refuse_derivable_atoms_they_would_decide(tweety):
     # alone refuses it, with or without a demand pass (rot has a wide component).
     for out in (out, compile_team(rot_theory(8))):
         ground = ground_program(out.program, out.constants, self_supporting=upper_names(out),
-                                demand=out.defeasibly_names)
+                                demand=out.floor_names | out.defeasibly_names)
         assert ground.derived == out.floor_names
         eval_hybrid(out, ground)
         with pytest.raises(ValueError):
@@ -632,7 +678,7 @@ def assert_demand_grounding_exact(program, constants, floor, demand):
     well-founded, and so hold every true atom of ``demand``."""
     floor = program.predicates.keys() & floor
     upper = program.predicates.keys() - floor
-    got = ground_program(program, constants, self_supporting=upper, demand=demand)
+    got = ground_program(program, constants, self_supporting=upper, demand=floor | set(demand))
     assert got.derived == floor
     full = ground_program(program, constants)
     derivable = {c.head for c in decoded(ground_program(program, constants, self_supporting=set()))}
@@ -740,6 +786,83 @@ def test_demand_grounding_on_rot_reach_and_succ(all_wide, monkeypatch):
     assert len(passes) == (10 if all_wide else 6)
 
 
+def assert_derivable_demand_exact(program, constants, floor, demand, passes):
+    """Ground on demand with every seed derivable, as ``solve --backend wf``
+    does, reading back the downward-closed ``floor`` and ``demand``.  If the
+    demand pass ran (``passes`` counts its runs), the instances must be
+    those of the derivable grounding that its derivable atoms of those
+    predicates reach, the floor whole; otherwise the derivable grounding's.
+    Over the base, the well-founded true, false and unknown atoms must be
+    the derivable grounding's."""
+    floor = program.predicates.keys() & floor
+    before = len(passes)
+    got = ground_program(program, constants, self_supporting=set(), demand=floor | set(demand))
+    whole = ground_program(program, constants, self_supporting=set())
+    want = decoded(whole)
+    if len(passes) > before:
+        derivable = {c.head for c in want}
+        want, reached = relevant_clauses(want, [a for a in derivable
+                                                if a[0] in floor or a[0] in demand])
+        assert got.herbrand_base == reached
+    instances = decoded(got)
+    assert len(set(instances)) == len(instances)
+    assert canonical(instances) == canonical(want)
+    have, exact = _evaluate(got), _evaluate(whole)
+    base = got.herbrand_base
+    assert have.true_set == exact.true_set & base
+    assert have.false_set == exact.false_set & base
+    assert have.unknown_set == exact.unknown_set & base
+    return got
+
+
+@pytest.fixture()
+def demand_passes(monkeypatch):
+    """One entry per ``_demand`` run."""
+    passes = []
+    real = evaluator._demand
+    monkeypatch.setattr(evaluator, "_demand", lambda *args: passes.append(1) or real(*args))
+    return passes
+
+
+def test_derivable_demand_grounding_on_the_corpus_slice(all_wide, demand_passes):
+    checked = 0
+    for theory in corpus_slice():
+        for compile_ in (compile_team, compile_individual):
+            out = compile_(theory)
+            if is_safe(out.program):
+                assert_derivable_demand_exact(out.program, out.constants, out.floor_names,
+                                              out.defeasibly_names, demand_passes)
+                checked += 1
+    assert checked >= 2 * GROUND_THEORIES
+    assert demand_passes if all_wide else not demand_passes
+
+
+def test_derivable_demand_grounding_on_random_programs(rng, all_wide, demand_passes):
+    # A predicate that a reached one reads alone, through distinct variables,
+    # is reached whole; read through a constant or a repeated variable, it is not.
+    for body in ("p(X, Y)", "p(X, a)", "p(X, X)"):
+        program = parse_datalog("e(a, b). e(b, c). e(c, a). e(c, d).\np(X, Y) :- e(X, Y).\n"
+                                f"p(X, Y) :- p(X, Z), e(Z, Y).\nq(X) :- {body}.\n")
+        assert_derivable_demand_exact(program, program.constants(), {"e"}, {"q"}, demand_passes)
+    for shape in (ProgramShape(), ProgramShape(max_arity=3)):
+        for _ in range(150):
+            program = random_program(rng, shape)
+            heads = sorted({c.head.predicate for c in program.clauses})
+            floor = downward_closure(program, rng.choice(heads)) if heads else set()
+            demand = {p for p in sorted(program.predicates.keys() - floor) if rng.random() < 0.5}
+            assert_derivable_demand_exact(program, program.constants(), floor, demand,
+                                          demand_passes)
+    assert demand_passes
+
+
+def test_derivable_demand_grounding_on_rot_reach_and_succ(all_wide, demand_passes):
+    for out in compiled_workloads():
+        assert_derivable_demand_exact(out.program, out.constants, out.floor_names,
+                                      out.defeasibly_names, demand_passes)
+    # As for hybrid: rot and reach have a wide component above the floor, succ has none.
+    assert len(demand_passes) == (10 if all_wide else 6)
+
+
 @pytest.mark.parametrize("n", [20, 40])
 def test_rot_demand_grounds_linearly_many_upper_instances(n):
     # Three per constant (its e fact, r2's body and neg t(c, c, c)) and seven
@@ -748,7 +871,7 @@ def test_rot_demand_grounds_linearly_many_upper_instances(n):
     for compile_ in (compile_team, compile_individual):
         out = compile_(rot_theory(n))
         ground = ground_program(out.program, out.constants, self_supporting=upper_names(out),
-                                demand=out.defeasibly_names)
+                                demand=out.floor_names | out.defeasibly_names)
         upper = [c for c in ground.instances if ground.atoms[c.head][0] not in out.floor_names]
         assert len(upper) == 3 * n + 7
 
@@ -812,7 +935,7 @@ def pinned_groundings():
         for out in safe:
             upper = out.upper_names
             for keep, demand in ((None, None), (frozenset(), None), (upper, None),
-                                 (upper, out.defeasibly_names)):
+                                 (upper, out.floor_names | out.defeasibly_names)):
                 yield ground_program(out.program, out.constants, self_supporting=keep,
                                      demand=demand)
         if len(safe) == 2:
@@ -820,7 +943,8 @@ def pinned_groundings():
             for out in safe:
                 ground = ground_program(out.program, out.constants,
                                         self_supporting=out.upper_names,
-                                        demand=out.defeasibly_names, floor=ground)
+                                        demand=out.floor_names | out.defeasibly_names,
+                                        floor=ground)
                 yield ground
 
 
