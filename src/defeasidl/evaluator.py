@@ -212,11 +212,13 @@ def _plan(clause: DClause) -> _Plan:
     return _Plan(tuple(values), head, tuple(steps), negative)
 
 
-def _join(plan: _Plan, tables: list, number: dict, atoms: list, found: dict, make) -> None:
+def _join(plan: _Plan, tables: list, number: dict, atoms: list, found: dict, make,
+          heads: Optional[dict] = None) -> None:
     """Add to ``found`` one ``make(head, positive, negative)`` per way of
-    matching the plan's steps in order, ``tables[i]`` being step i's index
-    (or, for a step without positions, its atom list); ``atoms[n]`` is the
-    atom numbered n in ``number``, which numbers each new head or negative atom.
+    matching the plan's steps in order whose head is in ``heads`` if given,
+    ``tables[i]`` being step i's index (or, for a step without positions,
+    its atom list); ``atoms[n]`` is the atom numbered n in ``number``, which
+    numbers each new head or negative atom.
 
     It walks the steps with one iterator each, without recursion, so a body
     of any length joins.  A step's iterator yields only the atoms whose
@@ -247,10 +249,13 @@ def _join(plan: _Plan, tables: list, number: dict, atoms: list, found: dict, mak
                 table = tables[i]
                 iters[i] = iter(table if step.key is None else table.get(step.key(values), ()))
                 break
+            head = (head_pred, head_args(values))
+            if heads is not None and head not in heads:
+                continue
             neg = []
             for pred, get in negative:
                 neg.append(numbered((pred, get(values)), len(number)))
-            head = numbered((head_pred, head_args(values)), len(number))
+            head = numbered(head, len(number))
             found[make(head, tuple(chosen), tuple(neg))] = None
         else:
             i -= 1
@@ -423,18 +428,6 @@ def _universe(arity: int, constants: list[str]) -> int:
     return len(constants) ** arity
 
 
-class _Member(NamedTuple):
-    """A step's table that probes every position among the final atoms, unindexed."""
-
-    pred: str
-    number: dict[GAtom, int]
-    done: set[int]
-
-    def get(self, key, default):  # one position's key is its value, not a tuple
-        n = self.number.get((self.pred, key if type(key) is tuple else (key,)))
-        return (n,) if n in self.done else default
-
-
 class _Pattern(NamedTuple):
     """A clause's atoms rearranged for a demand plan (``_demand_plans``)."""
 
@@ -444,14 +437,13 @@ class _Pattern(NamedTuple):
 
 
 def _demand_plans(clauses: list[DClause], lazy: set[str], every: bool, delta: _Atoms,
-                  final: _Atoms, done: set[int], number: dict[GAtom, int], constants: list[str],
+                  final: _Atoms, number: dict[GAtom, int], constants: list[str],
                   pool: list[int]) -> list:
-    """A predicate's clauses, all if ``every``, else those that read a
-    ``lazy`` atom positively, as the demand plans ``_join_demand`` takes: the
-    head first, over ``delta``, then the other positive atoms, looked up
-    among the final atoms, then per variable only lazy atoms bind a step
-    over ``pool``, the constants as "" atoms.  The lazy atoms are read like
-    negative ones, before those."""
+    """A predicate's clauses, all if ``every``, else those reading a ``lazy``
+    atom positively, as the demand plans ``_join_demand`` takes: the head
+    first, over ``delta``, then the other positive atoms, looked up among the
+    final atoms, then per variable only lazy atoms bind a step over ``pool``,
+    the constants as "" atoms; lazy atoms are read like negative ones, first."""
     plans = []
     for clause in clauses:
         read = [a for a in clause.positive if a.predicate in lazy]
@@ -467,9 +459,7 @@ def _demand_plans(clauses: list[DClause], lazy: set[str], every: bool, delta: _A
         plan = _plan(_Pattern(clause.head, (clause.head, *probed, *(
             Atom.unchecked("", (t,)) for t in free)), (*read, *clause.negative)))
         plans.append((plan, [delta.table(plan.steps[0])] + [
-            _Member(step.pred, number, done)
-            if step.positions and not step.binds and not step.checks else final.table(step)
-            for step in plan.steps[1:len(probed) + 1]
+            final.table(step) for step in plan.steps[1:len(probed) + 1]
         ] + [pool] * len(free), len(probed) + 1, len(read)))
     return plans
 
@@ -491,21 +481,18 @@ def _join_demand(plan: _Plan, tables: list, k: int, r: int, done: set[int],
 
 def _demand(clauses_of: dict[str, list[DClause]], upper: set[str], lazy: set[str],
             deferred: set[str], new: list[int], final: _Atoms, done: set[int],
-            number: dict[GAtom, int], constants: list[str],
-            grounded: list[GroundClause]) -> list[GroundClause]:
+            number: dict[GAtom, int], constants: list[str], grounded: list) -> list[GroundClause]:
     """The instances of ``grounded`` below the predicates ``upper``, then
     those of the upper atoms that the atoms ``new`` reach through instance
     bodies, less those that read an atom without support positively: the
-    ground form of magic sets.
-
-    ``grounded`` holds all of an upper atom's instances unless its predicate
-    is ``lazy``: ``deferred`` (not grounded), or self-supporting but
-    grounded by derivability.  A lazy atom's clauses, all if it is deferred
-    and else those that read lazy atoms, are joined with the head bound, one
-    ``_join_demand`` per clause and round.  A joined instance is held until
-    the lazy atoms it reads positively are decided: one that is not
-    derivable stays if it supports itself (``_drop_unsupported``); else it
-    is false, and what reads it positively is dropped."""
+    ground form of magic sets.  ``grounded`` holds all of an upper atom's
+    instances unless it is ``lazy``: ``deferred`` (not grounded), or
+    self-supporting but grounded by derivability.  A lazy atom's clauses,
+    all if it is deferred and else those reading lazy atoms, are joined head
+    bound, one ``_join_demand`` per clause and round.  A joined instance is
+    held until the lazy atoms it reads positively are decided: one that is
+    not derivable stays if it supports itself (``_drop_unsupported``); else
+    it is false, and what reads it positively is dropped."""
     atoms = final.atoms
     known: dict[int, list[GroundClause]] = {}  # the instances of upper atoms, by head
     instances: list[GroundClause] = []
@@ -528,7 +515,7 @@ def _demand(clauses_of: dict[str, list[DClause]], upper: set[str], lazy: set[str
             todo = [n for n in new if atoms[n][0] in lazy]
             for pred in dict.fromkeys([atoms[n][0] for n in todo if atoms[n][0] not in joins]):
                 joins[pred] = _demand_plans(clauses_of.get(pred, ()), lazy, pred in deferred,
-                                            delta, final, done, number, constants, pool)
+                                            delta, final, number, constants, pool)
             joined += [n for n in todo if n not in done and atoms[n][0] not in deferred]
             delta.add(todo)
             found: dict[GroundClause, None] = {}
@@ -555,6 +542,24 @@ def _demand(clauses_of: dict[str, list[DClause]], upper: set[str], lazy: set[str
         seen |= fresh
         new = [n for n in fresh if atoms[n][0] in upper]
     return instances
+
+
+def _mentioned(clauses: list[DClause], final: _Atoms, done: set[int],
+               number: dict[GAtom, int]) -> list[GroundClause]:
+    """The instances of the deferred ``clauses``, readers first, whose heads
+    an instance found before mentions (``number`` numbers them), each clause
+    joined body first over the final atoms."""
+    found: dict[GroundClause, None] = {}
+    for clause in clauses:
+        fixed = _fixed(clause)
+        if fixed is None:
+            plan = _plan(clause)
+            _join(plan, [final.table(step) for step in plan.steps], number, final.atoms, found,
+                  GroundClause, number)
+        elif fixed[0] in number and done.issuperset(pos := [*map(number.get, fixed[1])]):
+            neg = [number.setdefault(atom, len(number)) for atom in fixed[2]]
+            found[GroundClause(number[fixed[0]], tuple(pos), tuple(neg))] = None
+    return list(found)
 
 
 def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None, demand=None,
@@ -611,24 +616,20 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
     stratified semantics make them false.
 
     ``demand`` names the predicates the caller reads back; the floor is the
-    part of them that reads only itself.  Above it, a positively recursive
-    component is unsettled, and so grounded by derivability, when it is
-    wide (a predicate of it has more atoms over the pool than the program
-    has clauses; README, Grounding), and so is any part with a clause that
-    reads an unsettled predicate positively.  If a part is unsettled, the
-    walk defers the parts that no clause reads positively and the caller
-    does not read back (a compiled program's ``overruled``, ``defeated`` and
-    ``defeats``), and ``_demand`` keeps above the floor what the derivable
-    atoms of the ``demand`` predicates reach, joining a deferred clause only
-    for its reached heads and adding the instances that read atoms that
-    support themselves without being derivable.  With every seed derivable,
-    it walks only the deferred parts if each predicate the walk grounded is
-    reached whole: read back, or read alone through distinct variables by a
-    clause of one that is.  Fitting's and the well-founded semantics are
-    relevant (an atom's value depends only on the atoms it reaches through
-    clause bodies), and every reached atom has the instances its seed would
-    give it, so the grounding is exact under both over its base, which
-    holds every true atom of the ``demand`` predicates.
+    part of them that reads only itself.  Above it, a wide positively
+    recursive component (a predicate of it has more atoms over the pool than
+    the program has clauses; README, Grounding) is unsettled, grounded by
+    derivability, and so is a part that reads an unsettled one positively.
+    Then the predicates that no clause reads positively and the caller does
+    not read back (a compiled program's ``overruled``, ``defeated`` and
+    ``defeats``) are deferred: with every seed derivable, ``_mentioned`` joins
+    them for the heads the rest mentions, and else ``_demand`` keeps above
+    the floor what the derivable atoms of ``demand`` reach, deferred or not,
+    adding the instances that read self-supporting atoms that are not
+    derivable.  Both semantics are relevant (an atom's value depends only on
+    what it reaches through clause bodies), and every atom kept has the
+    instances its seed would give it, so the grounding is exact under both
+    over its base, which holds every true atom of the ``demand`` predicates.
     """
     floor = floor or GroundProgram((), {})
     clauses_of: dict[str, list[DClause]] = {}
@@ -661,18 +662,27 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
         split.setdefault(inner[comp[0]], []).append(comp)
     # A list, not a generator: one left suspended by a MemoryError is finalised at the cap.
     parts = [part for i, comp in enumerate(signed) for part in split.get(i, (comp,))]
-    below, unsettled = set(), set()  # the floor, and the parts above grounded for _demand
+    # The floor; above it, the parts grounded by derivability, and those deferred, readers first.
+    below, unsettled, deferred = set(), set(), {}
     if demand is not None:
-        wide = [comp for comp in parts if (len(comp) > 1 or comp[0] in positive.get(comp[0], ()))
-                and any(_universe(program.predicates[p], constants) > len(program.clauses)
-                        for p in comp)]
+        big = {p for p in positive  # which holds every predicate of a recursive part
+               if _universe(program.predicates[p], constants) > len(program.clauses)}
+        wide = [comp for comp in parts if big if not big.isdisjoint(comp)
+                and (len(comp) > 1 or comp[0] in positive[comp[0]])]
+        if wide and self_supporting and not demand >= program.predicates.keys() - self_supporting:
+            raise ValueError("demand leaves out predicates below self_supporting")
         for comp in signed if wide else ():
             if demand.issuperset(comp) and below.union(comp).issuperset(
                     [q for p in comp for q in graph.adjacency[p]]):
                 below.update(comp)
         unsettled = {p for comp in wide if comp[0] not in below for p in comp}
-    deferred = (clauses_of.keys() - demand - {q for out in graph.adjacency.values()
-                for q, bits in out.items() if bits & POSITIVE}) if unsettled else set()
+    if unsettled:  # defer what no clause reads positively, not read back, on no cycle of such
+        unread = clauses_of.keys() - demand - {q for out in graph.adjacency.values()
+                                               for q, bits in out.items() if bits & POSITIVE}
+        unread = [p for p in program.predicates if p in unread]
+        reads = {p: [q for q in graph.adjacency[p] if q in unread] for p in unread}
+        deferred = dict.fromkeys(comp[0] for comp in reversed(_tarjan_sccs(unread, reads))
+                                 if len(comp) == 1 and comp[0] not in reads[comp[0]])
     for component in parts:
         if component[0] not in clauses_of or component[0] in deferred:  # body-only, or not here
             continue
@@ -736,21 +746,15 @@ def _ground_clauses(program: DatalogProgram, constants, *, self_supporting=None,
     if unsettled:
         _sync(number, atoms)
         final.add(pending)
-        lazy = deferred.union([p for p in unsettled  # of these, the self-supporting ones
-                               if self_supporting is None or p in self_supporting])
-        whole = set(demand) if self_supporting == set() else set()  # reached whole, all derivable
-        for clause in [c for comp in reversed(parts) if whole for p in comp if p not in below
-                       for c in clauses_of.get(p, ()) if len(c.positive) == 1]:
-            if clause.head.predicate in whole and clause.positive[0].arity == len(
-                    {t.name for t in clause.positive[0].args if t.is_variable}):
-                whole.add(clause.positive[0].predicate)  # read alone, by distinct variables
-        fast = whole.issuperset(clauses_of.keys() - deferred)  # the walk built only reached ones
-        new = ([n for n, (pred, _) in enumerate(atoms) if pred in deferred] if fast else
-               [n for p in program.predicates if p in demand and p not in below
-                for n in final.lists.get(p, ())])
-        grounded, instances = ([], instances) if fast else (instances, [])
-        instances += _demand(clauses_of, deferred if fast else program.predicates.keys() - below,
-                             lazy, deferred, new, final, done, number, constants, grounded)
+    if unsettled and self_supporting == set():  # all derivable: the walk built the rest whole
+        instances += _mentioned([c for p in deferred for c in clauses_of[p]], final, done, number)
+    elif unsettled:  # lazy: the deferred and the unsettled self-supporting predicates
+        lazy = {*deferred, *[p for p in unsettled if self_supporting is None
+                             or p in self_supporting]}
+        new = [n for p in program.predicates if p in demand and p not in below
+               for n in final.lists.get(p, ())]
+        instances = _demand(clauses_of, program.predicates.keys() - below, lazy, deferred, new,
+                            final, done, number, constants, instances)
     base = {a for inst in instances for a in (inst.head, *inst.positive, *inst.negative)}
     return instances, {n: atom for atom, n in number.items() if n in base}
 
@@ -765,8 +769,9 @@ def ground_program(program: DatalogProgram, constants=None, *, self_supporting=N
     program's own constants include its rule labels, so it is grounded over
     ``CompilationOutput.constants``.  A ``floor``, built on as in ``_ground_clauses``,
     derives only ``program``'s predicates, and ``self_supporting`` leaves them out.
-    ``demand`` names the predicates read back, the floor among them; their
-    derivable atoms seed the demand grounding (see ``_ground_clauses``)."""
+    ``demand`` names the predicates read back, every one ``self_supporting``
+    leaves out among them (a ValueError if not, where a recursive part is
+    wide); their derivable atoms seed the demand grounding (see ``_ground_clauses``)."""
     if not is_safe(program):
         raise UnsafeProgram("program is not safe; grounding would not terminate on ground atoms")
     if floor is not None and not floor.derived <= program.predicates.keys():
